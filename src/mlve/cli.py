@@ -11,8 +11,8 @@ Subcommands:
   mayer          polymer-gas expansion versus direct enumeration
 
 All file outputs are UTF-8 CSV with a header row, or JSON with a
-schema_version field; at fixed configuration and a single thread the
-outputs are byte-identical across runs.
+schema_version field; at fixed configuration the outputs are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def load_config(path: str | None) -> dict:
         "oracle_nodes": 200,
         "gl_nodes": 12,
         "gh_nodes": None,
-        "threads": 1,
     }
     if path is None:
         return defaults
@@ -77,13 +76,13 @@ def _params(cfg):
         _fail_usage(str(exc))
 
 
-def _engine_options(cfg, threads: int):
+def _engine_options(cfg):
     from .engine import EngineOptions, default_gh_nodes
 
     gh = default_gh_nodes()
     if cfg.get("gh_nodes"):
         gh.update({int(k): int(v) for k, v in cfg["gh_nodes"].items()})
-    return EngineOptions(gh_nodes=gh, gl_nodes=int(cfg["gl_nodes"]), threads=threads)
+    return EngineOptions(gh_nodes=gh, gl_nodes=int(cfg["gl_nodes"]))
 
 
 def _out_dir(args) -> Path:
@@ -97,7 +96,7 @@ def cmd_compare(args) -> int:
 
     cfg = load_config(args.config)
     params = _params(cfg)
-    opts = _engine_options(cfg, args.threads)
+    opts = _engine_options(cfg)
     n_max = int(cfg["n_max"])
     ref = oracle.logz_oracle(params, int(cfg["oracle_nodes"]))
     out = _out_dir(args)
@@ -255,8 +254,10 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_domain_map(args) -> int:
-    out = _out_dir(args)
     res = args.resolution
+    if res < 2:
+        _fail_usage(f"--resolution must be >= 2, got {res}")
+    out = _out_dir(args)
     with (out / "domain_map.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_g", "im_g", "inside"])
@@ -277,12 +278,18 @@ def cmd_mayer(args) -> int:
     path = Path(args.gas)
     if not path.is_file():
         _fail_usage(f"gas file not found: {args.gas}")
-    spec = json.loads(path.read_text(encoding="utf-8"))
-    monomers = frozenset(spec["monomers"])
-    acts = {frozenset(entry["polymer"]): complex(entry["activity"]) for entry in spec["activities"]}
-    gas = mayer.PolymerGas(monomers, acts)
-    direct = mayer.polymer_z_direct(gas)
-    orders = [mayer.mayer_order_term(gas, n) for n in range(1, args.n_max + 1)]
+    try:
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        monomers = frozenset(spec["monomers"])
+        acts = {frozenset(entry["polymer"]): complex(entry["activity"]) for entry in spec["activities"]}
+        gas = mayer.PolymerGas(monomers, acts)
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        _fail_usage(f"malformed gas file {args.gas}: {exc!r}")
+    try:
+        direct = mayer.polymer_z_direct(gas)
+        orders = [mayer.mayer_order_term(gas, n) for n in range(1, args.n_max + 1)]
+    except ValueError as exc:  # a gas or order past the enumeration budgets
+        _fail_usage(str(exc))
     total = sum(orders)
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -303,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mlve", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="JSON config file")
+    def common(p, config=True):
+        if config:
+            p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("compare", help="expansion vs oracle")
     common(p)
@@ -329,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify-bounds", help="inequality margin tables")
-    common(p)
+    common(p, config=False)
     p.add_argument("--q-max", type=int, default=1000)
     p.add_argument("--M", type=float, default=1e8)
     p.set_defaults(func=cmd_verify_bounds)
 
     p = sub.add_parser("domain-map", help="analyticity domain grid")
-    common(p)
+    common(p, config=False)
     p.add_argument("--re-min", type=float, default=-0.5)
     p.add_argument("--re-max", type=float, default=1.5)
     p.add_argument("--im-min", type=float, default=-1.0)
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_domain_map)
 
     p = sub.add_parser("mayer", help="polymer gas expansion")
-    common(p)
+    common(p, config=False)
     p.add_argument("--gas", required=True, help="gas spec JSON file")
     p.add_argument("--n-max", type=int, default=4)
     p.set_defaults(func=cmd_mayer)

@@ -13,13 +13,14 @@ factorize exactly.
 Structural zeros are returned exactly: a block with a repeated slice, or
 a Fermionic edge joining different slices, never reaches quadrature.
 
-Block Gaussian integrals use eigendecomposition of the interpolated
-covariance (eigenvalues below 1e-12 are truncated, which only matters on
-the boundary w = 1) and tensor Gauss-Hermite nodes; weight integrals use
-Gauss-Legendre on ordering-simplex cells, where the min() interpolation
-is smooth.  Values are cached on the isomorphism class of the decorated
-block tree, which collapses the slice-assignment sum to a few distinct
-integrals per order.
+Every Bosonic block expectation goes through one route: eigendecompose
+the interpolated covariance, clip negative eigenvalues (rounding noise
+on the boundary w = 1) to 0, and apply tensor Gauss-Hermite nodes.  Both
+weight integrals use the Gauss-Legendre ordering-cell points of
+``interpolation.ordering_cell_points``, on which the min() interpolation
+is smooth.  Block values are cached on the isomorphism class of the
+decorated block tree, which collapses the slice-assignment sum to a few
+distinct integrals per order.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .grassmann import (
     hardcore_violated,
     slice_delta_violated,
 )
-from .interpolation import gauss_legendre_01, min_over_paths
+from .interpolation import min_over_paths, ordering_cell_points
 from .model_core import ModelParams, dw_grid
 from .oracle import gauss_hermite_norm
 
@@ -51,16 +52,55 @@ def default_gh_nodes() -> dict[int, int]:
     return {1: 64, 2: 64, 3: 64, 4: 32}
 
 
+# weight points whose Gauss-Hermite grids are evaluated together
+W_CHUNK = 4
+
+
 @dataclass
 class EngineOptions:
     gh_nodes: dict[int, int] = field(default_factory=default_gh_nodes)
     gl_nodes: int = 12
-    eig_floor: float = 1e-12
-    w_chunk: int = 4
-    threads: int = 1
 
     def nodes_for(self, block_size: int) -> int:
         return self.gh_nodes.get(block_size, 32)
+
+
+def _local_tree(block, tree_edges):
+    """Sorted block vertices, their local labels and the relabelled tree edges."""
+    verts = sorted(block)
+    if len(verts) > BLOCK_BUDGET:
+        raise BudgetExceededError(f"block size {len(verts)} > {BLOCK_BUDGET}")
+    local = {v: i for i, v in enumerate(verts)}
+    return verts, local, [norm_edge(local[u], local[v]) for u, v in tree_edges]
+
+
+def _block_expectations(xs: np.ndarray, edges, js, params: ModelParams, nodes: int) -> np.ndarray:
+    """E[prod_a (d^(d_a) W_(j_a))(sigma_a)] for each covariance in the stack xs.
+
+    xs has shape (P, b, b) and d_a is the degree of local vertex a in the
+    tree edges.  sigma = L xi with L L^T = X on a tensor Gauss-Hermite
+    grid; negative eigenvalues are clipped to 0.
+    """
+    b = xs.shape[1]
+    degrees = [0] * b
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    xi, wts = gauss_hermite_norm(nodes)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([xi] * b), indexing="ij")])  # (b, nodes^b)
+    gh_w = np.ones(pts.shape[1])
+    for g in np.meshgrid(*([wts] * b), indexing="ij"):
+        gh_w *= g.ravel()
+    vals, vecs = np.linalg.eigh(xs)
+    L = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+    out = np.empty(xs.shape[0], dtype=complex)
+    for lo in range(0, xs.shape[0], W_CHUNK):
+        sigma = L[lo : lo + W_CHUNK] @ pts  # (chunk, b, nodes^b)
+        integrand = np.ones((sigma.shape[0], pts.shape[1]), dtype=complex)
+        for a in range(b):
+            integrand = integrand * dw_grid(params, js[a], degrees[a], sigma[:, a, :])
+        out[lo : lo + W_CHUNK] = integrand @ gh_w
+    return out
 
 
 def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams, options: EngineOptions | None = None) -> complex:
@@ -71,82 +111,14 @@ def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams,
     with covariance X restricted to the block.
     """
     options = options or EngineOptions()
-    verts = sorted(block)
+    verts, local, edges = _local_tree(block, tree_edges)
     b = len(verts)
-    if b > BLOCK_BUDGET:
-        raise BudgetExceededError(f"block size {b} > {BLOCK_BUDGET}")
-    local = {v: i for i, v in enumerate(verts)}
-    edges = [norm_edge(local[u], local[v]) for u, v in tree_edges]
     if len(edges) != b - 1:
         raise ValueError("tree must span the block")
-    degrees = [0] * b
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
     wloc = {norm_edge(local[u], local[v]): w for (u, v), w in weights.items()}
     X = min_over_paths(b, edges, wloc)
     js = [slices[v] for v in verts]
-    return _gaussian_block_expectation(X, js, degrees, params, options)
-
-
-def _gaussian_block_expectation(X: np.ndarray, js, degrees, params: ModelParams, options: EngineOptions) -> complex:
-    """Tensor Gauss-Hermite expectation over the (possibly degenerate) X."""
-    b = X.shape[0]
-    vals, vecs = np.linalg.eigh(X)
-    keep = vals > options.eig_floor
-    L = vecs[:, keep] * np.sqrt(vals[keep])
-    rank = int(keep.sum())
-    nodes = options.nodes_for(b)
-    xi, wts = gauss_hermite_norm(nodes)
-    if rank == 0:
-        sigma = np.zeros((b, 1))
-        gh_w = np.ones(1)
-    else:
-        grids = np.meshgrid(*([xi] * rank), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids])  # (rank, nodes^rank)
-        sigma = L @ pts
-        gh_w = np.ones(pts.shape[1])
-        for axis in range(rank):
-            wgrid = np.meshgrid(*([wts] * rank), indexing="ij")[axis].ravel()
-            gh_w *= wgrid
-    integrand = np.ones(sigma.shape[1], dtype=complex)
-    for a in range(b):
-        integrand = integrand * dw_grid(params, js[a], degrees[a], sigma[a])
-    return complex(np.sum(gh_w * integrand))
-
-
-def _simplex_points(k: int, order: int):
-    """All (w-vector, weight) quadrature points of the ordering cells.
-
-    Returns arrays of shape (P, k) and (P,).  Nodes are interior, so the
-    interpolated covariances stay strictly positive definite.
-    """
-    nodes, wts = gauss_legendre_01(order)
-    if k == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    if k == 1:
-        return nodes.reshape(-1, 1), wts.copy()
-    grids = np.meshgrid(*([nodes] * k), indexing="ij")
-    v = np.stack([g.ravel() for g in grids], axis=1)  # (order^k, k)
-    wflat = np.ones(v.shape[0])
-    for axis in range(k):
-        wflat *= np.meshgrid(*([wts] * k), indexing="ij")[axis].ravel()
-    t = np.empty_like(v)
-    t[:, k - 1] = v[:, k - 1]
-    for m in range(k - 2, -1, -1):
-        t[:, m] = v[:, m] * t[:, m + 1]
-    jac = np.ones(v.shape[0])
-    for m in range(1, k):
-        jac *= v[:, m] ** m
-    all_w = []
-    all_weights = []
-    for perm in permutations(range(k)):
-        w_pts = np.empty_like(t)
-        for rank, pos in enumerate(perm):
-            w_pts[:, pos] = t[:, rank]
-        all_w.append(w_pts)
-        all_weights.append(wflat * jac)
-    return np.concatenate(all_w), np.concatenate(all_weights)
+    return complex(_block_expectations(X[None], edges, js, params, options.nodes_for(b))[0])
 
 
 class TermEvaluator:
@@ -172,61 +144,26 @@ class TermEvaluator:
 
     def block_integral(self, block, tree_edges, slices) -> complex:
         """The block Gaussian integral, integrated over its tree weights."""
-        verts = sorted(block)
-        b = len(verts)
-        if b > BLOCK_BUDGET:
-            raise BudgetExceededError(f"block size {b} > {BLOCK_BUDGET}")
-        local = {v: i for i, v in enumerate(verts)}
-        edges = [norm_edge(local[u], local[v]) for u, v in tree_edges]
+        verts, _, edges = _local_tree(block, tree_edges)
         js = tuple(slices[v] for v in verts)
         key = self._canonical_block_key(edges, js)
         if key in self._block_cache:
             return self._block_cache[key]
-        value = self._integrate_block(b, edges, js)
+        value = self._integrate_block(len(verts), edges, js)
         self._block_cache[key] = value
         return value
 
     def _integrate_block(self, b, edges, js) -> complex:
-        opts = self.options
-        degrees = [0] * b
-        for u, v in edges:
-            degrees[u] += 1
-            degrees[v] += 1
-        if b == 1:
-            return _gaussian_block_expectation(np.eye(1), js, degrees, self.params, opts)
-        w_pts, w_weights = _simplex_points(len(edges), opts.gl_nodes)
-        nodes = opts.nodes_for(b)
-        xi, wts = gauss_hermite_norm(nodes)
-        grids = np.meshgrid(*([xi] * b), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids])  # (b, nodes^b)
-        gh_w = np.ones(pts.shape[1])
-        for axis in range(b):
-            gh_w *= np.meshgrid(*([wts] * b), indexing="ij")[axis].ravel()
-        total = 0.0 + 0.0j
-        for lo in range(0, w_pts.shape[0], opts.w_chunk):
-            chunk = w_pts[lo : lo + opts.w_chunk]
-            cw = w_weights[lo : lo + opts.w_chunk]
-            xs = np.empty((chunk.shape[0], b, b))
-            for i, wv in enumerate(chunk):
-                xs[i] = min_over_paths(b, edges, dict(zip(edges, wv)))
-            vals, vecs = np.linalg.eigh(xs)
-            vals = np.clip(vals, 0.0, None)
-            L = vecs * np.sqrt(vals)[:, None, :]
-            sigma = L @ pts  # (chunk, b, nodes^b)
-            integrand = np.ones((chunk.shape[0], pts.shape[1]), dtype=complex)
-            for a in range(b):
-                integrand = integrand * dw_grid(self.params, js[a], degrees[a], sigma[:, a, :])
-            total += np.sum(cw * (integrand @ gh_w))
-        return complex(total)
+        w_pts, w_weights = ordering_cell_points(len(edges), self.options.gl_nodes)
+        xs = np.stack([min_over_paths(b, edges, dict(zip(edges, wv))) for wv in w_pts])
+        vals = _block_expectations(xs, edges, js, self.params, self.options.nodes_for(b))
+        return complex(np.sum(w_weights * vals))
 
     # -- fermionic side ------------------------------------------------------
 
     def fermionic_integral(self, jungle: Jungle, slices) -> float:
         edges = sorted(jungle.fermionic)
-        k = len(edges)
-        if k == 0:
-            return fermionic_factor(FermionicFactorInput(jungle, tuple(slices), {}))
-        w_pts, w_weights = _simplex_points(k, self.options.gl_nodes)
+        w_pts, w_weights = ordering_cell_points(len(edges), self.options.gl_nodes)
         total = 0.0
         for wv, ww in zip(w_pts, w_weights):
             weights = dict(zip(edges, wv))
@@ -258,26 +195,10 @@ class TermEvaluator:
                 yield jungle, slices, self.jungle_term(jungle, slices)
 
     def order_contribution(self, n: int) -> complex:
-        if self.options.threads > 1:
-            return self._order_contribution_parallel(n)
         total = 0j
         for _, _, value in self.order_terms(n):
             total += value
         return total / math.factorial(n)
-
-    def _order_contribution_parallel(self, n: int) -> complex:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if n > ORDER_BUDGET:
-            raise BudgetExceededError(f"order {n} > budget {ORDER_BUDGET}")
-        work = [
-            (jungle, slices)
-            for jungle in enumerate_jungles(n, spanning=True)
-            for slices in product(self.params.slices, repeat=n)
-        ]
-        with ThreadPoolExecutor(max_workers=self.options.threads) as pool:
-            values = list(pool.map(lambda args: self.jungle_term(*args), work))
-        return sum(values, start=0j) / math.factorial(n)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import Jungle
-from .interpolation import min_over_paths
+from .interpolation import layered_decomposition, min_over_paths
 
 BRUTE_FORCE_BUDGET = 8
 
@@ -258,9 +258,7 @@ def lifted_y_matrix(jungle: Jungle, slices, weights: dict) -> np.ndarray:
     part = jungle.partition()
     block_of = part.block_of()
     nb = len(part.blocks)
-    block_edges = {}
-    for (bi, bj), (u, v) in jungle.block_level_edges():
-        block_edges[(bi, bj)] = weights[(u, v)]
+    block_edges = {be: weights[e] for be, e in jungle.block_level_edges()}
     yblk = min_over_paths(nb, list(block_edges), block_edges)
     n = jungle.n
     out = np.zeros((n, n))
@@ -274,30 +272,19 @@ def lifted_y_matrix(jungle: Jungle, slices, weights: dict) -> np.ndarray:
 def layered_lifted_terms(jungle: Jungle, slices, weights: dict):
     """Sum-of-squares layers reproducing lifted Y: (coeff, indicator vector).
 
-    Order the Fermionic weights decreasingly (w_0 := 1, w_(k+1) := 0).
-    With the i largest Fermionic edges active, blocks group into
-    components f; each (f, slice j) pair contributes a rank-one term on
+    The layered decomposition of the block-level Fermionic forest gives
+    Y = sum_i c_i sum_f 1_f 1_f^T over block components f; the slice
+    delta splits each component into one rank-one term per slice j, on
     the vertices of f carrying slice j.
     """
     part = jungle.partition()
     block_of = part.block_of()
-    nb = len(part.blocks)
-    edges = sorted(jungle.block_level_edges(), key=lambda t: -weights[t[1]])
-    levels = [1.0] + [weights[t[1]] for t in edges] + [0.0]
-    n = jungle.n
+    block_weights = {be: weights[e] for be, e in jungle.block_level_edges()}
     terms = []
-    from .combinatorics import _components_of
-
-    for i in range(len(edges) + 1):
-        coeff = levels[i] - levels[i + 1]
-        if coeff <= 0:
-            continue
-        comps = _components_of(nb, [be for be, _ in edges[:i]])
+    for coeff, comps in layered_decomposition(len(part.blocks), list(block_weights), block_weights):
         for comp in comps:
             for j in sorted(set(slices)):
-                vec = np.array(
-                    [1.0 if (block_of[v] in comp and slices[v] == j) else 0.0 for v in range(n)]
-                )
+                vec = np.array([1.0 if block_of[v] in comp and slices[v] == j else 0.0 for v in range(jungle.n)])
                 if vec.any():
                     terms.append((coeff, vec))
     return terms

@@ -20,7 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .combinatorics import Forest, enumerate_forests, norm_edge
+from .combinatorics import Forest, _components_of, enumerate_forests, norm_edge
 
 
 def _validate_weights(edges, weights) -> None:
@@ -92,16 +92,10 @@ def layered_decomposition(n: int, edges, weights):
     terms = []
     for i in range(len(order) + 1):
         coeff = levels[i] - levels[i + 1]
-        comps = _components(n, order[:i])
+        comps = _components_of(n, order[:i])
         if coeff > 0:
             terms.append((coeff, comps))
     return terms
-
-
-def _components(n: int, edges):
-    from .combinatorics import _components_of
-
-    return _components_of(n, edges)
 
 
 def reconstruct_from_layers(n: int, terms) -> np.ndarray:
@@ -131,43 +125,42 @@ def gauss_legendre_01(order: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def integrate_unit_cube(f, k: int, order: int):
-    """Integrate f(w) over [0,1]^k, splitting along coordinate orderings.
+def ordering_cell_points(k: int, order: int):
+    """Gauss-Legendre points and weights on [0,1]^k, split along orderings.
 
     Within each ordering cell every min() of coordinates is a single
-    coordinate, so the integrand is smooth there.  The cell with
-    w_(pi[0]) <= ... <= w_(pi[k-1]) is mapped from the unit cube through
-    t_m = prod_{i>=m} v_i with Jacobian prod_m v_m^m.
+    coordinate, so min-over-path integrands are smooth there.  The cell
+    with w_(pi[0]) <= ... <= w_(pi[k-1]) is mapped from the unit cube
+    through t_m = prod_(i>=m) v_i with Jacobian prod_m v_m^m.  Returns
+    points of shape (P, k) and weights of shape (P,); the nodes are
+    interior, so interpolated covariances stay positive definite.
     """
-    if k == 0:
-        return f(())
     nodes, wts = gauss_legendre_01(order)
-    if k == 1:
-        return sum(w * f((x,)) for x, w in zip(nodes, wts))
-    total = 0.0
-    grids = np.meshgrid(*([nodes] * k), indexing="ij")
-    wgrid = np.ones([order] * k)
-    for axis in range(k):
-        shape = [1] * k
-        shape[axis] = order
-        wgrid = wgrid * wts.reshape(shape)
-    v = np.stack([g.ravel() for g in grids])  # (k, order^k)
-    weights_flat = wgrid.ravel()
+    if k == 0:
+        return np.zeros((1, 0)), np.ones(1)
+    v = np.stack([g.ravel() for g in np.meshgrid(*([nodes] * k), indexing="ij")], axis=1)  # (order^k, k)
+    wflat = np.ones(v.shape[0])
+    for g in np.meshgrid(*([wts] * k), indexing="ij"):
+        wflat *= g.ravel()
     # ascending t values and the ordering Jacobian
     t = np.empty_like(v)
-    t[k - 1] = v[k - 1]
+    t[:, k - 1] = v[:, k - 1]
     for m in range(k - 2, -1, -1):
-        t[m] = v[m] * t[m + 1]
-    jac = np.ones_like(weights_flat)
+        t[:, m] = v[:, m] * t[:, m + 1]
     for m in range(1, k):
-        jac = jac * v[m] ** m
+        wflat *= v[:, m] ** m
+    cells = []
     for perm in permutations(range(k)):
-        w_vec = np.empty_like(t)
-        for rank, pos in enumerate(perm):
-            w_vec[pos] = t[rank]
-        for col in range(w_vec.shape[1]):
-            total += weights_flat[col] * jac[col] * f(tuple(w_vec[:, col]))
-    return total
+        cell = np.empty_like(t)
+        cell[:, list(perm)] = t
+        cells.append(cell)
+    return np.concatenate(cells), np.tile(wflat, len(cells))
+
+
+def integrate_unit_cube(f, k: int, order: int):
+    """Integrate f(w) over [0,1]^k on the ordering-cell quadrature."""
+    pts, wts = ordering_cell_points(k, order)
+    return sum(w * f(tuple(x)) for x, w in zip(pts, wts))
 
 
 # --- interpolation identities ------------------------------------------------

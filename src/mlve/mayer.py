@@ -29,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .combinatorics import enumerate_trees
-from .interpolation import gauss_legendre_01
+from .interpolation import ordering_cell_points
 
 DIRECT_BUDGET = 8
 ORDER_BUDGET = 5
@@ -107,39 +107,11 @@ def _epsilon_tree_factor(n: int, tree_edges, eta_minus: frozenset, gl_order: int
         return 1.0
     nontree = [e for e in combinations(range(n), 2) if e not in tree_edges and e in eta_minus]
     sign = (-1.0) ** len(tree_edges)
-    edges = sorted(tree_edges)
-    k = len(edges)
-    paths = _tree_paths(n, edges)
-    nodes, wts = gauss_legendre_01(gl_order)
-    from itertools import permutations
-
-    if k == 1:
-        val = np.ones_like(nodes)
-        for pair in nontree:
-            val = val * (1.0 - nodes)
-        return sign * float(np.sum(wts * val))
-    grids = np.meshgrid(*([nodes] * k), indexing="ij")
-    v = np.stack([g.ravel() for g in grids], axis=1)
-    wflat = np.ones(v.shape[0])
-    for axis in range(k):
-        wflat *= np.meshgrid(*([wts] * k), indexing="ij")[axis].ravel()
-    t = np.empty_like(v)
-    t[:, k - 1] = v[:, k - 1]
-    for m in range(k - 2, -1, -1):
-        t[:, m] = v[:, m] * t[:, m + 1]
-    jac = np.ones(v.shape[0])
-    for m in range(1, k):
-        jac *= v[:, m] ** m
-    total = 0.0
-    for perm in permutations(range(k)):
-        w_cols = np.empty_like(t)
-        for rank, pos in enumerate(perm):
-            w_cols[:, pos] = t[:, rank]
-        val = wflat * jac
-        for pair in nontree:
-            val = val * (1.0 - np.min(w_cols[:, list(paths[pair])], axis=1))
-        total += float(val.sum())
-    return sign * total
+    paths = _tree_paths(n, sorted(tree_edges))
+    w_pts, val = ordering_cell_points(n - 1, gl_order)
+    for pair in nontree:
+        val = val * (1.0 - np.min(w_pts[:, list(paths[pair])], axis=1))
+    return sign * float(val.sum())
 
 
 def mayer_order_term(gas: PolymerGas, n: int, gl_order: int = 8, _cache=None) -> complex:

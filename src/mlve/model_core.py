@@ -284,10 +284,6 @@ def exp_minus_v_grid(params: ModelParams, j: int, sigma: np.ndarray) -> np.ndarr
     return numerics.exp_minus_v_range(complex(params.lam), sl.lo, sl.hi, sigma)
 
 
-def w_grid(params: ModelParams, j: int, sigma: np.ndarray) -> np.ndarray:
-    return exp_minus_v_grid(params, j, sigma) - 1.0
-
-
 def dv_grid(params: ModelParams, j: int, k: int, sigma: np.ndarray) -> np.ndarray:
     sl = params.slice_set(j)
     return numerics.dv_range(complex(params.lam), sl.lo, sl.hi, k, sigma)
@@ -296,12 +292,7 @@ def dv_grid(params: ModelParams, j: int, k: int, sigma: np.ndarray) -> np.ndarra
 def dw_grid(params: ModelParams, j: int, q: int, sigma: np.ndarray) -> np.ndarray:
     """Vectorized q-th derivative of W_j on a grid of sigma values."""
     sl = params.slice_set(j)
-    lam = complex(params.lam)
-    if lam.imag == 0.0:
-        fused = numerics.dw_fused(lam.real, sl.lo, sl.hi, q, np.asarray(sigma))
-        if fused is not None:
-            return fused
-    expv, dv_cache = numerics.kernel_bundle(lam, sl.lo, sl.hi, q, np.asarray(sigma))
+    expv, dv_cache = numerics.kernel_bundle(complex(params.lam), sl.lo, sl.hi, q, sigma)
     if q == 0:
         return expv - 1.0
     total = np.zeros_like(expv)

@@ -16,26 +16,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import digamma, loggamma
 
-try:
-    import numba
-
-    # omp is thread-safe under concurrent callers (workqueue is not) and
-    # skips the noisy TBB version probe
-    numba.config.THREADING_LAYER = "omp"
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency normally
-    HAVE_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-
 # Grid evaluations switch from the term-by-term sweep to gamma-function
 # closed forms past this window length (the sweep cost is linear in the
 # window, the closed forms are flat).
@@ -207,25 +187,18 @@ def dv_range(lam: complex, lo: int, hi: int, k: int, sigma):
 def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     """exp(-V) and the derivatives d^k(-V), k = 1..max_k, in one pass.
 
-    For short windows a single sweep over p accumulates the product form
-    of exp(-V) together with all the inverse-power sums; long windows fall
-    back to the gamma-function closed forms.  Real coupling and real sigma
-    take a split real/imaginary path (complex division is several times
-    slower than the handful of real operations replacing it).
+    For short windows a single complex sweep over p accumulates the
+    product form of exp(-V) together with all the inverse-power sums;
+    long windows fall back to the gamma-function closed forms.  Real and
+    complex couplings take the same route.
     """
     lam = complex(lam)
-    sigma_in = np.asarray(sigma)
-    count = hi - lo + 1
+    sigma_c = np.asarray(sigma, dtype=complex)
     if lo > hi:
-        sigma_c = sigma_in.astype(complex)
         return np.ones_like(sigma_c), {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
-    if count > DIRECT_SUM_LIMIT:
-        sigma_c = sigma_in.astype(complex)
+    if hi - lo + 1 > DIRECT_SUM_LIMIT:
         expv = exp_minus_v_range(lam, lo, hi, sigma_c)
         return expv, {k: dv_range(lam, lo, hi, k, sigma_c) for k in range(1, max_k + 1)}
-    if lam.imag == 0.0 and not np.iscomplexobj(sigma_in):
-        return _kernel_bundle_real(lam.real, lo, hi, max_k, sigma_in)
-    sigma_c = sigma_in.astype(complex)
     z0 = -1j * lam * sigma_c
     prod = np.ones_like(sigma_c)
     sums = {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
@@ -247,189 +220,3 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
         dv[k] = math.factorial(k - 1) * (1j * lam) ** k * sums[k]
     return expv, dv
 
-
-@njit(cache=True, parallel=True)
-def _bundle_sweep(lo, hi, h, max_k, y, out):  # pragma: no cover - jitted
-    """Single-pass register sweep: exp(-V) and up to three dv sums per point.
-
-    out has shape (8, n): exp re/im, s1 re/im, s2 re/im, s3 re/im, where
-    s_k = sum_p (p - i y)^(-k) split into components (s1 divided by p once
-    more, matching the first-derivative form).  Iterations are independent
-    per point, so the parallel schedule cannot change any result bit.
-    """
-    n = y.size
-    for i in prange(n):
-        yi = y[i]
-        y2 = yi * yi
-        prod_re = 1.0
-        prod_im = 0.0
-        s1_re = 0.0
-        s1_im = 0.0
-        s2_re = 0.0
-        s2_im = 0.0
-        s3_re = 0.0
-        s3_im = 0.0
-        for p in range(lo, hi + 1):
-            inv = 1.0 / (p * p + y2)
-            r_re = p * inv
-            r_im = yi * inv
-            t_re = p * (prod_re * r_re - prod_im * r_im)
-            prod_im = p * (prod_re * r_im + prod_im * r_re)
-            prod_re = t_re
-            if max_k >= 1:
-                s1_re += inv
-                s1_im += yi * inv / p
-            if max_k >= 2:
-                rk_re = r_re * r_re - r_im * r_im
-                rk_im = 2.0 * r_re * r_im
-                s2_re += rk_re
-                s2_im += rk_im
-                if max_k >= 3:
-                    s3_re += rk_re * r_re - rk_im * r_im
-                    s3_im += rk_re * r_im + rk_im * r_re
-        ph = h * yi
-        c = math.cos(ph)
-        s = math.sin(ph)
-        out[0, i] = c * prod_re + s * prod_im
-        out[1, i] = c * prod_im - s * prod_re
-        out[2, i] = s1_re
-        out[3, i] = s1_im
-        out[4, i] = s2_re
-        out[5, i] = s2_im
-        out[6, i] = s3_re
-        out[7, i] = s3_im
-
-
-@njit(cache=True, parallel=True)
-def _dw_sweep(lo, hi, h, lam, q, y, out):  # pragma: no cover - jitted
-    """Fully fused d^q W for real coupling, q <= 3, one complex write per point.
-
-    The order-q derivative of W = exp(-V) - 1 assembled in registers:
-    q=1: e^(-V) v1, q=2: e^(-V)(v2 + v1^2), q=3: e^(-V)(v3 + 3 v1 v2 + v1^3)
-    with v_k the k-th derivative of -V.
-    """
-    n = y.size
-    for i in prange(n):
-        yi = y[i]
-        y2 = yi * yi
-        prod_re = 1.0
-        prod_im = 0.0
-        s1_re = 0.0
-        s1_im = 0.0
-        s2_re = 0.0
-        s2_im = 0.0
-        s3_re = 0.0
-        s3_im = 0.0
-        for p in range(lo, hi + 1):
-            inv = 1.0 / (p * p + y2)
-            r_re = p * inv
-            r_im = yi * inv
-            t_re = p * (prod_re * r_re - prod_im * r_im)
-            prod_im = p * (prod_re * r_im + prod_im * r_re)
-            prod_re = t_re
-            if q >= 1:
-                s1_re += inv
-                s1_im += yi * inv / p
-            if q >= 2:
-                rk_re = r_re * r_re - r_im * r_im
-                rk_im = 2.0 * r_re * r_im
-                s2_re += rk_re
-                s2_im += rk_im
-                if q >= 3:
-                    s3_re += rk_re * r_re - rk_im * r_im
-                    s3_im += rk_re * r_im + rk_im * r_re
-        ph = h * yi
-        c = math.cos(ph)
-        s = math.sin(ph)
-        e_re = c * prod_re + s * prod_im
-        e_im = c * prod_im - s * prod_re
-        if q == 0:
-            out[i] = (e_re - 1.0) + 1j * e_im
-            continue
-        scale = -lam * yi  # -lam^2 sigma
-        v1_re = scale * s1_re
-        v1_im = scale * s1_im
-        if q == 1:
-            g_re, g_im = v1_re, v1_im
-        else:
-            # v2 = 1! (i lam)^2 s2 = -lam^2 s2
-            v2_re = -(lam * lam) * s2_re
-            v2_im = -(lam * lam) * s2_im
-            if q == 2:
-                g_re = v2_re + v1_re * v1_re - v1_im * v1_im
-                g_im = v2_im + 2.0 * v1_re * v1_im
-            else:
-                # v3 = 2! (i lam)^3 s3 = -2 i lam^3 s3
-                l3 = 2.0 * lam * lam * lam
-                v3_re = l3 * s3_im
-                v3_im = -l3 * s3_re
-                sq_re = v1_re * v1_re - v1_im * v1_im
-                sq_im = 2.0 * v1_re * v1_im
-                cu_re = sq_re * v1_re - sq_im * v1_im
-                cu_im = sq_re * v1_im + sq_im * v1_re
-                g_re = v3_re + 3.0 * (v1_re * v2_re - v1_im * v2_im) + cu_re
-                g_im = v3_im + 3.0 * (v1_re * v2_im + v1_im * v2_re) + cu_im
-        out[i] = (e_re * g_re - e_im * g_im) + 1j * (e_re * g_im + e_im * g_re)
-
-
-def dw_fused(lam: float, lo: int, hi: int, q: int, sigma: np.ndarray):
-    """d^q W on a real grid for real coupling; None if no fused route applies."""
-    if not HAVE_NUMBA or q > 3 or np.iscomplexobj(sigma) or hi - lo + 1 > DIRECT_SUM_LIMIT:
-        return None
-    y = lam * np.asarray(sigma, dtype=float)
-    flat = np.ascontiguousarray(y.ravel())
-    out = np.empty(flat.size, dtype=np.complex128)
-    _dw_sweep(lo, hi, harmonic_range_sum(lo, hi), lam, q, flat, out)
-    return out.reshape(y.shape)
-
-
-def _kernel_bundle_real(lam: float, lo: int, hi: int, max_k: int, sigma: np.ndarray):
-    """Split-component sweep for real coupling: 1/(p - i y) = (p + i y)/(p^2 + y^2)."""
-    y = lam * np.asarray(sigma, dtype=float)
-    if HAVE_NUMBA and max_k <= 3:
-        shape = y.shape
-        flat = np.ascontiguousarray(y.ravel())
-        out = np.empty((8, flat.size))
-        _bundle_sweep(lo, hi, harmonic_range_sum(lo, hi), max_k, flat, out)
-        expv = (out[0] + 1j * out[1]).reshape(shape)
-        dv = {}
-        if max_k >= 1:
-            dv[1] = (-(lam) * (out[2] + 1j * out[3]) * flat).reshape(shape)
-        for k in range(2, max_k + 1):
-            coeff = math.factorial(k - 1) * (1j * lam) ** k
-            row = 4 if k == 2 else 6
-            dv[k] = (coeff * (out[row] + 1j * out[row + 1])).reshape(shape)
-        return expv, dv
-    prod_re = np.ones_like(y)
-    prod_im = np.zeros_like(y)
-    s_re = [np.zeros_like(y) for _ in range(max_k + 1)]
-    s_im = [np.zeros_like(y) for _ in range(max_k + 1)]
-    y2 = y * y
-    for p in range(hi, lo - 1, -1):
-        inv = 1.0 / (p * p + y2)
-        r_re = p * inv
-        r_im = y * inv
-        new_re = p * (prod_re * r_re - prod_im * r_im)
-        prod_im = p * (prod_re * r_im + prod_im * r_re)
-        prod_re = new_re
-        if max_k >= 1:
-            s_re[1] += inv
-            s_im[1] += (y / p) * inv
-        if max_k >= 2:
-            rk_re, rk_im = r_re, r_im
-            for k in range(2, max_k + 1):
-                rk_re, rk_im = rk_re * r_re - rk_im * r_im, rk_re * r_im + rk_im * r_re
-                s_re[k] += rk_re
-                s_im[k] += rk_im
-    h = harmonic_range_sum(lo, hi)
-    phase = h * y
-    c, s = np.cos(phase), np.sin(phase)
-    expv = (c * prod_re + s * prod_im) + 1j * (c * prod_im - s * prod_re)
-    dv = {}
-    if max_k >= 1:
-        scale = -(lam) * y  # -lam^2 sigma
-        dv[1] = scale * s_re[1] + 1j * (scale * s_im[1])
-    for k in range(2, max_k + 1):
-        coeff = math.factorial(k - 1) * (1j * lam) ** k
-        dv[k] = coeff * (s_re[k] + 1j * s_im[k])
-    return expv, dv

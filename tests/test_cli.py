@@ -62,6 +62,12 @@ class TestCompare:
             run_cli(["compare", "--config", str(path), "--out", str(tmp_path / "o")])
         assert err.value.code == 2
 
+    def test_threads_config_key_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path, threads=1)
+        with pytest.raises(SystemExit) as err:
+            run_cli(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -170,6 +176,19 @@ class TestDomainMap:
             g = complex(float(row["re_g"]), float(row["im_g"]))
             assert int(row["inside"]) == int(abs(g - 0.5) < 0.5)
 
+    @pytest.mark.parametrize("resolution", ["1", "0", "-3"])
+    def test_resolution_below_two_exits_two(self, tmp_path, resolution):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["domain-map", "--out", str(out), "--resolution", resolution])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    def test_config_not_offered(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["domain-map", "--config", "x.json", "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+
 
 class TestMayerCommand:
     def test_worked_gas(self, tmp_path):
@@ -192,4 +211,25 @@ class TestMayerCommand:
     def test_missing_gas_file(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(["mayer", "--gas", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"monomers": [0]}',
+            '{"activities": []}',
+            '{"monomers": [0], "activities": [{"activity": 0.1}]}',
+            '{"monomers": [0], "activities": [{"polymer": [0], "activity": "x"}]}',
+            '{"monomers": [0], "activities": [{"polymer": [1], "activity": 0.1}]}',
+            '{"monomers": [0], "activities": [{"polymer": [], "activity": 0.1}]}',
+            "[0]",
+        ],
+        ids=["json", "no-activities", "no-monomers", "no-polymer", "bad-activity", "outside-monomers", "empty-polymer", "not-object"],
+    )
+    def test_malformed_gas_file_exits_two(self, tmp_path, text):
+        path = tmp_path / "gas.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["mayer", "--gas", str(path), "--out", str(tmp_path / "o")])
         assert err.value.code == 2

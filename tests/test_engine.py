@@ -48,9 +48,9 @@ class TestBosonicBlockValue:
         assert abs(val - product) < 1e-9
 
     def test_pair_at_w_one_collapses_to_one_dimension(self):
-        # w = 1 makes the two sigmas identical; the eigendecomposition drops
-        # the null direction and the value equals a 1-D integral of the
-        # product of derivatives
+        # w = 1 makes the two sigmas identical; the null direction gets a
+        # clipped eigenvalue of 0 and the value equals a 1-D integral of
+        # the product of derivatives
         val = bosonic_block_value(
             [0, 1], [(0, 1)], (1, 2), {(0, 1): 1.0}, self.params, EngineOptions()
         )
@@ -150,15 +150,6 @@ class TestOrders:
         with pytest.raises(BudgetExceededError):
             logz_truncation(5, ModelParams(0.2, 2, 1, 3), FAST)
 
-    def test_threaded_reduction_reproducible(self):
-        params = ModelParams(0.3, 2, 1, 2)
-        serial = order_contribution(2, params, FAST)
-        threaded_opts = EngineOptions(
-            gh_nodes=dict(FAST.gh_nodes), gl_nodes=FAST.gl_nodes, threads=2
-        )
-        threaded = order_contribution(2, params, threaded_opts)
-        assert abs(serial - threaded) < 1e-12
-
     def test_complex_coupling_matches_oracle(self):
         # the generic complex kernel route, end to end: partial sums of a
         # complex coupling inside the analyticity domain approach log Z
@@ -189,20 +180,6 @@ class TestOrders:
         expect -= 0.5 * sum(ew[j] ** 2 for j in slices)
         val = order_contribution(2, params, EngineOptions(gh_nodes={1: 100, 2: 64}))
         assert abs(val - expect) < 1e-9
-
-
-class TestSimplexPoints:
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_order_statistic_closed_forms(self, k):
-        from mlve.engine import _simplex_points
-
-        pts, wts = _simplex_points(k, 10)
-        assert wts.sum() == pytest.approx(1.0, abs=1e-12)
-        mins = pts.min(axis=1)
-        assert float(wts @ mins) == pytest.approx(1.0 / (k + 1), abs=1e-12)
-        assert float(wts @ mins**2) == pytest.approx(2.0 / ((k + 1) * (k + 2)), abs=1e-12)
-        prods = pts.prod(axis=1)
-        assert float(wts @ prods) == pytest.approx(0.5**k, abs=1e-12)
 
 
 class TestTraceRecords:

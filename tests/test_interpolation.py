@@ -108,13 +108,27 @@ class TestYBlockMatrix:
 
 class TestOrderingSimplexQuadrature:
     # closed forms for order statistics of independent uniforms
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_minimum_moments(self, k):
-        from mlve.interpolation import integrate_unit_cube
+    # the cube routine at order 8 under the plain ids, and the vectorized
+    # point set it is built on at order 10 under "points-k"
+    @pytest.mark.parametrize(
+        "k, points",
+        [pytest.param(k, False, id=str(k)) for k in (1, 2, 3, 4)]
+        + [pytest.param(k, True, id=f"points-{k}") for k in (1, 2, 3)],
+    )
+    def test_minimum_moments(self, k, points):
+        from mlve.interpolation import integrate_unit_cube, ordering_cell_points
 
-        val1 = integrate_unit_cube(lambda w: min(w), k, order=8)
+        if points:
+            pts, wts = ordering_cell_points(k, 10)
+            assert pts.shape == (math.factorial(k) * 10**k, k)
+            assert wts.sum() == pytest.approx(1.0, abs=1e-12)
+            assert float(wts @ pts.prod(axis=1)) == pytest.approx(0.5**k, abs=1e-12)
+            mins = pts.min(axis=1)
+            val1, val2 = float(wts @ mins), float(wts @ mins**2)
+        else:
+            val1 = integrate_unit_cube(lambda w: min(w), k, order=8)
+            val2 = integrate_unit_cube(lambda w: min(w) ** 2, k, order=8)
         assert val1 == pytest.approx(1.0 / (k + 1), abs=1e-12)
-        val2 = integrate_unit_cube(lambda w: min(w) ** 2, k, order=8)
         assert val2 == pytest.approx(2.0 / ((k + 1) * (k + 2)), abs=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
