@@ -41,7 +41,6 @@ def load_config(path: str | None) -> dict:
         "n_max": 3,
         "oracle_nodes": 200,
         "gl_nodes": 12,
-        "gh_nodes": None,
     }
     if path is None:
         return defaults
@@ -76,15 +75,6 @@ def _params(cfg):
         _fail_usage(str(exc))
 
 
-def _engine_options(cfg):
-    from .engine import EngineOptions, default_gh_nodes
-
-    gh = default_gh_nodes()
-    if cfg.get("gh_nodes"):
-        gh.update({int(k): int(v) for k, v in cfg["gh_nodes"].items()})
-    return EngineOptions(gh_nodes=gh, gl_nodes=int(cfg["gl_nodes"]))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -96,12 +86,11 @@ def cmd_compare(args) -> int:
 
     cfg = load_config(args.config)
     params = _params(cfg)
-    opts = _engine_options(cfg)
     n_max = int(cfg["n_max"])
     ref = oracle.logz_oracle(params, int(cfg["oracle_nodes"]))
     out = _out_dir(args)
 
-    ev = engine.TermEvaluator(params, opts)
+    ev = engine.TermEvaluator(params, int(cfg["gl_nodes"]))
     orders, sums, rows, trace_rows = [], [], [], []
     running = 0j
     for n in range(1, n_max + 1):

@@ -13,10 +13,14 @@ factorize exactly.
 Structural zeros are returned exactly: a block with a repeated slice, or
 a Fermionic edge joining different slices, never reaches quadrature.
 
-Every Bosonic block expectation goes through one route: eigendecompose
-the interpolated covariance, clip negative eigenvalues (rounding noise
-on the boundary w = 1) to 0, and apply tensor Gauss-Hermite nodes.  Both
-weight integrals use the Gauss-Legendre ordering-cell points of
+A Bosonic block expectation is a Gaussian expectation under the
+interpolated covariance X(w), which ``interpolation.layered_decomposition``
+writes as sum_i c_i sum_f 1_f 1_f^T with c_i >= 0: sigma is a sum of
+independent Gaussian shifts, one per layer and component.  The
+expectation is therefore a bottom-up chain of 1-D Gaussian smoothings of
+the kernel tables on one fixed uniform grid, each applied exactly as the
+Fourier multiplier exp(-c k^2/2).  Both weight integrals use the
+Gauss-Legendre ordering-cell points of
 ``interpolation.ordering_cell_points``, on which the min() interpolation
 is smooth.  Block values are cached on the isomorphism class of the
 decorated block tree, which collapses the slice-assignment sum to a few
@@ -26,7 +30,7 @@ distinct integrals per order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
@@ -39,30 +43,18 @@ from .grassmann import (
     hardcore_violated,
     slice_delta_violated,
 )
-from .interpolation import min_over_paths, ordering_cell_points
+# min_over_paths is unused here but stays bound: the benchmark's layer
+# trace wraps it on this module
+from .interpolation import layered_decomposition, min_over_paths, ordering_cell_points  # noqa: F401
 from .model_core import ModelParams, dw_grid
-from .oracle import gauss_hermite_norm
 
 ORDER_BUDGET = 4
 BLOCK_BUDGET = 4
 
-
-def default_gh_nodes() -> dict[int, int]:
-    # 64 nodes per dimension up to three vertices per block, 32 at four
-    return {1: 64, 2: 64, 3: 64, 4: 32}
-
-
-# weight points whose Gauss-Hermite grids are evaluated together
-W_CHUNK = 4
-
-
-@dataclass
-class EngineOptions:
-    gh_nodes: dict[int, int] = field(default_factory=default_gh_nodes)
-    gl_nodes: int = 12
-
-    def nodes_for(self, block_size: int) -> int:
-        return self.gh_nodes.get(block_size, 32)
+# Smoothing grid, odd and symmetric so that its middle point is sigma = 0.
+# Every sigma_a has unit variance, so the periodic wrap of the FFT at
+# |sigma| = 12 sits far out in the Gaussian tail.
+SIGMA_GRID = np.linspace(-12.0, 12.0, 801)
 
 
 def _local_tree(block, tree_edges):
@@ -74,59 +66,57 @@ def _local_tree(block, tree_edges):
     return verts, local, [norm_edge(local[u], local[v]) for u, v in tree_edges]
 
 
-def _block_expectations(xs: np.ndarray, edges, js, params: ModelParams, nodes: int) -> np.ndarray:
-    """E[prod_a (d^(d_a) W_(j_a))(sigma_a)] for each covariance in the stack xs.
-
-    xs has shape (P, b, b) and d_a is the degree of local vertex a in the
-    tree edges.  sigma = L xi with L L^T = X on a tensor Gauss-Hermite
-    grid; negative eigenvalues are clipped to 0.
-    """
-    b = xs.shape[1]
-    degrees = [0] * b
+def _kernel_tables(params: ModelParams, edges, js) -> list[np.ndarray]:
+    """d^(d_a) W_(j_a) on SIGMA_GRID for each local vertex a of degree d_a."""
+    degrees = [0] * len(js)
     for u, v in edges:
         degrees[u] += 1
         degrees[v] += 1
-    xi, wts = gauss_hermite_norm(nodes)
-    pts = np.stack([g.ravel() for g in np.meshgrid(*([xi] * b), indexing="ij")])  # (b, nodes^b)
-    gh_w = np.ones(pts.shape[1])
-    for g in np.meshgrid(*([wts] * b), indexing="ij"):
-        gh_w *= g.ravel()
-    vals, vecs = np.linalg.eigh(xs)
-    L = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
-    out = np.empty(xs.shape[0], dtype=complex)
-    for lo in range(0, xs.shape[0], W_CHUNK):
-        sigma = L[lo : lo + W_CHUNK] @ pts  # (chunk, b, nodes^b)
-        integrand = np.ones((sigma.shape[0], pts.shape[1]), dtype=complex)
-        for a in range(b):
-            integrand = integrand * dw_grid(params, js[a], degrees[a], sigma[:, a, :])
-        out[lo : lo + W_CHUNK] = integrand @ gh_w
-    return out
+    return [dw_grid(params, j, d, SIGMA_GRID) for j, d in zip(js, degrees)]
 
 
-def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams, options: EngineOptions | None = None) -> complex:
+def _block_expectation(tables, edges, weights) -> complex:
+    """E[prod_a f_a(sigma_a)] with f_a = tables[a] on SIGMA_GRID.
+
+    sigma has covariance X = sum_i c_i sum_f 1_f 1_f^T (the layered
+    decomposition of the min-over-path matrix of the weighted tree), so
+    every component f of layer i adds one shift of variance c_i to all of
+    its vertices.  From the finest layer up, a component's function is the
+    product of the functions of the components it merges, smoothed by
+    that Gaussian; the expectation is the product of what is left at
+    sigma = 0.
+    """
+    k = 2.0 * np.pi * np.fft.fftfreq(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
+    funcs = {frozenset([a]): table for a, table in enumerate(tables)}
+    for c, comps in layered_decomposition(len(tables), edges, weights):
+        for comp in comps:
+            parts = [f for f in funcs if f <= comp]
+            merged = np.prod([funcs.pop(f) for f in parts], axis=0)
+            funcs[comp] = np.fft.ifft(np.fft.fft(merged) * np.exp(-0.5 * c * k * k))
+    return complex(np.prod([f[SIGMA_GRID.size // 2] for f in funcs.values()]))
+
+
+def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams) -> complex:
     """E[prod_a (d^(d_a) W_(j_a))(sigma_a)] at a fixed interpolation point.
 
     block lists global vertex ids; tree_edges must span it; d_a is the
     tree degree (0 for a singleton).  sigma has the centered Gaussian law
     with covariance X restricted to the block.
     """
-    options = options or EngineOptions()
     verts, local, edges = _local_tree(block, tree_edges)
-    b = len(verts)
-    if len(edges) != b - 1:
+    if len(edges) != len(verts) - 1:
         raise ValueError("tree must span the block")
     wloc = {norm_edge(local[u], local[v]): w for (u, v), w in weights.items()}
-    X = min_over_paths(b, edges, wloc)
     js = [slices[v] for v in verts]
-    return complex(_block_expectations(X[None], edges, js, params, options.nodes_for(b))[0])
+    return _block_expectation(_kernel_tables(params, edges, js), edges, wloc)
 
 
 class TermEvaluator:
     """Caches block integrals across the jungle and slice sums."""
 
-    def __init__(self, params: ModelParams, options: EngineOptions | None = None):
+    def __init__(self, params: ModelParams, gl_nodes: int = 12):
         self.params = params
-        self.options = options or EngineOptions()
+        self.gl_nodes = gl_nodes
         self._block_cache: dict = {}
 
     # -- bosonic side --------------------------------------------------------
@@ -149,21 +139,21 @@ class TermEvaluator:
         key = self._canonical_block_key(edges, js)
         if key in self._block_cache:
             return self._block_cache[key]
-        value = self._integrate_block(len(verts), edges, js)
+        value = self._integrate_block(edges, js)
         self._block_cache[key] = value
         return value
 
-    def _integrate_block(self, b, edges, js) -> complex:
-        w_pts, w_weights = ordering_cell_points(len(edges), self.options.gl_nodes)
-        xs = np.stack([min_over_paths(b, edges, dict(zip(edges, wv))) for wv in w_pts])
-        vals = _block_expectations(xs, edges, js, self.params, self.options.nodes_for(b))
-        return complex(np.sum(w_weights * vals))
+    def _integrate_block(self, edges, js) -> complex:
+        tables = _kernel_tables(self.params, edges, js)
+        w_pts, w_weights = ordering_cell_points(len(edges), self.gl_nodes)
+        vals = [_block_expectation(tables, edges, dict(zip(edges, wv))) for wv in w_pts]
+        return complex(np.dot(w_weights, vals))
 
     # -- fermionic side ------------------------------------------------------
 
     def fermionic_integral(self, jungle: Jungle, slices) -> float:
         edges = sorted(jungle.fermionic)
-        w_pts, w_weights = ordering_cell_points(len(edges), self.options.gl_nodes)
+        w_pts, w_weights = ordering_cell_points(len(edges), self.gl_nodes)
         total = 0.0
         for wv, ww in zip(w_pts, w_weights):
             weights = dict(zip(edges, wv))
@@ -214,19 +204,19 @@ class TruncationResult:
         return [abs(s - reference) for s in self.partial_sums]
 
 
-def jungle_term(jungle: Jungle, slices, params: ModelParams, options: EngineOptions | None = None) -> complex:
-    return TermEvaluator(params, options).jungle_term(jungle, slices)
+def jungle_term(jungle: Jungle, slices, params: ModelParams, gl_nodes: int = 12) -> complex:
+    return TermEvaluator(params, gl_nodes).jungle_term(jungle, slices)
 
 
-def order_contribution(n: int, params: ModelParams, options: EngineOptions | None = None) -> complex:
-    return TermEvaluator(params, options).order_contribution(n)
+def order_contribution(n: int, params: ModelParams, gl_nodes: int = 12) -> complex:
+    return TermEvaluator(params, gl_nodes).order_contribution(n)
 
 
-def logz_truncation(n_max: int, params: ModelParams, options: EngineOptions | None = None) -> TruncationResult:
+def logz_truncation(n_max: int, params: ModelParams, gl_nodes: int = 12) -> TruncationResult:
     """Partial sums S_1..S_(n_max) of the jungle expansion of log Z."""
     if n_max > ORDER_BUDGET:
         raise BudgetExceededError(f"order {n_max} > budget {ORDER_BUDGET}")
-    ev = TermEvaluator(params, options)
+    ev = TermEvaluator(params, gl_nodes)
     orders: list[complex] = []
     sums: list[complex] = []
     running = 0j

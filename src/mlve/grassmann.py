@@ -215,10 +215,7 @@ def grassmann_minor(spec: MinorSpec) -> complex:
     sign = _sort_parity(a) * _sort_parity(b)
     if (sum(a) + sum(b)) % 2:
         sign = -sign
-    value = _det(sub)
-    if isinstance(value, Fraction):
-        return sign * value
-    return sign * value
+    return sign * _det(sub)
 
 
 def minor_value(matrix, cols, rows) -> complex:

@@ -292,9 +292,10 @@ def dv_grid(params: ModelParams, j: int, k: int, sigma: np.ndarray) -> np.ndarra
 def dw_grid(params: ModelParams, j: int, q: int, sigma: np.ndarray) -> np.ndarray:
     """Vectorized q-th derivative of W_j on a grid of sigma values."""
     sl = params.slice_set(j)
-    expv, dv_cache = numerics.kernel_bundle(complex(params.lam), sl.lo, sl.hi, q, sigma)
+    w, dv_cache = numerics.kernel_bundle(complex(params.lam), sl.lo, sl.hi, q, sigma)
     if q == 0:
-        return expv - 1.0
+        return w
+    expv = 1.0 + w
     total = np.zeros_like(expv)
     for mult in partition_multiplicities(q):
         term = np.full_like(expv, float(faa_di_bruno_weight(mult)))

@@ -3,8 +3,9 @@
 Sums over a slice of propagator indices p come in two interchangeable
 routes: direct compensated summation (exact definition, used for small
 slices) and gamma-function closed forms (digamma / polygamma / loggamma,
-used when a slice holds more terms than ``DIRECT_SUM_LIMIT``).  Both
-routes are cross-checked in the test suite.
+used when a slice holds more terms than ``DIRECT_SUM_LIMIT``, with a
+power series for -V where it converges fast).  Both routes are
+cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -133,28 +134,61 @@ def shifted_inverse_power_sum(lo: int, hi: int, k: int, shift):
     return sign * lead / math.factorial(k - 1)
 
 
+@lru_cache(maxsize=None)
+def _inverse_power_sum(lo: int, hi: int, k: int) -> complex:
+    """u_k = sum_{p=lo}^{hi} p^(-k), cached: it does not depend on sigma."""
+    return complex(shifted_inverse_power_sum(lo, hi, k, 0.0))
+
+
+# Terms of the -V power series; where it is used, |z0|/lo <= 1/2, so the
+# tail after this many terms is below 2^-53 of the leading one.
+_SERIES_TERMS = 56
+
+
+def _minus_v_long(lam: complex, lo: int, hi: int, sigma: np.ndarray) -> np.ndarray:
+    """-V over a window [lo, hi] too long for the direct product.
+
+    -V = z0 H + log prod_p p/(p + z0) with z0 = -i*lam*sigma.  Through
+    loggamma this is a difference of values of size hi*log(hi), which loses
+    digits when -V is small, so where |z0| <= lo/2 the convergent series
+    -V = sum_(k>=2) (-z0)^k u_k / k with u_k = sum_p p^(-k) is used instead.
+    Any 2*pi branch mismatch of the loggamma form is immaterial after
+    exponentiation.
+    """
+    z0 = -1j * lam * sigma
+    out = np.empty_like(z0)
+    small = np.abs(z0) <= 0.5 * lo
+    x = -z0[small]
+    xk = x * x
+    acc = np.zeros_like(x)
+    for k in range(2, _SERIES_TERMS + 2):
+        acc = acc + _inverse_power_sum(lo, hi, k) / k * xk
+        xk = xk * x
+    out[small] = acc
+    zl = z0[~small]
+    log_const = loggamma(complex(hi + 1)) - loggamma(complex(lo))
+    out[~small] = zl * harmonic_range_sum(lo, hi) + log_const - (loggamma(hi + 1 + zl) - loggamma(lo + zl))
+    return out
+
+
 def exp_minus_v_range(lam: complex, lo: int, hi: int, sigma):
     """exp(-V) for the index window [lo, hi], vectorized over sigma.
 
     V = sum_p [i*lam*sigma/p + log(1 - i*lam*sigma/p)], so
     exp(-V) = exp(-i*lam*sigma*H) * prod_p p/(p - i*lam*sigma).  The product
-    is evaluated directly for small windows and through loggamma otherwise;
-    any 2*pi branch mismatch in the log is immaterial after exponentiation.
+    is evaluated directly for small windows and through ``_minus_v_long``
+    otherwise.
     """
     sigma = np.asarray(sigma, dtype=complex)
     if lo > hi:
         return np.ones_like(sigma)
+    if hi - lo + 1 > DIRECT_SUM_LIMIT:
+        return np.exp(_minus_v_long(lam, lo, hi, sigma))
     z0 = -1j * lam * sigma
-    h = harmonic_range_sum(lo, hi)
-    count = hi - lo + 1
-    if count <= DIRECT_SUM_LIMIT:
-        prod = np.ones_like(sigma)
-        for p in range(hi, lo - 1, -1):
-            prod = prod * (p / (p + z0))
-        return np.exp(-1j * lam * sigma * h) * prod
-    log_const = loggamma(complex(hi + 1)) - loggamma(complex(lo))
-    log_shifted = loggamma(hi + 1 + z0) - loggamma(lo + z0)
-    return np.exp(-1j * lam * sigma * h + log_const - log_shifted)
+    prod = np.ones_like(sigma)
+    for p in range(hi, lo - 1, -1):
+        prod = prod * (p / (p + z0))
+    return np.exp(-1j * lam * sigma * harmonic_range_sum(lo, hi)) * prod
 
 
 def dv_range(lam: complex, lo: int, hi: int, k: int, sigma):
@@ -185,20 +219,21 @@ def dv_range(lam: complex, lo: int, hi: int, k: int, sigma):
 
 
 def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
-    """exp(-V) and the derivatives d^k(-V), k = 1..max_k, in one pass.
+    """W = exp(-V) - 1 and the derivatives d^k(-V), k = 1..max_k, in one pass.
 
     For short windows a single complex sweep over p accumulates the
     product form of exp(-V) together with all the inverse-power sums;
-    long windows fall back to the gamma-function closed forms.  Real and
-    complex couplings take the same route.
+    long windows fall back to ``_minus_v_long`` and the gamma-function
+    closed forms, with W = expm1(-V) free of cancellation at small V.
+    Real and complex couplings take the same route.
     """
     lam = complex(lam)
     sigma_c = np.asarray(sigma, dtype=complex)
     if lo > hi:
-        return np.ones_like(sigma_c), {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
+        return np.zeros_like(sigma_c), {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
     if hi - lo + 1 > DIRECT_SUM_LIMIT:
-        expv = exp_minus_v_range(lam, lo, hi, sigma_c)
-        return expv, {k: dv_range(lam, lo, hi, k, sigma_c) for k in range(1, max_k + 1)}
+        w = np.expm1(_minus_v_long(lam, lo, hi, sigma_c))
+        return w, {k: dv_range(lam, lo, hi, k, sigma_c) for k in range(1, max_k + 1)}
     z0 = -1j * lam * sigma_c
     prod = np.ones_like(sigma_c)
     sums = {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
@@ -212,11 +247,11 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
             rk = rk * r
             sums[k] = sums[k] + rk
     h = harmonic_range_sum(lo, hi)
-    expv = np.exp(-1j * lam * sigma_c * h) * prod
+    w = np.exp(-1j * lam * sigma_c * h) * prod - 1.0
     dv = {}
     if max_k >= 1:
         dv[1] = -(lam**2) * sigma_c * sums[1]
     for k in range(2, max_k + 1):
         dv[k] = math.factorial(k - 1) * (1j * lam) ** k * sums[k]
-    return expv, dv
+    return w, dv
 

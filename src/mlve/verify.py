@@ -122,8 +122,7 @@ def suite_bound_domination() -> SuiteResult:
 
     res = SuiteResult("bound-domination")
     params = ModelParams(0.5, 10, 3, 4)
-    opts = engine.EngineOptions(gh_nodes={1: 64, 2: 32}, gl_nodes=8)
-    ev = engine.TermEvaluator(params, opts)
+    ev = engine.TermEvaluator(params, gl_nodes=8)
     for n in (1, 2):
         for jungle in combinatorics.enumerate_jungles(n, spanning=True):
             from itertools import product

@@ -24,7 +24,7 @@ from mlve.combinatorics import (
     enumerate_trees,
     two_level_tree_bound,
 )
-from mlve.engine import EngineOptions, TermEvaluator, logz_truncation
+from mlve.engine import TermEvaluator, logz_truncation
 from mlve.model_core import ModelParams, dw_grid
 from mlve.oracle import gauss_hermite_norm
 
@@ -156,12 +156,11 @@ def test_criterion_05_lifted_matrix_psd_and_minor_bounds():
 
 def test_criterion_06_bound_domination():
     with criterion(6, "|jungle term| <= assembled per-term bound, n <= 3, M = 10"):
-        # quadrature is set well below the orders-of-magnitude slack in the
-        # bound: 16 Gauss-Hermite nodes per dimension, 6 per weight
-        opts = EngineOptions(gh_nodes={1: 64, 2: 24, 3: 16}, gl_nodes=6)
+        # the weight quadrature is set well below the orders-of-magnitude
+        # slack in the bound: 6 Gauss-Legendre nodes per weight
         for lam in (0.1, 0.5, 1.0):
             params = ModelParams(lam, 10, 3, 5)
-            ev = TermEvaluator(params, opts)
+            ev = TermEvaluator(params, gl_nodes=6)
             for n in (1, 2, 3):
                 for jungle in enumerate_jungles(n, spanning=True):
                     for slices in permutations(params.slices, n):
@@ -246,7 +245,7 @@ def test_criterion_09_mayer_expansion():
 def test_criterion_10_hardcore_structural_zeros():
     with criterion(10, "hardcore and slice-delta violations give exact zeros"):
         params = ModelParams(0.3, 2, 1, 3)
-        ev = TermEvaluator(params, EngineOptions(gh_nodes={1: 16, 2: 16, 3: 16}, gl_nodes=4))
+        ev = TermEvaluator(params, gl_nodes=4)
         found_hardcore = found_delta = 0
         for n in (2, 3):
             for jungle in enumerate_jungles(n, spanning=True):

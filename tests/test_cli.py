@@ -19,7 +19,6 @@ def write_config(tmp_path, **overrides):
         "n_max": 2,
         "oracle_nodes": 200,
         "gl_nodes": 8,
-        "gh_nodes": {"1": 64, "2": 32, "3": 24, "4": 16},
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
@@ -40,6 +39,15 @@ class TestCompare:
         assert summary["schema_version"] == 1
         assert len(summary["orders"]) == 2
 
+    def test_default_config_converges(self, tmp_path):
+        # no --config: the CLI defaults, lambda = 0.2, M = 2, j = 1..3, n_max = 3
+        out = tmp_path / "out"
+        assert run_cli(["compare", "--out", str(out)]) == 0
+        errs = [float(r["abs_error_vs_oracle"]) for r in csv.DictReader((out / "orders.csv").open())]
+        assert len(errs) == 3
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 1e-9
+
     def test_zero_coupling_all_rows_zero(self, tmp_path):
         cfg = write_config(tmp_path, **{"lambda": 0.0})
         out = tmp_path / "out"
@@ -55,9 +63,10 @@ class TestCompare:
         assert err.value.code == 2
         assert not out.exists()
 
-    def test_unknown_config_key_exits_two(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus", "gh_nodes"])
+    def test_unknown_config_key_exits_two(self, tmp_path, key):
         path = tmp_path / "bad.json"
-        path.write_text('{"lambda": 0.1, "bogus": 1}', encoding="utf-8")
+        path.write_text(json.dumps({"lambda": 0.1, key: 1}), encoding="utf-8")
         with pytest.raises(SystemExit) as err:
             run_cli(["compare", "--config", str(path), "--out", str(tmp_path / "o")])
         assert err.value.code == 2

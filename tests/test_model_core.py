@@ -285,3 +285,21 @@ class TestGridRoutes:
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         ref_e = np.array([exp_minus_v(params, j, s) for s in sigma])
         assert np.abs(exp_minus_v_grid(params, j, sigma) - ref_e).max() < 1e-12
+
+    @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
+    @pytest.mark.parametrize("M, j", [(10, 5), (10, 3), (16, 2)])
+    def test_long_window_kernel_against_mpmath(self, lam, M, j):
+        # 40-digit reference from Hurwitz zeta values:
+        # -V = sum_(k>=2) (i lam sigma)^k / k * (zeta(k, lo) - zeta(k, hi + 1)),
+        # convergent here since |lam sigma| <= 6 < lo
+        import mpmath as mp
+
+        sl = slice_range(M, j)
+        sigma = np.array([0.3, 1.0, 3.0, 6.0, 12.0])
+        got = dw_grid(ModelParams(lam, M, j, j), j, 0, sigma)
+        with mp.workdps(40):
+            u = {k: mp.zeta(k, sl.lo) - mp.zeta(k, sl.hi + 1) for k in range(2, 122)}
+            for s, value in zip(sigma, got):
+                x = 1j * mp.mpc(lam) * s
+                ref = complex(mp.expm1(mp.fsum(x**k * u[k] / k for k in u)))
+                assert abs(value - ref) <= 1e-12 * abs(ref)
