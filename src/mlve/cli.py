@@ -75,6 +75,15 @@ def _params(cfg):
         _fail_usage(str(exc))
 
 
+def _int_setting(cfg, key: str, lo: int, hi: int | None = None) -> int:
+    """cfg[key] as an integer in lo..hi (no upper end when hi is None)."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        wanted = f"an integer in {lo}..{hi}" if hi is not None else f"an integer >= {lo}"
+        _fail_usage(f"{key} must be {wanted}, got {value!r}")
+    return value
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -86,11 +95,12 @@ def cmd_compare(args) -> int:
 
     cfg = load_config(args.config)
     params = _params(cfg)
-    n_max = int(cfg["n_max"])
-    ref = oracle.logz_oracle(params, int(cfg["oracle_nodes"]))
+    n_max = _int_setting(cfg, "n_max", 1, engine.ORDER_BUDGET)
+    gl_nodes = _int_setting(cfg, "gl_nodes", 1)
+    ref = oracle.logz_oracle(params, _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES))
     out = _out_dir(args)
 
-    ev = engine.TermEvaluator(params, int(cfg["gl_nodes"]))
+    ev = engine.TermEvaluator(params, gl_nodes)
     orders, sums, rows, trace_rows = [], [], [], []
     running = 0j
     for n in range(1, n_max + 1):
@@ -196,7 +206,7 @@ def cmd_oracle(args) -> int:
 
     cfg = load_config(args.config)
     params = _params(cfg)
-    nodes = int(cfg["oracle_nodes"])
+    nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES)
     z, delta, reliable = oracle.z_reliable(params, nodes)
     logz = oracle.logz_oracle(params, nodes) if reliable and abs(z) > 1e-8 else None
     record = {

@@ -22,9 +22,11 @@ the kernel tables on one fixed uniform grid, each applied exactly as the
 Fourier multiplier exp(-c k^2/2).  Both weight integrals use the
 Gauss-Legendre ordering-cell points of
 ``interpolation.ordering_cell_points``, on which the min() interpolation
-is smooth.  Block values are cached on the isomorphism class of the
-decorated block tree, which collapses the slice-assignment sum to a few
-distinct integrals per order.
+is smooth.  The Fermionic factor is evaluated at all of a term's weight
+points in one call: the lifted Y matrices form one stack and each of the
+2^k exchange-pattern minors is one stacked determinant.  Block values
+are cached on the isomorphism class of the decorated block tree, which
+collapses the slice-assignment sum to a few distinct integrals per order.
 """
 
 from __future__ import annotations
@@ -152,13 +154,12 @@ class TermEvaluator:
     # -- fermionic side ------------------------------------------------------
 
     def fermionic_integral(self, jungle: Jungle, slices) -> float:
+        """The Fermionic factor integrated over its edge weights, all
+        quadrature points in one stacked call (k = 0 gives a scalar)."""
         edges = sorted(jungle.fermionic)
         w_pts, w_weights = ordering_cell_points(len(edges), self.gl_nodes)
-        total = 0.0
-        for wv, ww in zip(w_pts, w_weights):
-            weights = dict(zip(edges, wv))
-            total += ww * fermionic_factor(FermionicFactorInput(jungle, tuple(slices), weights))
-        return total
+        values = fermionic_factor(FermionicFactorInput(jungle, tuple(slices), dict(zip(edges, w_pts.T))))
+        return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
 
     # -- full terms ----------------------------------------------------------
 

@@ -14,6 +14,10 @@ brute-force algebra (tested for every index choice at dimension <= 5):
 with 0-based indices and eps the parity of the permutation sorting the
 list.  The Fermionic factor of an expansion term assembles the 2^k
 exchange-pattern minors of the slice-delta-lifted block matrix Y.
+Minors act on the last two axes, so edge weights given as arrays of
+shape (P,) yield the factor at P weight points at once: a stack of P
+lifted matrices and one stacked determinant per exchange pattern.  Real
+stacks stay real; the exact Fraction route is for single matrices.
 
 Monomials for the brute-force route are coefficient maps keyed by
 (psi bitmask, psibar bitmask) relative to the canonical word
@@ -150,7 +154,8 @@ def brute_force_grassmann(dim: int, matrix, monomial) -> complex:
 
 @dataclass(frozen=True)
 class MinorSpec:
-    """A matrix with ordered column and row deletion lists."""
+    """A matrix, or a stack of matrices along the leading axes, with
+    ordered column and row deletion lists acting on the last two axes."""
 
     matrix: object
     removed_cols: tuple
@@ -162,7 +167,7 @@ class MinorSpec:
             raise ValueError("need equally many removed columns and rows")
         if len(set(a)) != len(a) or len(set(b)) != len(b):
             raise ValueError("index collision in a removal list")
-        dim = len(self.matrix)
+        dim = np.shape(self.matrix)[-1]
         for i in list(a) + list(b):
             if not 0 <= i < dim:
                 raise ValueError(f"index {i} out of range for dimension {dim}")
@@ -179,14 +184,12 @@ def _sort_parity(indices) -> int:
     return -1 if inv % 2 else 1
 
 
-def _det(matrix) -> complex:
-    """Determinant; exact cofactor expansion for object entries (Fractions)."""
-    arr = np.asarray(matrix)
-    if arr.size == 0:
-        return 1.0
-    if arr.dtype != object:
-        return complex(np.linalg.det(arr.astype(complex)))
-    return _det_exact([list(row) for row in arr])
+def _det(arr: np.ndarray):
+    """Determinant over the last two axes, in the dtype of the entries;
+    exact cofactor expansion for a 2-D matrix of object entries (Fractions)."""
+    if arr.dtype == object:
+        return _det_exact([list(row) for row in arr])
+    return np.linalg.det(arr)
 
 
 def _det_exact(rows):
@@ -205,20 +208,23 @@ def _det_exact(rows):
     return total
 
 
-def grassmann_minor(spec: MinorSpec) -> complex:
-    """Value of the defining Grassmann integral, sign included."""
+def grassmann_minor(spec: MinorSpec):
+    """Value of the defining Grassmann integral, sign included.
+
+    A stack of matrices gives the stack of values, one per matrix.
+    """
     a, b = spec.removed_cols, spec.removed_rows
     arr = np.asarray(spec.matrix)
-    keep_rows = [i for i in range(arr.shape[0]) if i not in set(b)]
-    keep_cols = [i for i in range(arr.shape[1]) if i not in set(a)]
-    sub = arr[np.ix_(keep_rows, keep_cols)] if keep_rows and keep_cols else arr[:0, :0]
+    keep_rows = [i for i in range(arr.shape[-2]) if i not in set(b)]
+    keep_cols = [i for i in range(arr.shape[-1]) if i not in set(a)]
+    sub = arr[..., np.array(keep_rows, dtype=int)[:, None], np.array(keep_cols, dtype=int)]
     sign = _sort_parity(a) * _sort_parity(b)
     if (sum(a) + sum(b)) % 2:
         sign = -sign
     return sign * _det(sub)
 
 
-def minor_value(matrix, cols, rows) -> complex:
+def minor_value(matrix, cols, rows):
     return grassmann_minor(MinorSpec(matrix, tuple(cols), tuple(rows)))
 
 
@@ -251,19 +257,18 @@ def slice_delta_violated(jungle: Jungle, slices) -> bool:
 
 
 def lifted_y_matrix(jungle: Jungle, slices, weights: dict) -> np.ndarray:
-    """Vertex-level matrix Y_ab = Y_(B(a)B(b))(w) * delta(j_a, j_b)."""
+    """Vertex-level matrix Y_ab = Y_(B(a)B(b))(w) * delta(j_a, j_b).
+
+    Scalar weights give one (n, n) matrix; weights of shape (P,) give the
+    stack of shape (P, n, n), one matrix per weight point.
+    """
     part = jungle.partition()
     block_of = part.block_of()
-    nb = len(part.blocks)
+    blk = np.array([block_of[v] for v in range(jungle.n)])
+    js = np.asarray(slices)
     block_edges = {be: weights[e] for be, e in jungle.block_level_edges()}
-    yblk = min_over_paths(nb, list(block_edges), block_edges)
-    n = jungle.n
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if slices[a] == slices[b]:
-                out[a, b] = yblk[block_of[a], block_of[b]]
-    return out
+    yblk = min_over_paths(len(part.blocks), list(block_edges), block_edges)
+    return yblk[..., blk[:, None], blk] * (js[:, None] == js)
 
 
 def layered_lifted_terms(jungle: Jungle, slices, weights: dict):
@@ -287,16 +292,21 @@ def layered_lifted_terms(jungle: Jungle, slices, weights: dict):
     return terms
 
 
-def fermionic_factor(inp: FermionicFactorInput) -> float:
+def fermionic_factor(inp: FermionicFactorInput):
     """Fermionic weight of a term: hardcore and slice deltas, then the
-    sum over the 2^k exchange patterns of minors of the lifted Y."""
+    sum over the 2^k exchange patterns of minors of the lifted Y.
+
+    Scalar weights give a float; weights of shape (P,) give the factors at
+    all P weight points at once, an array of shape (P,).
+    """
     jungle, slices = inp.jungle, inp.slices
+    shape = np.broadcast_shapes(*(np.shape(w) for w in inp.weights.values()))
     if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
-        return 0.0
+        return np.zeros(shape) if shape else 0.0
     y = lifted_y_matrix(jungle, slices, inp.weights)
     edges = sorted(jungle.fermionic)
     k = len(edges)
-    total = 0.0
+    total = np.zeros(shape)
     for pattern in range(1 << k):
         cols, rows = [], []
         for i, (u, v) in enumerate(edges):
@@ -308,8 +318,8 @@ def fermionic_factor(inp: FermionicFactorInput) -> float:
                 rows.append(v)
         if len(set(cols)) < k or len(set(rows)) < k:
             continue  # repeated generator: the exchange term vanishes
-        total += grassmann_minor(MinorSpec(y, tuple(cols), tuple(rows)))
-    return float(total.real) if isinstance(total, complex) else float(total)
+        total = total + grassmann_minor(MinorSpec(y, tuple(cols), tuple(rows)))
+    return total if shape else float(total)
 
 
 def fermionic_factor_brute(inp: FermionicFactorInput) -> float:

@@ -32,14 +32,22 @@ def _validate_weights(edges, weights) -> None:
 
 
 def min_over_paths(n: int, edges, weights) -> np.ndarray:
-    """Unit-diagonal matrix of path minima for an arbitrary forest graph."""
+    """Unit-diagonal matrix of path minima for an arbitrary forest graph.
+
+    Weights are scalars, giving an (n, n) matrix, or arrays of one shape
+    (P,), giving the stack of the P matrices, shape (P, n, n).
+    """
     adj: dict[int, list] = {v: [] for v in range(n)}
+    shape = ()
     for u, v in edges:
-        adj[u].append((v, weights[(u, v)]))
-        adj[v].append((u, weights[(u, v)]))
-    out = np.zeros((n, n))
+        w = weights[(u, v)]
+        shape = getattr(w, "shape", ())
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    lower = np.minimum if shape else min  # min is the faster one on scalars
+    out = np.zeros(shape + (n, n))
     for root in range(n):
-        out[root, root] = 1.0
+        out[..., root, root] = 1.0
         stack = [(root, 1.0)]
         seen = {root}
         while stack:
@@ -47,8 +55,8 @@ def min_over_paths(n: int, edges, weights) -> np.ndarray:
             for nxt, w in adj[node]:
                 if nxt not in seen:
                     seen.add(nxt)
-                    m = min(cur, w)
-                    out[root, nxt] = m
+                    m = lower(cur, w)
+                    out[..., root, nxt] = m
                     stack.append((nxt, m))
     return out
 

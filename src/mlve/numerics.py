@@ -197,6 +197,10 @@ def dv_range(lam: complex, lo: int, hi: int, k: int, sigma):
     k = 1: sum_p (-lam^2 sigma)/(p (p - i lam sigma))
          = i lam [sum_p 1/(p - i lam sigma) - H],
     k >= 2: (k-1)! (i lam)^k sum_p (p - i lam sigma)^(-k).
+
+    On long windows the k = 1 difference T1 - H cancels at small sigma;
+    where |lam sigma| <= lo/2 the derivative of the series of
+    ``_minus_v_long``, i lam sum_(k>=2) u_k (i lam sigma)^(k-1), is used.
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
@@ -212,8 +216,18 @@ def dv_range(lam: complex, lo: int, hi: int, k: int, sigma):
             for p in range(hi, lo - 1, -1):
                 total = total + (-(lam**2) * sigma) / (p * (p + z0))
             return total
-        t1 = shifted_inverse_power_sum(lo, hi, 1, z0)
-        return 1j * lam * (t1 - harmonic_range_sum(lo, hi))
+        out = np.empty_like(z0)
+        small = np.abs(z0) <= 0.5 * lo
+        x = -z0[small]
+        xk = x
+        acc = np.zeros_like(x)
+        for m in range(2, _SERIES_TERMS + 2):
+            acc = acc + _inverse_power_sum(lo, hi, m) * xk
+            xk = xk * x
+        out[small] = 1j * lam * acc
+        t1 = shifted_inverse_power_sum(lo, hi, 1, z0[~small])
+        out[~small] = 1j * lam * (t1 - harmonic_range_sum(lo, hi))
+        return out
     tk = shifted_inverse_power_sum(lo, hi, k, z0)
     return math.factorial(k - 1) * (1j * lam) ** k * tk
 

@@ -27,6 +27,8 @@ from .errors import QuadratureUnreliableError
 from .model_core import ModelParams
 
 DOUBLING_TOL = 1e-10
+# Fewest Gauss-Hermite nodes a Z quadrature accepts.
+MIN_NODES = 50
 
 
 @lru_cache(maxsize=None)
@@ -57,15 +59,15 @@ def _z_value(params: ModelParams, nodes: int, sliced: bool) -> complex:
 
 def z_sigma_quadrature(params: ModelParams, nodes: int = 200) -> complex:
     """Gauss-Hermite value of Z over the full index window."""
-    if nodes < 50:
-        raise ValueError("need at least 50 quadrature nodes")
+    if nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     return _z_value(params, nodes, sliced=False)
 
 
 def z_sigma_quadrature_sliced(params: ModelParams, nodes: int = 200) -> complex:
     """Same integral with the slice-factorized form of the integrand."""
-    if nodes < 50:
-        raise ValueError("need at least 50 quadrature nodes")
+    if nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     return _z_value(params, nodes, sliced=True)
 
 

@@ -71,6 +71,36 @@ class TestCompare:
             run_cli(["compare", "--config", str(path), "--out", str(tmp_path / "o")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("compare", "n_max", 5),
+            ("compare", "n_max", 0),
+            ("compare", "n_max", 2.7),
+            ("compare", "n_max", "x"),
+            ("compare", "gl_nodes", 0),
+            ("compare", "gl_nodes", -1),
+            ("compare", "oracle_nodes", 0),
+            ("compare", "oracle_nodes", 49),
+            ("oracle", "oracle_nodes", 0),
+        ],
+    )
+    def test_bad_setting_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch, command, key, value):
+        from mlve import oracle
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the config was checked")
+
+        monkeypatch.setattr(oracle, "logz_oracle", no_oracle)
+        monkeypatch.setattr(oracle, "z_reliable", no_oracle)
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, "--config", str(cfg), "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
+        assert not out.exists()
+
     def test_threads_config_key_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, threads=1)
         with pytest.raises(SystemExit) as err:

@@ -207,6 +207,22 @@ class TestOrders:
         with pytest.raises(BudgetExceededError):
             logz_truncation(5, ModelParams(0.2, 2, 1, 3), gl_nodes=GL)
 
+    def test_order_four_two_slices(self):
+        # orders 1-4 as evaluated one weight point at a time (one
+        # fermionic_factor call per point); order 4 reaches the k = 3
+        # Fermionic integrals, whose stacks hold 3! x 12^3 points
+        from mlve.oracle import logz_oracle
+
+        params = ModelParams(0.2, 2, 1, 2)
+        res = logz_truncation(4, params)
+        pointwise = [-0.025541495510617643, 2.9869570073485835e-05, 3.5399891836708105e-06, 6.249487990403697e-08]
+        for got, want in zip(res.orders, pointwise, strict=True):
+            assert got.real == pytest.approx(want, rel=1e-10)
+            assert abs(got.imag) < 1e-15
+        errs = res.distances_to(logz_oracle(params))
+        assert errs == pytest.approx([3.35e-5, 3.60e-6, 6.30e-8, 5.17e-10], rel=5e-3)
+        assert errs[0] > errs[1] > errs[2] > errs[3]
+
     def test_complex_coupling_matches_oracle(self):
         # the generic complex kernel route, end to end: partial sums of a
         # complex coupling inside the analyticity domain approach log Z

@@ -20,6 +20,7 @@ from mlve.grassmann import (
     minor_value,
     slice_delta_violated,
 )
+from mlve.interpolation import min_over_paths
 
 
 class TestBruteForce:
@@ -164,6 +165,65 @@ class TestFermionicFactor:
             for _ in range(5):
                 x = rng.normal(size=n)
                 assert x @ y @ x == pytest.approx(x @ rec @ x, abs=1e-10)
+
+
+class TestStackedRoute:
+    """Weights of shape (P,) give, point by point, the scalar results."""
+
+    P = 16
+
+    def cases(self, rng, count=24):
+        """Random spanning jungles with at least one Fermionic edge (with
+        none there is nothing to stack); every other case is redrawn until
+        it passes the structural filter."""
+        drawn = 0
+        while drawn < count:
+            jungle = random_spanning_jungle(rng, int(rng.integers(2, 5)))
+            slices = tuple(int(s) for s in rng.integers(1, int(rng.integers(2, 4)) + 1, size=jungle.n))
+            zero = hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices)
+            if not jungle.fermionic or (zero and drawn % 2 == 0):
+                continue
+            drawn += 1
+            yield jungle, slices, {e: rng.uniform(size=self.P) for e in sorted(jungle.fermionic)}
+
+    @staticmethod
+    def point(stack, p):
+        return {e: float(w[p]) for e, w in stack.items()}
+
+    def test_min_over_paths_and_lifted_y(self, rng):
+        for jungle, slices, stack in self.cases(rng):
+            edges = sorted(jungle.fermionic)
+            paths = min_over_paths(jungle.n, edges, stack)
+            y = lifted_y_matrix(jungle, slices, stack)
+            assert paths.shape == y.shape == (self.P, jungle.n, jungle.n)
+            for p in range(self.P):
+                w = self.point(stack, p)
+                assert np.array_equal(paths[p], min_over_paths(jungle.n, edges, w))
+                assert np.array_equal(y[p], lifted_y_matrix(jungle, slices, w))
+
+    def test_grassmann_minor(self, rng):
+        for jungle, slices, stack in self.cases(rng):
+            n = jungle.n
+            y = lifted_y_matrix(jungle, slices, stack)
+            k = int(rng.integers(0, n + 1))
+            cols = tuple(int(i) for i in rng.permutation(n)[:k])
+            rows = tuple(int(i) for i in rng.permutation(n)[:k])
+            got = grassmann_minor(MinorSpec(y, cols, rows))
+            assert got.shape == (self.P,) and got.dtype == np.float64
+            want = [grassmann_minor(MinorSpec(y[p], cols, rows)) for p in range(self.P)]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_fermionic_factor_pointwise_and_brute(self, rng):
+        kinds = set()
+        for jungle, slices, stack in self.cases(rng):
+            got = fermionic_factor(FermionicFactorInput(jungle, slices, stack))
+            assert got.shape == (self.P,)
+            kinds.add(bool(np.any(got)))
+            for p in range(self.P):
+                inp = FermionicFactorInput(jungle, slices, self.point(stack, p))
+                assert got[p] == pytest.approx(fermionic_factor(inp), rel=1e-13, abs=1e-15)
+                assert got[p] == pytest.approx(fermionic_factor_brute(inp), abs=1e-12)
+        assert kinds == {False, True}  # structural zeros and live terms both drawn
 
 
 class TestMinorBounds:

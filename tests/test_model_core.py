@@ -303,3 +303,22 @@ class TestGridRoutes:
                 x = 1j * mp.mpc(lam) * s
                 ref = complex(mp.expm1(mp.fsum(x**k * u[k] / k for k in u)))
                 assert abs(value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
+    @pytest.mark.parametrize("M, j", [(10, 5), (10, 3), (16, 2)])
+    def test_long_window_first_derivative_against_mpmath(self, lam, M, j):
+        # d/dsigma W = exp(-V) d(-V)/dsigma, with the series of the kernel
+        # test differentiated: d(-V)/dsigma = i lam sum_(k>=2) u_k (i lam sigma)^(k-1)
+        import mpmath as mp
+
+        sl = slice_range(M, j)
+        sigma = np.array([0.05, 0.1, 0.3, 1.0, 3.0, 6.0, 12.0])
+        got = dw_grid(ModelParams(lam, M, j, j), j, 1, sigma)
+        with mp.workdps(40):
+            u = {k: mp.zeta(k, sl.lo) - mp.zeta(k, sl.hi + 1) for k in range(2, 122)}
+            for s, value in zip(sigma, got):
+                ilam = 1j * mp.mpc(lam)
+                x = ilam * s
+                minus_v = mp.fsum(x**k * u[k] / k for k in u)
+                ref = complex(mp.exp(minus_v) * ilam * mp.fsum(x ** (k - 1) * u[k] for k in u))
+                assert abs(value - ref) <= 1e-12 * abs(ref)
