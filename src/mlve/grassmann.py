@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import Jungle
-from .interpolation import layered_decomposition, min_over_paths
+from .interpolation import layered_decomposition, min_over_paths, weight_shape
 
 BRUTE_FORCE_BUDGET = 8
 
@@ -300,7 +300,7 @@ def fermionic_factor(inp: FermionicFactorInput):
     all P weight points at once, an array of shape (P,).
     """
     jungle, slices = inp.jungle, inp.slices
-    shape = np.broadcast_shapes(*(np.shape(w) for w in inp.weights.values()))
+    shape = weight_shape(inp.weights)
     if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
         return np.zeros(shape) if shape else 0.0
     y = lifted_y_matrix(jungle, slices, inp.weights)

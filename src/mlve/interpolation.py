@@ -27,8 +27,14 @@ def _validate_weights(edges, weights) -> None:
     if set(weights) != set(edges):
         raise ValueError("interpolation point must cover exactly the forest edges")
     for e, w in weights.items():
-        if not 0.0 <= w <= 1.0:
+        if not np.all((0.0 <= w) & (w <= 1.0)):
             raise ValueError(f"weight {w} for edge {e} outside [0, 1]")
+
+
+def weight_shape(weights: dict) -> tuple:
+    """Shape shared by all weights of one call: () for scalars, (P,) for a
+    stack of P weight points."""
+    return np.shape(next(iter(weights.values()), 0.0))
 
 
 def min_over_paths(n: int, edges, weights) -> np.ndarray:
@@ -38,14 +44,10 @@ def min_over_paths(n: int, edges, weights) -> np.ndarray:
     (P,), giving the stack of the P matrices, shape (P, n, n).
     """
     adj: dict[int, list] = {v: [] for v in range(n)}
-    shape = ()
     for u, v in edges:
-        w = weights[(u, v)]
-        shape = getattr(w, "shape", ())
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    lower = np.minimum if shape else min  # min is the faster one on scalars
-    out = np.zeros(shape + (n, n))
+        adj[u].append((v, weights[(u, v)]))
+        adj[v].append((u, weights[(u, v)]))
+    out = np.zeros(weight_shape(weights) + (n, n))
     for root in range(n):
         out[..., root, root] = 1.0
         stack = [(root, 1.0)]
@@ -55,14 +57,15 @@ def min_over_paths(n: int, edges, weights) -> np.ndarray:
             for nxt, w in adj[node]:
                 if nxt not in seen:
                     seen.add(nxt)
-                    m = lower(cur, w)
+                    m = np.minimum(cur, w)
                     out[..., root, nxt] = m
                     stack.append((nxt, m))
     return out
 
 
 def x_matrix(forest: Forest, weights: dict) -> np.ndarray:
-    """Interpolated covariance X^F(w) on the forest's vertices."""
+    """Interpolated covariance X^F(w) on the forest's vertices; weights of
+    shape (P,) give the stack of the P matrices."""
     _validate_weights(forest.edges, weights)
     return min_over_paths(forest.n, forest.edges, weights)
 
@@ -165,10 +168,11 @@ def ordering_cell_points(k: int, order: int):
     return np.concatenate(cells), np.tile(wflat, len(cells))
 
 
-def integrate_unit_cube(f, k: int, order: int):
-    """Integrate f(w) over [0,1]^k on the ordering-cell quadrature."""
-    pts, wts = ordering_cell_points(k, order)
-    return sum(w * f(tuple(x)) for x, w in zip(pts, wts))
+def _forest_cell_stack(forest: Forest, edges, order: int):
+    """X^F(w) at every ordering-cell point, shape (P, n, n), and the weights."""
+    pts, wts = ordering_cell_points(len(edges), order)
+    xs = x_matrix(forest, dict(zip(edges, pts.T)))
+    return np.broadcast_to(xs, (len(wts), forest.n, forest.n)), wts
 
 
 # --- interpolation identities ------------------------------------------------
@@ -248,13 +252,8 @@ def forest_formula_eval(n: int, func, quadrature_order: int = 16) -> float:
     total = 0.0
     for forest in enumerate_forests(n):
         edges = sorted(forest.edges)
-
-        def cell(w_tuple, edges=edges, forest=forest):
-            weights = dict(zip(edges, w_tuple))
-            X = x_matrix(forest, weights)
-            return func.forest_derivative(edges, X)
-
-        total += integrate_unit_cube(cell, len(edges), quadrature_order)
+        xs, wts = _forest_cell_stack(forest, edges, quadrature_order)
+        total += sum(w * func.forest_derivative(edges, X) for X, w in zip(xs, wts))
     return total
 
 
@@ -366,11 +365,6 @@ def replica_gaussian_eval(n: int, cov: np.ndarray, integrands: list[dict], quadr
                         acc[e] = acc.get(e, 0.0) + c * v
             poly = acc
 
-        def cell(w_tuple, poly=poly, edges=edges, forest=forest):
-            weights = dict(zip(edges, w_tuple))
-            X = x_matrix(forest, weights)
-            big = np.kron(X, cov)
-            return gaussian_expectation(poly, big)
-
-        total += integrate_unit_cube(cell, len(edges), quadrature_order)
+        xs, wts = _forest_cell_stack(forest, edges, quadrature_order)
+        total += sum(w * gaussian_expectation(poly, np.kron(X, cov)) for X, w in zip(xs, wts))
     return total

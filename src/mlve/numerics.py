@@ -145,30 +145,39 @@ def _inverse_power_sum(lo: int, hi: int, k: int) -> complex:
 _SERIES_TERMS = 56
 
 
-def _minus_v_long(lam: complex, lo: int, hi: int, sigma: np.ndarray) -> np.ndarray:
-    """-V over a window [lo, hi] too long for the direct product.
+def _minus_v_long(lam: complex, lo: int, hi: int, sigma: np.ndarray):
+    """-V and its sigma-derivative over a window [lo, hi] too long for the
+    direct product, as the pair (-V, d(-V)/dsigma).
 
-    -V = z0 H + log prod_p p/(p + z0) with z0 = -i*lam*sigma.  Through
-    loggamma this is a difference of values of size hi*log(hi), which loses
+    -V = z0 H + log prod_p p/(p + z0) with z0 = -i*lam*sigma, and
+    d(-V)/dsigma = i lam (T1 - H) with T1 = sum_p 1/(p + z0).  Through
+    loggamma and digamma both are differences of large values, which lose
     digits when -V is small, so where |z0| <= lo/2 the convergent series
-    -V = sum_(k>=2) (-z0)^k u_k / k with u_k = sum_p p^(-k) is used instead.
-    Any 2*pi branch mismatch of the loggamma form is immaterial after
-    exponentiation.
+    -V = sum_(k>=2) u_k x^k / k and d(-V)/dsigma = i lam sum_(k>=2) u_k x^(k-1),
+    with x = -z0 and u_k = sum_p p^(-k), are used instead.  Any 2*pi branch
+    mismatch of the loggamma form is immaterial after exponentiation.
     """
     z0 = -1j * lam * sigma
-    out = np.empty_like(z0)
+    minus_v = np.empty_like(z0)
+    slope = np.empty_like(z0)
     small = np.abs(z0) <= 0.5 * lo
     x = -z0[small]
-    xk = x * x
-    acc = np.zeros_like(x)
+    xk = x  # x^(k-1)
+    acc_v = np.zeros_like(x)
+    acc_d = np.zeros_like(x)
     for k in range(2, _SERIES_TERMS + 2):
-        acc = acc + _inverse_power_sum(lo, hi, k) / k * xk
+        uk = _inverse_power_sum(lo, hi, k)
+        acc_d = acc_d + uk * xk
         xk = xk * x
-    out[small] = acc
+        acc_v = acc_v + uk / k * xk
+    minus_v[small] = acc_v
+    slope[small] = 1j * lam * acc_d
     zl = z0[~small]
+    h = harmonic_range_sum(lo, hi)
     log_const = loggamma(complex(hi + 1)) - loggamma(complex(lo))
-    out[~small] = zl * harmonic_range_sum(lo, hi) + log_const - (loggamma(hi + 1 + zl) - loggamma(lo + zl))
-    return out
+    minus_v[~small] = zl * h + log_const - (loggamma(hi + 1 + zl) - loggamma(lo + zl))
+    slope[~small] = 1j * lam * (shifted_inverse_power_sum(lo, hi, 1, zl) - h)
+    return minus_v, slope
 
 
 def exp_minus_v_range(lam: complex, lo: int, hi: int, sigma):
@@ -183,7 +192,7 @@ def exp_minus_v_range(lam: complex, lo: int, hi: int, sigma):
     if lo > hi:
         return np.ones_like(sigma)
     if hi - lo + 1 > DIRECT_SUM_LIMIT:
-        return np.exp(_minus_v_long(lam, lo, hi, sigma))
+        return np.exp(_minus_v_long(lam, lo, hi, sigma)[0])
     z0 = -1j * lam * sigma
     prod = np.ones_like(sigma)
     for p in range(hi, lo - 1, -1):
@@ -198,9 +207,9 @@ def dv_range(lam: complex, lo: int, hi: int, k: int, sigma):
          = i lam [sum_p 1/(p - i lam sigma) - H],
     k >= 2: (k-1)! (i lam)^k sum_p (p - i lam sigma)^(-k).
 
-    On long windows the k = 1 difference T1 - H cancels at small sigma;
-    where |lam sigma| <= lo/2 the derivative of the series of
-    ``_minus_v_long``, i lam sum_(k>=2) u_k (i lam sigma)^(k-1), is used.
+    On long windows the k = 1 difference T1 - H cancels at small sigma, so
+    k = 1 comes from ``_minus_v_long``, which sums the differentiated -V
+    series there.
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
@@ -216,18 +225,7 @@ def dv_range(lam: complex, lo: int, hi: int, k: int, sigma):
             for p in range(hi, lo - 1, -1):
                 total = total + (-(lam**2) * sigma) / (p * (p + z0))
             return total
-        out = np.empty_like(z0)
-        small = np.abs(z0) <= 0.5 * lo
-        x = -z0[small]
-        xk = x
-        acc = np.zeros_like(x)
-        for m in range(2, _SERIES_TERMS + 2):
-            acc = acc + _inverse_power_sum(lo, hi, m) * xk
-            xk = xk * x
-        out[small] = 1j * lam * acc
-        t1 = shifted_inverse_power_sum(lo, hi, 1, z0[~small])
-        out[~small] = 1j * lam * (t1 - harmonic_range_sum(lo, hi))
-        return out
+        return _minus_v_long(lam, lo, hi, sigma)[1]
     tk = shifted_inverse_power_sum(lo, hi, k, z0)
     return math.factorial(k - 1) * (1j * lam) ** k * tk
 
@@ -246,8 +244,9 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     if lo > hi:
         return np.zeros_like(sigma_c), {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
     if hi - lo + 1 > DIRECT_SUM_LIMIT:
-        w = np.expm1(_minus_v_long(lam, lo, hi, sigma_c))
-        return w, {k: dv_range(lam, lo, hi, k, sigma_c) for k in range(1, max_k + 1)}
+        minus_v, slope = _minus_v_long(lam, lo, hi, sigma_c)
+        dv = {k: slope if k == 1 else dv_range(lam, lo, hi, k, sigma_c) for k in range(1, max_k + 1)}
+        return np.expm1(minus_v), dv
     z0 = -1j * lam * sigma_c
     prod = np.ones_like(sigma_c)
     sums = {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
