@@ -58,19 +58,25 @@ def load_config(path: str | None) -> dict:
     return defaults
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _coupling(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
-    _fail_usage(f"cannot parse coupling {value!r} (number or [re, im])")
+    _fail_usage(f"lambda must be a finite number or [re, im], got {value!r}")
 
 
 def _params(cfg):
     from .model_core import ModelParams
 
+    lam = _coupling(cfg["lambda"])
+    M, j_min, j_max = (_int_setting(cfg, key, lo) for key, lo in (("M", 2), ("j_min", 1), ("j_max", 1)))
     try:
-        return ModelParams(_coupling(cfg["lambda"]), int(cfg["M"]), int(cfg["j_min"]), int(cfg["j_max"]))
+        return ModelParams(lam, M, j_min, j_max)
     except ValueError as exc:
         _fail_usage(str(exc))
 
@@ -92,12 +98,16 @@ def _out_dir(args) -> Path:
 
 def cmd_compare(args) -> int:
     from . import engine, oracle
+    from .errors import QuadratureUnreliableError
 
     cfg = load_config(args.config)
     params = _params(cfg)
     n_max = _int_setting(cfg, "n_max", 1, engine.ORDER_BUDGET)
     gl_nodes = _int_setting(cfg, "gl_nodes", 1)
-    ref = oracle.logz_oracle(params, _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES))
+    try:
+        ref = oracle.logz_oracle(params, _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES))
+    except (QuadratureUnreliableError, ValueError) as exc:
+        _fail_usage(f"no reliable log Z reference at this coupling: {exc}")
     out = _out_dir(args)
 
     ev = engine.TermEvaluator(params, gl_nodes)

@@ -97,14 +97,20 @@ def layered_decomposition(n: int, edges, weights):
     largest edges are switched on, the graph splits into components f and
     the matrix gains (w_i - w_(i+1)) on every same-component pair.  All
     coefficients are nonnegative, so positivity is manifest.
+
+    Weights may also be arrays of one shape (P,) whose points share one
+    descending edge order (one ordering cell; ties allowed).  The sums
+    over the points then sort in that same order, each coefficient is a
+    (P,) array, and a layer is dropped only where it vanishes at every
+    point.
     """
-    order = sorted(edges, key=lambda e: -weights[e])
+    order = sorted(edges, key=lambda e: -np.sum(weights[e]))
     levels = [1.0] + [weights[e] for e in order] + [0.0]
     terms = []
     for i in range(len(order) + 1):
         coeff = levels[i] - levels[i + 1]
         comps = _components_of(n, order[:i])
-        if coeff > 0:
+        if np.any(coeff > 0):
             terms.append((coeff, comps))
     return terms
 
@@ -129,13 +135,21 @@ def is_positive_semidefinite(mat: np.ndarray, tol: float = 1e-12) -> bool:
 # --- quadrature over the weakening parameters ------------------------------
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only so that a cache can hand them out."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_01(order: int):
     """Gauss-Legendre nodes and weights shifted to [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
+@lru_cache(maxsize=None)
 def ordering_cell_points(k: int, order: int):
     """Gauss-Legendre points and weights on [0,1]^k, split along orderings.
 
@@ -143,12 +157,13 @@ def ordering_cell_points(k: int, order: int):
     coordinate, so min-over-path integrands are smooth there.  The cell
     with w_(pi[0]) <= ... <= w_(pi[k-1]) is mapped from the unit cube
     through t_m = prod_(i>=m) v_i with Jacobian prod_m v_m^m.  Returns
-    points of shape (P, k) and weights of shape (P,); the nodes are
-    interior, so interpolated covariances stay positive definite.
+    points of shape (P, k) and weights of shape (P,), cached and read-only;
+    the nodes are interior, so interpolated covariances stay positive
+    definite.
     """
     nodes, wts = gauss_legendre_01(order)
     if k == 0:
-        return np.zeros((1, 0)), np.ones(1)
+        return _read_only(np.zeros((1, 0)), np.ones(1))
     v = np.stack([g.ravel() for g in np.meshgrid(*([nodes] * k), indexing="ij")], axis=1)  # (order^k, k)
     wflat = np.ones(v.shape[0])
     for g in np.meshgrid(*([wts] * k), indexing="ij"):
@@ -165,7 +180,7 @@ def ordering_cell_points(k: int, order: int):
         cell = np.empty_like(t)
         cell[:, list(perm)] = t
         cells.append(cell)
-    return np.concatenate(cells), np.tile(wflat, len(cells))
+    return _read_only(np.concatenate(cells), np.tile(wflat, len(cells)))
 
 
 def _forest_cell_stack(forest: Forest, edges, order: int):

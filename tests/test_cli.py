@@ -83,6 +83,16 @@ class TestCompare:
             ("compare", "oracle_nodes", 0),
             ("compare", "oracle_nodes", 49),
             ("oracle", "oracle_nodes", 0),
+            ("compare", "M", 2.7),
+            ("compare", "M", 1),
+            ("compare", "j_min", "1"),
+            ("compare", "j_max", None),
+            ("compare", "lambda", True),
+            ("compare", "lambda", [0.2, "a"]),
+            ("compare", "lambda", [0.2, False]),
+            ("compare", "lambda", float("nan")),
+            ("oracle", "M", 2.7),
+            ("oracle", "lambda", True),
         ],
     )
     def test_bad_setting_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch, command, key, value):
@@ -98,7 +108,19 @@ class TestCompare:
         with pytest.raises(SystemExit) as err:
             run_cli([command, "--config", str(cfg), "--out", str(out)])
         assert err.value.code == 2
-        assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
+        wanted = "a finite number" if key == "lambda" else "an integer"
+        assert capsys.readouterr().err.startswith(f"error: {key} must be {wanted}")
+        assert not out.exists()
+
+    def test_coupling_outside_the_domain_exits_two(self, tmp_path, capsys):
+        # lambda = 0.2 + 0.5i has |lambda|^2 > cos(2 gamma): node doubling
+        # cannot settle the quadrature Z, so there is no reference to compare to
+        cfg = write_config(tmp_path, **{"lambda": [0.2, 0.5]})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["compare", "--config", str(cfg), "--out", str(out)])
+        assert err.value.code == 2
+        assert "node doubling moved Z" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_config_key_exits_two(self, tmp_path):

@@ -16,7 +16,7 @@ from mlve.engine import (
     order_contribution,
 )
 from mlve.errors import BudgetExceededError
-from mlve.interpolation import min_over_paths
+from mlve.interpolation import min_over_paths, ordering_cell_points
 from mlve.model_core import ModelParams, dw_grid
 from mlve.oracle import gauss_hermite_norm
 
@@ -142,6 +142,44 @@ class TestBosonicBlockValue:
         term = jungle_term(jungle, slices, params, gl_nodes=GL)
         assert abs(term.imag) < 1e-12
         assert 0 < abs(term) <= assemble_term_bound(jungle, slices, 0.5, 10)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.3 + 0.1j])
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1)], [(0, 1), (1, 2)], [(0, 1), (0, 2)], [(0, 1), (1, 2), (2, 3)], [(0, 1), (0, 2), (0, 3)]],
+        ids=["pair", "path3", "star3", "path4", "star4"],
+    )
+    def test_integral_matches_pointwise_values(self, edges, lam):
+        # the batched block integral, points grouped by ordering cell,
+        # against one bosonic_block_value call per weight point; 4 nodes
+        # keep the 4-vertex blocks at 6 x 4^3 points
+        params = ModelParams(lam, 2, 1, 4)
+        b = len(edges) + 1
+        js = (1, 2, 3, 4)[:b]
+        w_pts, w_weights = ordering_cell_points(len(edges), 4)
+        pointwise = sum(
+            w * bosonic_block_value(list(range(b)), edges, js, dict(zip(edges, pt)), params)
+            for pt, w in zip(w_pts, w_weights)
+        )
+        batched = TermEvaluator(params, gl_nodes=4)._integrate_block(edges, js)
+        assert abs(batched - pointwise) <= 1e-12 * abs(pointwise)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.3 + 0.1j])
+    def test_batch_with_ties_and_boundary_weights(self, lam):
+        # one batch over two ordering cells, holding tied weights and the
+        # boundary weights 0 and 1: a layer whose coefficient vanishes at
+        # some of the points still merges its components there
+        params = ModelParams(lam, 2, 1, 3)
+        edges = [(0, 1), (1, 2)]
+        js = (1, 2, 3)
+        w_pts = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.5, 0.2], [0.2, 0.5]])
+        batch = mlve.engine._block_values(mlve.engine._kernel_tables(params, edges, js), edges, w_pts)
+        for pt, val in zip(w_pts, batch):
+            weights = dict(zip(edges, pt))
+            single = bosonic_block_value([0, 1, 2], edges, js, weights, params)
+            assert abs(val - single) <= 1e-12 * abs(single)
+            ref = gh_block_expectation(min_over_paths(3, edges, weights), edges, js, params)
+            assert abs(val - ref) <= 1e-9 * abs(ref)
 
     def test_block_budget(self):
         with pytest.raises(BudgetExceededError):
