@@ -116,13 +116,13 @@ def cmd_compare(args) -> int:
     for n in range(1, n_max + 1):
         if args.trace:
             total = 0j
-            for idx, (jungle, slices, value) in enumerate(ev.order_terms(n)):
+            for index, jungle, slices, value in ev.order_terms(n):
                 total += value
                 if value != 0:
                     trace_rows.append(
                         {
                             "n": n,
-                            "jungle": idx,
+                            "jungle": index,
                             "bosonic": sorted(jungle.bosonic.edges),
                             "fermionic": sorted(jungle.fermionic),
                             "slices": list(slices),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import BudgetExceededError
@@ -189,6 +190,11 @@ class Jungle:
         return Forest(self.n, self.bosonic.edges | self.fermionic)
 
     def partition(self) -> BlockPartition:
+        return self._partition
+
+    @cached_property
+    def _partition(self) -> BlockPartition:
+        # built once per instance; equality and hashing see only the fields
         return BlockPartition(self.n, self.bosonic.components())
 
     @property

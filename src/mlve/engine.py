@@ -10,8 +10,15 @@ The Fermionic weights enter only the lifted Y matrix and the Bosonic
 weights only their own block's covariance, so the two integrals
 factorize exactly.
 
-Structural zeros are returned exactly: a block with a repeated slice, or
-a Fermionic edge joining different slices, never reaches quadrature.
+The order sum visits only the admissible slice labelings of a jungle:
+the slice delta makes a labeling constant on each Fermionic component,
+and the hardcore rule gives components that meet in a Bosonic block
+different slices.  A generator assigns one slice per component under
+those constraints, worked out once per jungle, in the lexicographic
+order of the full product.  Every other labeling is a structural zero;
+``jungle_term`` still returns it as an exact 0 for outside callers, so a
+block with a repeated slice, or a Fermionic edge joining different
+slices, never reaches quadrature.
 
 A Bosonic block expectation is a Gaussian expectation under the
 interpolated covariance X(w), which ``interpolation.layered_decomposition``
@@ -29,21 +36,30 @@ Gauss-Legendre ordering-cell points of
 ``interpolation.ordering_cell_points``, on which the min() interpolation
 is smooth.  The Fermionic factor is evaluated at all of a term's weight
 points in one call: the lifted Y matrices form one stack and each of the
-2^k exchange-pattern minors is one stacked determinant.  Block values
-are cached on the isomorphism class of the decorated block tree, which
-collapses the slice-assignment sum to a few distinct integrals per order.
+2^k exchange-pattern minors is one stacked determinant.  Its integrand
+is a polynomial of degree <= n - 1 in each cube coordinate of a cell, so
+(n + 1) // 2 Gauss-Legendre nodes integrate it exactly; ``gl_nodes``
+sets the rule of the Bosonic blocks only.
+
+Block values are cached on the isomorphism class of the decorated block
+tree.  Fermionic values are cached on the canonical form of the jungle
+and the slice-equality pattern read in its canonical labels, since the
+factor depends on nothing else; the vertex orders that attain the
+canonical form are found once per jungle.  The two caches collapse the
+labeling sum to a few distinct integrals per order: at n = 5 over three
+slices, 11,835 admissible terms need 24 Fermionic integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import permutations, product
 
 import numpy as np
 
-from .combinatorics import Jungle, enumerate_jungles, norm_edge
+from .combinatorics import Forest, Jungle, _components_of, enumerate_jungles, norm_edge
 from .errors import BudgetExceededError
 from .grassmann import (
     FermionicFactorInput,
@@ -56,7 +72,7 @@ from .grassmann import (
 from .interpolation import layered_decomposition, min_over_paths, ordering_cell_points  # noqa: F401
 from .model_core import ModelParams, dw_grid
 
-ORDER_BUDGET = 4
+ORDER_BUDGET = 5
 BLOCK_BUDGET = 4
 
 # Smoothing grid, odd and symmetric so that its middle point is sigma = 0.
@@ -141,13 +157,127 @@ def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams)
     return complex(_block_values(_kernel_tables(params, edges, js), edges, w_pts)[0])
 
 
+def fermionic_weight_integral(jungle: Jungle, slices) -> float:
+    """The Fermionic factor integrated over its edge weights, exactly.
+
+    Inside an ordering cell every entry of the lifted Y is 0, 1 or one
+    sorted coordinate t_m = prod_(i>=m) v_i, so every exchange-pattern
+    minor is a polynomial of degree <= n - k in t, and with the cell
+    Jacobian prod_m v_m^m of degree <= n - 1 in each v_i.  Gauss-Legendre
+    with (n + 1) // 2 nodes integrates that exactly.  All quadrature points
+    go in one stacked call (k = 0 gives a scalar).
+    """
+    edges = sorted(jungle.fermionic)
+    w_pts, w_weights = ordering_cell_points(len(edges), (jungle.n + 1) // 2)
+    values = fermionic_factor(FermionicFactorInput(jungle, tuple(slices), dict(zip(edges, w_pts.T))))
+    return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
+
+
+def _canonical_relabelings(jungle: Jungle):
+    """The least relabeled edge form of the jungle and every vertex order
+    that attains it.
+
+    A vertex order lists the old vertices by new label.  Only the orders
+    that sort the vertices by (block size, Bosonic degree, Fermionic
+    degree) are searched; isomorphisms preserve that invariant, so the
+    least form over them is still a canonical form.
+    """
+    size = {v: len(b) for b in jungle.partition().blocks for v in b}
+    bos = jungle.bosonic.degrees()
+    ferm = Forest(jungle.n, jungle.fermionic).degrees()
+    classes: dict[tuple, list[int]] = {}
+    for v in range(jungle.n):
+        classes.setdefault((size[v], bos[v], ferm[v]), []).append(v)
+    best, orders = None, []
+    for parts in product(*(permutations(classes[c]) for c in sorted(classes))):
+        order = sum(parts, ())
+        label = {v: i for i, v in enumerate(order)}
+        form = tuple(
+            tuple(sorted(norm_edge(label[u], label[v]) for u, v in edges))
+            for edges in (jungle.bosonic.edges, jungle.fermionic)
+        )
+        if best is None or form < best:
+            best, orders = form, [order]
+        elif form == best:
+            orders.append(order)
+    return best, tuple(orders)
+
+
+class _JungleShape:
+    """What the order sum needs of one jungle, worked out once per jungle.
+
+    - blocks: each Bosonic block with its tree edges;
+    - components: the Fermionic components, by least vertex.  The slice
+      delta makes a labeling constant on each of them;
+    - conflicts: for each component, the earlier components that meet it
+      in a Bosonic block.  The hardcore rule gives them different slices;
+    - form, orders: the canonical edge form and the vertex orders that
+      attain it, found on first use.
+    """
+
+    def __init__(self, jungle: Jungle):
+        self.jungle = jungle
+        blocks = jungle.partition().blocks
+        self.blocks = tuple((block, [e for e in jungle.bosonic.edges if e[0] in block]) for block in blocks)
+        self.components = tuple(tuple(sorted(c)) for c in _components_of(jungle.n, jungle.fermionic))
+        comp_of = {v: c for c, comp in enumerate(self.components) for v in comp}
+        self.conflicts = tuple(
+            sorted({comp_of[v] for block in blocks if not block.isdisjoint(comp) for v in block if comp_of[v] < c})
+            for c, comp in enumerate(self.components)
+        )
+
+    @cached_property
+    def _canonical(self):
+        return _canonical_relabelings(self.jungle)
+
+    def labelings(self, slices):
+        """Every admissible slice labeling, in lexicographic order: one slice
+        per Fermionic component, different slices on components that meet
+        in a block."""
+        chosen = [None] * len(self.components)
+        labels = [None] * self.jungle.n
+
+        def rec(c: int):
+            if c == len(self.components):
+                yield tuple(labels)
+                return
+            taken = {chosen[d] for d in self.conflicts[c]}
+            for j in slices:
+                if j not in taken:
+                    chosen[c] = j
+                    for v in self.components[c]:
+                        labels[v] = j
+                    yield from rec(c + 1)
+
+        yield from rec(0)
+
+    def fermionic_key(self, slices):
+        """(canonical form, slice-equality pattern in canonical labels): the
+        Fermionic integral depends on nothing else.  The pattern names each
+        slice by its first appearance, least over the canonical orders."""
+        form, orders = self._canonical
+        patterns = []
+        for order in orders:
+            names: dict = {}
+            patterns.append(tuple(names.setdefault(slices[v], len(names)) for v in order))
+        return form, min(patterns)
+
+
 class TermEvaluator:
-    """Caches block integrals across the jungle and slice sums."""
+    """Caches block and Fermionic integrals across the jungle and slice sums."""
 
     def __init__(self, params: ModelParams, gl_nodes: int = 12):
         self.params = params
         self.gl_nodes = gl_nodes
         self._block_cache: dict = {}
+        self._fermionic_cache: dict = {}
+        self._shapes: dict[Jungle, _JungleShape] = {}
+
+    def _shape(self, jungle: Jungle) -> _JungleShape:
+        shape = self._shapes.get(jungle)
+        if shape is None:
+            shape = self._shapes[jungle] = _JungleShape(jungle)
+        return shape
 
     # -- bosonic side --------------------------------------------------------
 
@@ -181,12 +311,13 @@ class TermEvaluator:
     # -- fermionic side ------------------------------------------------------
 
     def fermionic_integral(self, jungle: Jungle, slices) -> float:
-        """The Fermionic factor integrated over its edge weights, all
-        quadrature points in one stacked call (k = 0 gives a scalar)."""
-        edges = sorted(jungle.fermionic)
-        w_pts, w_weights = ordering_cell_points(len(edges), self.gl_nodes)
-        values = fermionic_factor(FermionicFactorInput(jungle, tuple(slices), dict(zip(edges, w_pts.T))))
-        return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
+        """``fermionic_weight_integral``, cached on the jungle's canonical
+        form and the slice-equality pattern."""
+        key = self._shape(jungle).fermionic_key(slices)
+        value = self._fermionic_cache.get(key)
+        if value is None:
+            value = self._fermionic_cache[key] = fermionic_weight_integral(jungle, slices)
+        return value
 
     # -- full terms ----------------------------------------------------------
 
@@ -198,23 +329,23 @@ class TermEvaluator:
         if ferm == 0.0:
             return 0j
         value = complex(ferm)
-        part = jungle.partition()
-        for block in part.blocks:
-            tree_edges = [e for e in jungle.bosonic.edges if e[0] in block]
+        for block, tree_edges in self._shape(jungle).blocks:
             value *= self.block_integral(block, tree_edges, slices)
         return value
 
     def order_terms(self, n: int):
-        """Yield (jungle, slices, value) over all contributions at order n."""
+        """Yield (jungle index, jungle, slices, value) over the admissible
+        labelings at order n; the index counts the spanning jungles in
+        enumeration order.  Every other labeling is a structural zero."""
         if n > ORDER_BUDGET:
             raise BudgetExceededError(f"order {n} > budget {ORDER_BUDGET}")
-        for jungle in enumerate_jungles(n, spanning=True):
-            for slices in product(self.params.slices, repeat=n):
-                yield jungle, slices, self.jungle_term(jungle, slices)
+        for index, jungle in enumerate(enumerate_jungles(n, spanning=True)):
+            for slices in self._shape(jungle).labelings(self.params.slices):
+                yield index, jungle, slices, self.jungle_term(jungle, slices)
 
     def order_contribution(self, n: int) -> complex:
         total = 0j
-        for _, _, value in self.order_terms(n):
+        for *_, value in self.order_terms(n):
             total += value
         return total / math.factorial(n)
 

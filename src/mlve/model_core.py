@@ -276,17 +276,7 @@ def dw_derivative(params: ModelParams, j: int, q: int, sigma) -> complex:
     return cmath.exp(-v_kernel(params, j, sigma)) * total
 
 
-# --- vectorized grid variants (engine and oracle plumbing) -----------------
-
-
-def exp_minus_v_grid(params: ModelParams, j: int, sigma: np.ndarray) -> np.ndarray:
-    sl = params.slice_set(j)
-    return numerics.exp_minus_v_range(complex(params.lam), sl.lo, sl.hi, sigma)
-
-
-def dv_grid(params: ModelParams, j: int, k: int, sigma: np.ndarray) -> np.ndarray:
-    sl = params.slice_set(j)
-    return numerics.dv_range(complex(params.lam), sl.lo, sl.hi, k, sigma)
+# --- vectorized grid route (engine plumbing) --------------------------------
 
 
 def dw_grid(params: ModelParams, j: int, q: int, sigma: np.ndarray) -> np.ndarray:

@@ -97,27 +97,6 @@ def logz_oracle(params: ModelParams, nodes: int = 200) -> complex:
     return cmath.log(z)
 
 
-def logz_scan(lams, M: int, j_min: int, j_max: int, nodes: int = 200) -> list[complex]:
-    """log Z along a path of couplings, branch-tracked for continuity.
-
-    The first coupling should be small enough that the principal branch is
-    correct there (log Z -> 0 as lam -> 0); subsequent points unwind any
-    2*pi jump relative to their predecessor.
-    """
-    out: list[complex] = []
-    prev = 0.0 + 0.0j
-    for lam in lams:
-        z, _, ok = z_reliable(ModelParams(lam, M, j_min, j_max), nodes)
-        if not ok:
-            raise QuadratureUnreliableError(f"unreliable quadrature at lam = {lam}")
-        val = cmath.log(z)
-        k = round((prev.imag - val.imag) / (2.0 * math.pi))
-        val += 2j * math.pi * k
-        out.append(val)
-        prev = val
-    return out
-
-
 # --- perturbative coefficients ----------------------------------------------
 
 

@@ -74,7 +74,7 @@ class TestCompare:
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            ("compare", "n_max", 5),
+            ("compare", "n_max", 6),
             ("compare", "n_max", 0),
             ("compare", "n_max", 2.7),
             ("compare", "n_max", "x"),
@@ -145,6 +145,34 @@ class TestCompare:
         assert lines
         rec = json.loads(lines[0])
         assert {"n", "jungle", "bosonic", "fermionic", "slices", "value"} <= set(rec)
+
+    def test_trace_jungle_is_the_enumeration_index(self, tmp_path):
+        from mlve.combinatorics import count_two_level_trees, enumerate_jungles
+
+        cfg = write_config(tmp_path, n_max=3)
+        out = tmp_path / "out"
+        assert run_cli(["compare", "--config", str(cfg), "--out", str(out), "--trace"]) == 0
+        recs = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        jungles = {n: list(enumerate_jungles(n, spanning=True)) for n in (1, 2, 3)}
+        per_jungle = {}
+        for rec in recs:
+            n = rec["n"]
+            assert 0 <= rec["jungle"] < count_two_level_trees(n)
+            jungle = jungles[n][rec["jungle"]]
+            assert rec["bosonic"] == [list(e) for e in sorted(jungle.bosonic.edges)]
+            assert rec["fermionic"] == [list(e) for e in sorted(jungle.fermionic)]
+            per_jungle.setdefault((n, rec["jungle"]), []).append(rec["slices"])
+        # two slices: the all-Fermionic trees at n = 3 carry two nonzero terms
+        assert any(len(labelings) > 1 for labelings in per_jungle.values())
+
+    def test_order_five_at_the_default_config(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_max": 5}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        errs = [float(r["abs_error_vs_oracle"]) for r in csv.DictReader((out / "orders.csv").open())]
+        assert len(errs) == 5
+        assert errs[4] < errs[3] and errs[4] < 2e-11
 
 
 class TestVerify:

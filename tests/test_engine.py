@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,15 +8,23 @@ from hypothesis import strategies as st
 
 import mlve.engine
 from conftest import random_spanning_jungle
-from mlve.combinatorics import Forest, Jungle, empty_forest, norm_edge
+from mlve.combinatorics import Forest, Jungle, empty_forest, enumerate_jungles, norm_edge
 from mlve.engine import (
     TermEvaluator,
     bosonic_block_value,
+    fermionic_weight_integral,
     jungle_term,
     logz_truncation,
     order_contribution,
 )
 from mlve.errors import BudgetExceededError
+from mlve.grassmann import (
+    FermionicFactorInput,
+    fermionic_factor,
+    fermionic_factor_brute,
+    hardcore_violated,
+    slice_delta_violated,
+)
 from mlve.interpolation import min_over_paths, ordering_cell_points
 from mlve.model_core import ModelParams, dw_grid
 from mlve.oracle import gauss_hermite_norm
@@ -208,8 +217,6 @@ class TestStructuralZeros:
         # 3-slice window, so every assignment vanishes identically
         tree = Forest(4, frozenset({(0, 1), (1, 2), (2, 3)}))
         jungle = Jungle(4, tree, frozenset())
-        from itertools import product
-
         for slices in product(self.params.slices, repeat=4):
             assert jungle_term(jungle, slices, self.params, gl_nodes=GL) == 0j
 
@@ -241,14 +248,14 @@ class TestOrders:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            order_contribution(5, ModelParams(0.2, 2, 1, 3), gl_nodes=GL)
+            order_contribution(6, ModelParams(0.2, 2, 1, 3), gl_nodes=GL)
         with pytest.raises(BudgetExceededError):
-            logz_truncation(5, ModelParams(0.2, 2, 1, 3), gl_nodes=GL)
+            logz_truncation(6, ModelParams(0.2, 2, 1, 3), gl_nodes=GL)
 
     def test_order_four_two_slices(self):
         # orders 1-4 as evaluated one weight point at a time (one
-        # fermionic_factor call per point); order 4 reaches the k = 3
-        # Fermionic integrals, whose stacks hold 3! x 12^3 points
+        # fermionic_factor call per point, 12 nodes); order 4 reaches the
+        # k = 3 Fermionic integrals, exact on 3! x 2^3 points
         from mlve.oracle import logz_oracle
 
         params = ModelParams(0.2, 2, 1, 2)
@@ -260,6 +267,21 @@ class TestOrders:
         errs = res.distances_to(logz_oracle(params))
         assert errs == pytest.approx([3.35e-5, 3.60e-6, 6.30e-8, 5.17e-10], rel=5e-3)
         assert errs[0] > errs[1] > errs[2] > errs[3]
+
+    def test_order_five_two_slices(self):
+        # order 5: 1,850 admissible terms over 12 distinct Fermionic
+        # integrals, the k = 4 ones exact on 4! x 3^4 points
+        from mlve.oracle import logz_oracle
+
+        params = ModelParams(0.2, 2, 1, 2)
+        res = logz_truncation(5, params)
+        orders = [-0.02554149551061696, 2.98695700734899e-05, 3.539989183670671e-06, 6.24948799040322e-08, 5.207146910039618e-10]
+        for got, want in zip(res.orders, orders, strict=True):
+            assert got.real == pytest.approx(want, rel=1e-10)
+            assert abs(got.imag) < 1e-15
+        errs = res.distances_to(logz_oracle(params))
+        assert errs == pytest.approx([3.35e-5, 3.60e-6, 6.30e-8, 5.17e-10, 3.97e-12], rel=5e-3)
+        assert errs[0] > errs[1] > errs[2] > errs[3] > errs[4]
 
     def test_complex_coupling_matches_oracle(self):
         # the generic complex kernel route, end to end: partial sums of a
@@ -293,13 +315,122 @@ class TestOrders:
         assert abs(val - expect) < 1e-9
 
 
+def admissible(jungle, slices) -> bool:
+    return not (hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices))
+
+
+def first_admissible(jungle, window):
+    return next(s for s in product(window, repeat=jungle.n) if admissible(jungle, s))
+
+
+def integrate_factor(jungle, slices, nodes, chunk=50_000):
+    """The stacked Fermionic factor summed over the ordering-cell rule with
+    the given node count, in chunks of points to bound the memory."""
+    edges = sorted(jungle.fermionic)
+    pts, wts = ordering_cell_points(len(edges), nodes)
+    total = 0.0
+    for lo in range(0, len(wts), chunk):
+        at = slice(lo, lo + chunk)
+        vals = fermionic_factor(FermionicFactorInput(jungle, slices, dict(zip(edges, pts[at].T))))
+        total += float(np.dot(wts[at], np.broadcast_to(vals, wts[at].shape)))
+    return total
+
+
+class TestFermionicIntegral:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_exact_rule_matches_twelve_nodes_and_brute_force(self, n):
+        # (n + 1) // 2 nodes against 12 nodes on the first jungle of each
+        # Fermionic edge count k with a nonzero integral, at its first
+        # admissible labeling over n slices; one node fewer is off by
+        # 1e-2 at n = 5.  The brute-force Berezin integral runs on the same
+        # points where they are few: it costs about 8 ms a point at n = 5
+        firsts = {}
+        for jungle in enumerate_jungles(n, spanning=True):
+            k = len(jungle.fermionic)
+            slices = first_admissible(jungle, range(1, n + 1))
+            if k not in firsts and fermionic_weight_integral(jungle, slices) != 0.0:
+                firsts[k] = jungle, slices
+        assert sorted(firsts) == list(range(n))
+        for k, (jungle, slices) in firsts.items():
+            value = fermionic_weight_integral(jungle, slices)
+            assert abs(value - integrate_factor(jungle, slices, 12)) <= 1e-13 * max(1.0, abs(value))
+            pts, wts = ordering_cell_points(k, (n + 1) // 2)
+            if len(wts) > 100:
+                continue
+            edges = sorted(jungle.fermionic)
+            brute = sum(
+                w * fermionic_factor_brute(FermionicFactorInput(jungle, slices, dict(zip(edges, pt))))
+                for pt, w in zip(pts, wts)
+            )
+            assert abs(value - brute) <= 1e-13 * max(1.0, abs(value))
+
+    def test_all_singleton_paths_are_rational(self):
+        # slice-constant Fermionic paths on n singleton blocks integrate
+        # to 2/3, -1/2 and 2/5 at k = 2, 3, 4
+        for n, want in ((3, 2 / 3), (4, -1 / 2), (5, 2 / 5)):
+            jungle = Jungle(n, empty_forest(n), frozenset((i, i + 1) for i in range(n - 1)))
+            assert fermionic_weight_integral(jungle, (1,) * n) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cached_values_equal_uncached(self, n):
+        # every admissible term of order n over three slices
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
+        terms = 0
+        for jungle in enumerate_jungles(n, spanning=True):
+            for slices in product((1, 2, 3), repeat=n):
+                if admissible(jungle, slices):
+                    terms += 1
+                    want = fermionic_weight_integral(jungle, slices)
+                    assert abs(ev.fermionic_integral(jungle, slices) - want) <= 1e-13 * max(1.0, abs(want))
+        assert terms == {1: 3, 2: 9, 3: 63, 4: 696}[n]
+
+    @pytest.mark.parametrize("window, terms, distinct", [((1, 2, 3), 11835, 24), ((1, 2), 1850, 12)])
+    def test_distinct_integrals_at_order_five(self, monkeypatch, window, terms, distinct):
+        # one Fermionic integral per (canonical jungle, slice-equality
+        # pattern); the block integrals are left out
+        computed = []
+
+        def counted(jungle, slices):
+            computed.append((jungle, slices))
+            return 1.0
+
+        monkeypatch.setattr(mlve.engine, "fermionic_weight_integral", counted)
+        monkeypatch.setattr(TermEvaluator, "jungle_term", lambda self, jungle, slices: self.fermionic_integral(jungle, slices))
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, len(window)))
+        assert sum(1 for _ in ev.order_terms(5)) == terms
+        assert len(computed) == distinct
+
+
 class TestTraceRecords:
+    @pytest.mark.parametrize("n, window", [(n, tuple(range(1, m + 1))) for n in (1, 2, 3, 4) for m in (2, 3, 4)])
+    def test_generator_yields_the_admissible_product(self, monkeypatch, n, window):
+        # the generator against the filtered product, order included; the
+        # term values are left out
+        monkeypatch.setattr(TermEvaluator, "jungle_term", lambda self, jungle, slices: 0j)
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, len(window)))
+        got = [(index, slices) for index, _, slices, _ in ev.order_terms(n)]
+        want = [
+            (index, slices)
+            for index, jungle in enumerate(enumerate_jungles(n, spanning=True))
+            for slices in product(window, repeat=n)
+            if admissible(jungle, slices)
+        ]
+        assert got == want
+
     def test_order_terms_zero_tagging(self):
+        # order 2 over two slices: the yielded labelings are the admissible
+        # ones of the product, and the public jungle_term keeps the exact
+        # zero on every other labeling
         params = ModelParams(0.25, 2, 1, 2)
         ev = TermEvaluator(params, gl_nodes=GL)
-        seen = 0
-        for jungle, slices, value in ev.order_terms(2):
-            seen += 1
-            if any(slices[u] != slices[v] for u, v in jungle.fermionic):
-                assert value == 0j
-        assert seen == 2 * 4  # two spanning jungles, four assignments
+        yielded = {(index, slices): value for index, _, slices, value in ev.order_terms(2)}
+        excluded = 0
+        for index, jungle in enumerate(enumerate_jungles(2, spanning=True)):
+            for slices in product(params.slices, repeat=2):
+                if admissible(jungle, slices):
+                    assert yielded.pop((index, slices)) != 0j
+                else:
+                    excluded += 1
+                    assert ev.jungle_term(jungle, slices) == 0j
+        assert yielded == {}
+        assert excluded == 4  # of the 2 x 4 labelings: 2 hardcore, 2 slice delta

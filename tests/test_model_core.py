@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff
+from mlve import numerics
 from mlve.errors import DomainError
 from mlve.model_core import (
     ModelParams,
     dv_derivative,
-    dv_grid,
     dw_derivative,
     dw_grid,
     exp_minus_v,
-    exp_minus_v_grid,
     faa_di_bruno_weight,
     log2m,
     partition_multiplicities,
@@ -267,7 +266,9 @@ class TestGridRoutes:
             params = ModelParams(lam, 2, 1, 3)
             for j in (1, 2, 3):
                 ref_e = np.array([exp_minus_v(params, j, s) for s in sigma])
-                assert np.abs(exp_minus_v_grid(params, j, sigma) - ref_e).max() < 1e-13
+                sl = params.slice_set(j)
+                got_e = numerics.exp_minus_v_range(complex(lam), sl.lo, sl.hi, sigma)
+                assert np.abs(got_e - ref_e).max() < 1e-13
                 for q in (0, 1, 2, 3):
                     ref = np.array([dw_derivative(params, j, q, s) for s in sigma])
                     got = dw_grid(params, j, q, sigma)
@@ -279,12 +280,13 @@ class TestGridRoutes:
         params = ModelParams(lam, 2, 1, 8)
         sigma = rng.normal(scale=2.0, size=12)
         j = 8  # window [128, 255], above the direct-sum limit
+        sl = params.slice_set(j)
         for k in (1, 2, 3):
             ref = np.array([dv_derivative(params, j, k, s) for s in sigma])
-            got = dv_grid(params, j, k, sigma)
+            got = numerics.dv_range(complex(lam), sl.lo, sl.hi, k, sigma)
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         ref_e = np.array([exp_minus_v(params, j, s) for s in sigma])
-        assert np.abs(exp_minus_v_grid(params, j, sigma) - ref_e).max() < 1e-12
+        assert np.abs(numerics.exp_minus_v_range(complex(lam), sl.lo, sl.hi, sigma) - ref_e).max() < 1e-12
 
     @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
     @pytest.mark.parametrize("M, j", [(10, 5), (10, 3), (16, 2)])

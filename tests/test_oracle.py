@@ -8,7 +8,6 @@ from mlve.errors import QuadratureUnreliableError
 from mlve.model_core import ModelParams
 from mlve.oracle import (
     logz_oracle,
-    logz_scan,
     logz_series_g,
     node_doubling_delta,
     perturbative_coefficients,
@@ -77,7 +76,16 @@ class TestLogOracle:
 
     def test_scan_continuity(self):
         lams = [0.05 * k * cmath.exp(1j * math.pi / 10) for k in range(1, 9)]
-        vals = logz_scan(lams, 2, 1, 3)
+        # log Z along the path, each branch chosen next to its predecessor's
+        # (log Z -> 0 as lambda -> 0, so the principal branch starts the path)
+        vals, prev = [], 0j
+        for lam in lams:
+            z, _, ok = z_reliable(ModelParams(lam, 2, 1, 3))
+            assert ok
+            val = cmath.log(z)
+            val += 2j * math.pi * round((prev.imag - val.imag) / (2.0 * math.pi))
+            vals.append(val)
+            prev = val
         diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         assert max(diffs) < 0.1
 
