@@ -103,6 +103,13 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     params = _params(cfg)
     n_max = _int_setting(cfg, "n_max", 1, engine.ORDER_BUDGET)
+    # order n over at least n slices admits one Bosonic block on all n
+    # vertices with distinct slices, which the engine refuses past BLOCK_BUDGET
+    if min(n_max, len(params.slices)) > engine.BLOCK_BUDGET:
+        _fail_usage(
+            f"n_max must be an integer in 1..{engine.BLOCK_BUDGET} over {len(params.slices)} slices, got {n_max}: "
+            f"a higher order reaches Bosonic blocks of more than {engine.BLOCK_BUDGET} vertices"
+        )
     gl_nodes = _int_setting(cfg, "gl_nodes", 1)
     try:
         ref = oracle.logz_oracle(params, _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES))
@@ -114,24 +121,21 @@ def cmd_compare(args) -> int:
     orders, sums, rows, trace_rows = [], [], [], []
     running = 0j
     for n in range(1, n_max + 1):
-        if args.trace:
-            total = 0j
-            for index, jungle, slices, value in ev.order_terms(n):
-                total += value
-                if value != 0:
-                    trace_rows.append(
-                        {
-                            "n": n,
-                            "jungle": index,
-                            "bosonic": sorted(jungle.bosonic.edges),
-                            "fermionic": sorted(jungle.fermionic),
-                            "slices": list(slices),
-                            "value": [value.real, value.imag],
-                        }
-                    )
-            value_n = total / math.factorial(n)
-        else:
-            value_n = ev.order_contribution(n)
+        total = 0j
+        for index, jungle, slices, value in ev.order_terms(n):
+            total += value
+            if args.trace and value != 0:
+                trace_rows.append(
+                    {
+                        "n": n,
+                        "jungle": index,
+                        "bosonic": sorted(jungle.bosonic.edges),
+                        "fermionic": sorted(jungle.fermionic),
+                        "slices": list(slices),
+                        "value": [value.real, value.imag],
+                    }
+                )
+        value_n = total / math.factorial(n)
         orders.append(value_n)
         running += value_n
         sums.append(running)
@@ -196,17 +200,20 @@ def cmd_enumerate(args) -> int:
     else:
         items = cb.enumerate_jungles(n, spanning=args.spanning)
     count = 0
-    for item in items:
-        count += 1
-        if args.edges:
-            if args.kind == "jungles":
-                rec = {
-                    "bosonic": sorted(item.bosonic.edges),
-                    "fermionic": sorted(item.fermionic),
-                }
-            else:
-                rec = {"edges": sorted(item.edges)}
-            print(json.dumps(rec))
+    try:
+        for item in items:
+            count += 1
+            if args.edges:
+                if args.kind == "jungles":
+                    rec = {
+                        "bosonic": sorted(item.bosonic.edges),
+                        "fermionic": sorted(item.fermionic),
+                    }
+                else:
+                    rec = {"edges": sorted(item.edges)}
+                print(json.dumps(rec))
+    except ValueError as exc:  # the generators refuse n < 1 or n past their budget on the first step
+        _fail_usage(str(exc))
     print(f"{args.kind} n={n}: {count}")
     return 0
 

@@ -103,27 +103,6 @@ class Forest:
     def is_spanning_tree(self) -> bool:
         return len(self.edges) == self.n - 1
 
-    def path_edges(self, a: int, b: int) -> tuple[Edge, ...] | None:
-        """Edges of the unique path a..b, or None if disconnected."""
-        if a == b:
-            return ()
-        adj: dict[int, list[tuple[int, Edge]]] = {v: [] for v in range(self.n)}
-        for e in self.edges:
-            u, v = e
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        stack = [(a, None, ())]
-        seen = {a}
-        while stack:
-            node, _, path = stack.pop()
-            if node == b:
-                return path
-            for nxt, e in adj[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, node, path + (e,)))
-        return None
-
 
 def empty_forest(n: int) -> Forest:
     return Forest(n, frozenset())

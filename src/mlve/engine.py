@@ -15,10 +15,12 @@ the slice delta makes a labeling constant on each Fermionic component,
 and the hardcore rule gives components that meet in a Bosonic block
 different slices.  A generator assigns one slice per component under
 those constraints, worked out once per jungle, in the lexicographic
-order of the full product.  Every other labeling is a structural zero;
-``jungle_term`` still returns it as an exact 0 for outside callers, so a
-block with a repeated slice, or a Fermionic edge joining different
-slices, never reaches quadrature.
+order of the full product.  A jungle with a vertex of Fermionic degree
+>= 3 yields none: every exchange pattern repeats a generator there, so
+its Fermionic factor is zero.  Every other labeling is a structural
+zero; ``jungle_term`` still returns it as an exact 0 for outside
+callers, so a block with a repeated slice, or a Fermionic edge joining
+different slices, never reaches quadrature.
 
 A Bosonic block expectation is a Gaussian expectation under the
 interpolated covariance X(w), which ``interpolation.layered_decomposition``
@@ -41,25 +43,29 @@ is a polynomial of degree <= n - 1 in each cube coordinate of a cell, so
 (n + 1) // 2 Gauss-Legendre nodes integrate it exactly; ``gl_nodes``
 sets the rule of the Bosonic blocks only.
 
-Block values are cached on the isomorphism class of the decorated block
-tree.  Fermionic values are cached on the canonical form of the jungle
-and the slice-equality pattern read in its canonical labels, since the
-factor depends on nothing else; the vertex orders that attain the
-canonical form are found once per jungle.  The two caches collapse the
-labeling sum to a few distinct integrals per order: at n = 5 over three
-slices, 11,835 admissible terms need 24 Fermionic integrals.
+Both caches are keyed by one canonical-form search, ``_canonical_orders``,
+which returns the least relabeled form of a graph and every vertex
+order that attains it.  Fermionic values are cached on the canonical
+form of the jungle and the slice-equality pattern read along those
+orders, since the factor depends on nothing else.  Block values are
+cached on the canonical form of the block tree and the least slice tuple
+read along its orders, which names the isomorphism class of the
+decorated block.  Both searches run once per jungle and block, never per
+term.  The two caches collapse the labeling sum to a few distinct
+integrals per order: at n = 5 over three slices, 11,160 terms need 20
+Fermionic and 9 block integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import permutations, product
 
 import numpy as np
 
-from .combinatorics import Forest, Jungle, _components_of, enumerate_jungles, norm_edge
+from .combinatorics import Jungle, _components_of, enumerate_jungles, norm_edge
 from .errors import BudgetExceededError
 from .grassmann import (
     FermionicFactorInput,
@@ -82,22 +88,28 @@ BLOCK_BUDGET = 4
 SIGMA_GRID = np.linspace(-12.0, 12.0, 729)
 
 
-def _local_tree(block, tree_edges):
-    """Sorted block vertices, their local labels and the relabelled tree edges."""
-    verts = sorted(block)
-    if len(verts) > BLOCK_BUDGET:
-        raise BudgetExceededError(f"block size {len(verts)} > {BLOCK_BUDGET}")
+def _local_edges(verts, tree_edges) -> tuple:
+    """The tree edges relabelled by position in the sorted block vertices."""
     local = {v: i for i, v in enumerate(verts)}
-    return verts, local, [norm_edge(local[u], local[v]) for u, v in tree_edges]
+    return tuple(norm_edge(local[u], local[v]) for u, v in tree_edges)
 
 
-def _kernel_tables(params: ModelParams, edges, js) -> list[np.ndarray]:
-    """d^(d_a) W_(j_a) on SIGMA_GRID for each local vertex a of degree d_a."""
-    degrees = [0] * len(js)
+def _degrees(n: int, edges) -> list[int]:
+    degrees = [0] * n
     for u, v in edges:
         degrees[u] += 1
         degrees[v] += 1
-    return [dw_grid(params, j, d, SIGMA_GRID) for j, d in zip(js, degrees)]
+    return degrees
+
+
+def _kernel_tables(params: ModelParams, edges, js) -> list[np.ndarray]:
+    """d^(d_a) W_(j_a) on SIGMA_GRID for each local vertex a of degree d_a.
+
+    Every block evaluation starts here, so this is where a block past
+    BLOCK_BUDGET is refused."""
+    if len(js) > BLOCK_BUDGET:
+        raise BudgetExceededError(f"block size {len(js)} > {BLOCK_BUDGET}")
+    return [dw_grid(params, j, d, SIGMA_GRID) for j, d in zip(js, _degrees(len(js), edges))]
 
 
 def _block_values(tables, edges, w_pts) -> np.ndarray:
@@ -148,13 +160,13 @@ def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams)
     tree degree (0 for a singleton).  sigma has the centered Gaussian law
     with covariance X restricted to the block.
     """
-    verts, local, edges = _local_tree(block, tree_edges)
-    if len(edges) != len(verts) - 1:
+    verts = sorted(block)
+    if len(tree_edges) != len(verts) - 1:
         raise ValueError("tree must span the block")
-    wloc = {norm_edge(local[u], local[v]): w for (u, v), w in weights.items()}
-    js = [slices[v] for v in verts]
-    w_pts = np.array([[wloc[e] for e in edges]])
-    return complex(_block_values(_kernel_tables(params, edges, js), edges, w_pts)[0])
+    edges = _local_edges(verts, tree_edges)
+    tables = _kernel_tables(params, edges, [slices[v] for v in verts])
+    w_pts = np.array([[weights[e] for e in tree_edges]])
+    return complex(_block_values(tables, edges, w_pts)[0])
 
 
 def fermionic_weight_integral(jungle: Jungle, slices) -> float:
@@ -173,29 +185,23 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
 
 
-def _canonical_relabelings(jungle: Jungle):
-    """The least relabeled edge form of the jungle and every vertex order
-    that attains it.
+def _canonical_orders(n: int, edge_sets, invariant):
+    """The least relabeled form of the edge sets on vertices 0..n-1 and
+    every vertex order that attains it.
 
     A vertex order lists the old vertices by new label.  Only the orders
-    that sort the vertices by (block size, Bosonic degree, Fermionic
-    degree) are searched; isomorphisms preserve that invariant, so the
-    least form over them is still a canonical form.
+    that sort the vertices by invariant[v] are searched; isomorphisms
+    preserve the invariant, so the least form over them is still a
+    canonical form.
     """
-    size = {v: len(b) for b in jungle.partition().blocks for v in b}
-    bos = jungle.bosonic.degrees()
-    ferm = Forest(jungle.n, jungle.fermionic).degrees()
-    classes: dict[tuple, list[int]] = {}
-    for v in range(jungle.n):
-        classes.setdefault((size[v], bos[v], ferm[v]), []).append(v)
+    classes: dict = {}
+    for v in range(n):
+        classes.setdefault(invariant[v], []).append(v)
     best, orders = None, []
     for parts in product(*(permutations(classes[c]) for c in sorted(classes))):
         order = sum(parts, ())
         label = {v: i for i, v in enumerate(order)}
-        form = tuple(
-            tuple(sorted(norm_edge(label[u], label[v]) for u, v in edges))
-            for edges in (jungle.bosonic.edges, jungle.fermionic)
-        )
+        form = tuple(tuple(sorted(norm_edge(label[u], label[v]) for u, v in edges)) for edges in edge_sets)
         if best is None or form < best:
             best, orders = form, [order]
         elif form == best:
@@ -203,22 +209,38 @@ def _canonical_relabelings(jungle: Jungle):
     return best, tuple(orders)
 
 
+@cache
+def _block_plan(block: frozenset, tree_edges: tuple):
+    """(sorted vertices, tree edges in their local labels, (canonical form,
+    attaining vertex orders)) of one Bosonic block; the orders list global
+    vertices, so a slice labeling of the jungle reads along them directly.
+    Jungles share blocks, so a plan is worked out once per block."""
+    verts = tuple(sorted(block))
+    edges = _local_edges(verts, tree_edges)
+    form, orders = _canonical_orders(len(verts), (edges,), _degrees(len(verts), edges))
+    return verts, edges, (form, tuple(tuple(verts[a] for a in order) for order in orders))
+
+
 class _JungleShape:
     """What the order sum needs of one jungle, worked out once per jungle.
 
-    - blocks: each Bosonic block with its tree edges;
+    - blocks: for each Bosonic block, its sorted vertices, its tree edges
+      in their local labels and its canonical form with the vertex orders
+      that attain it, the orders listing global vertices;
     - components: the Fermionic components, by least vertex.  The slice
       delta makes a labeling constant on each of them;
     - conflicts: for each component, the earlier components that meet it
       in a Bosonic block.  The hardcore rule gives them different slices;
-    - form, orders: the canonical edge form and the vertex orders that
-      attain it, found on first use.
+    - form, orders: the canonical edge form of the jungle and the vertex
+      orders that attain it.
+
+    blocks and the canonical form are found on first use, so a jungle
+    with no admissible labeling never searches for them.
     """
 
     def __init__(self, jungle: Jungle):
         self.jungle = jungle
         blocks = jungle.partition().blocks
-        self.blocks = tuple((block, [e for e in jungle.bosonic.edges if e[0] in block]) for block in blocks)
         self.components = tuple(tuple(sorted(c)) for c in _components_of(jungle.n, jungle.fermionic))
         comp_of = {v: c for c, comp in enumerate(self.components) for v in comp}
         self.conflicts = tuple(
@@ -227,13 +249,26 @@ class _JungleShape:
         )
 
     @cached_property
+    def blocks(self):
+        edges = self.jungle.bosonic.edges
+        return tuple(_block_plan(b, tuple(e for e in edges if e[0] in b)) for b in self.jungle.partition().blocks)
+
+    @cached_property
     def _canonical(self):
-        return _canonical_relabelings(self.jungle)
+        jungle = self.jungle
+        size = {v: len(b) for b in jungle.partition().blocks for v in b}
+        bos = jungle.bosonic.degrees()
+        ferm = _degrees(jungle.n, jungle.fermionic)
+        invariant = [(size[v], bos[v], ferm[v]) for v in range(jungle.n)]
+        return _canonical_orders(jungle.n, (jungle.bosonic.edges, jungle.fermionic), invariant)
 
     def labelings(self, slices):
         """Every admissible slice labeling, in lexicographic order: one slice
         per Fermionic component, different slices on components that meet
-        in a block."""
+        in a block.  None if a vertex has Fermionic degree >= 3: every
+        exchange pattern repeats a generator there, so the factor is zero."""
+        if max(_degrees(self.jungle.n, self.jungle.fermionic)) >= 3:
+            return
         chosen = [None] * len(self.components)
         labels = [None] * self.jungle.n
 
@@ -281,32 +316,25 @@ class TermEvaluator:
 
     # -- bosonic side --------------------------------------------------------
 
-    def _canonical_block_key(self, edges, js):
-        b = len(js)
-        best = None
-        for perm in permutations(range(b)):
-            e = tuple(sorted(norm_edge(perm[u], perm[v]) for u, v in edges))
-            lab = tuple(js[perm.index(i)] for i in range(b))
-            cand = (e, lab)
-            if best is None or cand < best:
-                best = cand
-        return best
+    def block_integral(self, verts, edges, canonical, slices) -> complex:
+        """The block Gaussian integral, integrated over its tree weights.
 
-    def block_integral(self, block, tree_edges, slices) -> complex:
-        """The block Gaussian integral, integrated over its tree weights."""
-        verts, _, edges = _local_tree(block, tree_edges)
-        js = tuple(slices[v] for v in verts)
-        key = self._canonical_block_key(edges, js)
-        if key in self._block_cache:
-            return self._block_cache[key]
-        value = self._integrate_block(edges, js)
-        self._block_cache[key] = value
+        verts are the sorted block vertices, edges the tree in their local
+        labels and canonical the block's (form, attaining orders).  The
+        cache key is the form with the least slice tuple read along the
+        orders: two decorated blocks share it exactly when they are
+        isomorphic, and the first of a class is the one integrated."""
+        form, orders = canonical
+        key = form, min(tuple(slices[v] for v in order) for order in orders)
+        value = self._block_cache.get(key)
+        if value is None:
+            value = self._block_cache[key] = self._integrate_block(edges, tuple(slices[v] for v in verts))
         return value
 
     def _integrate_block(self, edges, js) -> complex:
+        tables = _kernel_tables(self.params, edges, js)
         w_pts, w_weights = ordering_cell_points(len(edges), self.gl_nodes)
-        values = _block_values(_kernel_tables(self.params, edges, js), edges, w_pts)
-        return complex(np.dot(w_weights, values))
+        return complex(np.dot(w_weights, _block_values(tables, edges, w_pts)))
 
     # -- fermionic side ------------------------------------------------------
 
@@ -329,14 +357,15 @@ class TermEvaluator:
         if ferm == 0.0:
             return 0j
         value = complex(ferm)
-        for block, tree_edges in self._shape(jungle).blocks:
-            value *= self.block_integral(block, tree_edges, slices)
+        for block in self._shape(jungle).blocks:
+            value *= self.block_integral(*block, slices)
         return value
 
     def order_terms(self, n: int):
         """Yield (jungle index, jungle, slices, value) over the admissible
         labelings at order n; the index counts the spanning jungles in
-        enumeration order.  Every other labeling is a structural zero."""
+        enumeration order.  Every other labeling, and every labeling of a
+        jungle whose Fermionic factor vanishes, is a structural zero."""
         if n > ORDER_BUDGET:
             raise BudgetExceededError(f"order {n} > budget {ORDER_BUDGET}")
         for index, jungle in enumerate(enumerate_jungles(n, spanning=True)):
@@ -361,14 +390,6 @@ class TruncationResult:
 
     def distances_to(self, reference: complex) -> list[float]:
         return [abs(s - reference) for s in self.partial_sums]
-
-
-def jungle_term(jungle: Jungle, slices, params: ModelParams, gl_nodes: int = 12) -> complex:
-    return TermEvaluator(params, gl_nodes).jungle_term(jungle, slices)
-
-
-def order_contribution(n: int, params: ModelParams, gl_nodes: int = 12) -> complex:
-    return TermEvaluator(params, gl_nodes).order_contribution(n)
 
 
 def logz_truncation(n_max: int, params: ModelParams, gl_nodes: int = 12) -> TruncationResult:

@@ -26,10 +26,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .combinatorics import enumerate_trees
-from .interpolation import ordering_cell_points
+from .interpolation import min_over_paths, ordering_cell_points
 
 DIRECT_BUDGET = 8
 ORDER_BUDGET = 5
@@ -80,19 +78,6 @@ def convergence_condition(gas: PolymerGas, root) -> float:
     return sum(abs(a) * math.exp(len(p)) for p, a in gas.support() if root in p)
 
 
-def _tree_paths(n: int, edges) -> dict:
-    """Map each vertex pair to the positions (into edges) of its tree path."""
-    from .combinatorics import Forest
-
-    forest = Forest(n, frozenset(edges))
-    pos = {e: i for i, e in enumerate(edges)}
-    out = {}
-    for pair in combinations(range(n), 2):
-        path = forest.path_edges(*pair)
-        out[pair] = tuple(pos[e] for e in path)
-    return out
-
-
 def _epsilon_tree_factor(n: int, tree_edges, eta_minus: frozenset, gl_order: int) -> float:
     """eps^T for intersection pattern eta_minus (pairs with eta = -1).
 
@@ -107,10 +92,11 @@ def _epsilon_tree_factor(n: int, tree_edges, eta_minus: frozenset, gl_order: int
         return 1.0
     nontree = [e for e in combinations(range(n), 2) if e not in tree_edges and e in eta_minus]
     sign = (-1.0) ** len(tree_edges)
-    paths = _tree_paths(n, sorted(tree_edges))
+    edges = sorted(tree_edges)
     w_pts, val = ordering_cell_points(n - 1, gl_order)
-    for pair in nontree:
-        val = val * (1.0 - np.min(w_pts[:, list(paths[pair])], axis=1))
+    x = min_over_paths(n, edges, dict(zip(edges, w_pts.T)))
+    for a, b in nontree:
+        val = val * (1.0 - x[:, a, b])
     return sign * float(val.sum())
 
 

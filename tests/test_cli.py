@@ -93,6 +93,11 @@ class TestCompare:
             ("compare", "lambda", float("nan")),
             ("oracle", "M", 2.7),
             ("oracle", "lambda", True),
+            # a dict is a set of overrides that together make key bad: order
+            # 5 over five slices reaches a 5-vertex block past BLOCK_BUDGET
+            pytest.param(
+                "compare", "n_max", {"j_max": 5, "n_max": 5}, id="compare-n_max-5-over-5-slices"
+            ),
         ],
     )
     def test_bad_setting_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch, command, key, value):
@@ -103,7 +108,7 @@ class TestCompare:
 
         monkeypatch.setattr(oracle, "logz_oracle", no_oracle)
         monkeypatch.setattr(oracle, "z_reliable", no_oracle)
-        cfg = write_config(tmp_path, **{key: value})
+        cfg = write_config(tmp_path, **(value if isinstance(value, dict) else {key: value}))
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as err:
             run_cli([command, "--config", str(cfg), "--out", str(out)])
@@ -215,6 +220,17 @@ class TestEnumerate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # 3 trees + the count line
         assert json.loads(lines[0])["edges"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--kind", "trees", "--n", "9"], ["--kind", "jungles", "--n", "8"], ["--n", "0"]],
+        ids=["trees-past-budget", "jungles-past-budget", "n-zero"],
+    )
+    def test_out_of_range_n_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["enumerate", *argv])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestOracleCommand:

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import count, permutations, product
 
 import numpy as np
 import pytest
@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 import mlve.engine
 from conftest import random_spanning_jungle
-from mlve.combinatorics import Forest, Jungle, empty_forest, enumerate_jungles, norm_edge
+from mlve.combinatorics import Forest, Jungle, empty_forest, enumerate_jungles, enumerate_trees, norm_edge
 from mlve.engine import (
     TermEvaluator,
     bosonic_block_value,
     fermionic_weight_integral,
-    jungle_term,
     logz_truncation,
-    order_contribution,
 )
 from mlve.errors import BudgetExceededError
 from mlve.grassmann import (
@@ -148,7 +146,7 @@ class TestBosonicBlockValue:
         params = ModelParams(0.5, 10, 3, 6)
         jungle = Jungle(4, empty_forest(4), frozenset({(0, 1), (1, 2), (2, 3)}))
         slices = (3, 3, 3, 3)  # Fermionic deltas require equal slices
-        term = jungle_term(jungle, slices, params, gl_nodes=GL)
+        term = TermEvaluator(params, GL).jungle_term(jungle, slices)
         assert abs(term.imag) < 1e-12
         assert 0 < abs(term) <= assemble_term_bound(jungle, slices, 0.5, 10)
 
@@ -200,55 +198,122 @@ class TestBosonicBlockValue:
                 ModelParams(0.1, 2, 1, 5),
             )
 
+    def test_block_budget_on_evaluation_only(self):
+        # a five-vertex block is refused when a term reaches it, and not
+        # on a labeling that the hardcore rule already makes zero
+        jungle = Jungle(5, Forest(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})), frozenset())
+        ev = TermEvaluator(ModelParams(0.1, 2, 1, 5), GL)
+        assert ev.jungle_term(jungle, (1, 1, 2, 3, 4)) == 0j
+        with pytest.raises(BudgetExceededError):
+            ev.jungle_term(jungle, (1, 2, 3, 4, 5))
+
+
+def brute_block_key(edges, js):
+    """The least (relabeled edges, relabeled slices) over all b! vertex
+    permutations of a decorated block: the oracle of the block classes."""
+    best = None
+    for perm in permutations(range(len(js))):
+        cand = (
+            tuple(sorted(norm_edge(perm[u], perm[v]) for u, v in edges)),
+            tuple(js[perm.index(i)] for i in range(len(js))),
+        )
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+class TestBlockCache:
+    def test_classes_match_brute_force_key(self, monkeypatch):
+        # every labeled tree on b <= 4 vertices with every injective slice
+        # tuple from 1..4: two decorated blocks share a cache entry exactly
+        # when they share the brute-force key.  The block sits on the odd
+        # vertices 1, 3, 5, 7 of a larger jungle, so the local labels differ
+        # from the global ones
+        entries = count()
+        monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: next(entries))
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 4))
+        entry_of, key_of = {}, {}
+        for b in range(1, 5):
+            for tree in enumerate_trees(b):
+                edges = sorted(tree.edges)
+                odd_edges = tuple((2 * u + 1, 2 * v + 1) for u, v in edges)
+                plan = mlve.engine._block_plan(frozenset(range(1, 2 * b, 2)), odd_edges)
+                for js in permutations(range(1, 5), b):
+                    entry = ev.block_integral(*plan, {2 * a + 1: j for a, j in enumerate(js)})
+                    key = brute_block_key(edges, js)
+                    assert entry_of.setdefault(key, entry) == entry
+                    assert key_of.setdefault(entry, key) == key
+        # 4 + 6 + 12 + 16 classes by block size
+        assert len(key_of) == 38
+
+    def test_nine_blocks_at_order_five(self, monkeypatch):
+        # the default config summed to n = 5 looks up 36,060 blocks and
+        # integrates 9 of them
+        lookups = []
+        lookup = TermEvaluator.block_integral
+
+        def counted(self, *args):
+            lookups.append(args[0])
+            return lookup(self, *args)
+
+        monkeypatch.setattr(TermEvaluator, "block_integral", counted)
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
+        for n in range(1, 6):
+            ev.order_contribution(n)
+        assert len(lookups) == 36060
+        assert len(ev._block_cache) == 9
+
 
 class TestStructuralZeros:
     params = ModelParams(0.3, 2, 1, 3)
 
     def test_fermionic_edge_slice_mismatch(self):
         jungle = Jungle(2, empty_forest(2), frozenset({(0, 1)}))
-        assert jungle_term(jungle, (1, 2), self.params, gl_nodes=GL) == 0j
+        assert TermEvaluator(self.params, GL).jungle_term(jungle, (1, 2)) == 0j
 
     def test_same_block_same_slice(self):
         jungle = Jungle(2, Forest(2, frozenset({(0, 1)})), frozenset())
-        assert jungle_term(jungle, (2, 2), self.params, gl_nodes=GL) == 0j
+        assert TermEvaluator(self.params, GL).jungle_term(jungle, (2, 2)) == 0j
 
     def test_block_larger_than_window(self):
         # a 4-vertex block cannot take pairwise-distinct slices in a
         # 3-slice window, so every assignment vanishes identically
         tree = Forest(4, frozenset({(0, 1), (1, 2), (2, 3)}))
         jungle = Jungle(4, tree, frozenset())
+        ev = TermEvaluator(self.params, GL)
         for slices in product(self.params.slices, repeat=4):
-            assert jungle_term(jungle, slices, self.params, gl_nodes=GL) == 0j
+            assert ev.jungle_term(jungle, slices) == 0j
 
 
 class TestOrders:
     def test_order_one_vanishing_coupling(self):
-        assert order_contribution(1, ModelParams(0.0, 2, 1, 3), gl_nodes=GL) == 0j
+        assert TermEvaluator(ModelParams(0.0, 2, 1, 3), GL).order_contribution(1) == 0j
 
     def test_order_one_matches_quadrature(self):
         params = ModelParams(0.2, 2, 1, 3)
-        val = order_contribution(1, params, gl_nodes=GL)
+        val = TermEvaluator(params, GL).order_contribution(1)
         direct = sum(gh_expectation(params, j, 0, 400) for j in params.slices)
         assert abs(val - direct) < 1e-8
 
     def test_orders_real_for_real_coupling(self):
         params = ModelParams(0.3, 2, 1, 2)
+        ev = TermEvaluator(params, GL)
         for n in (1, 2):
-            val = order_contribution(n, params, gl_nodes=GL)
+            val = ev.order_contribution(n)
             assert abs(val.imag) < 1e-10
 
     def test_truncation_consistency(self):
         params = ModelParams(0.25, 2, 1, 2)
         res = logz_truncation(2, params, gl_nodes=GL)
-        o1 = order_contribution(1, params, gl_nodes=GL)
-        o2 = order_contribution(2, params, gl_nodes=GL)
+        ev = TermEvaluator(params, GL)
+        o1, o2 = ev.order_contribution(1), ev.order_contribution(2)
         assert res.orders[0] == pytest.approx(o1, abs=1e-14)
         assert res.orders[1] == pytest.approx(o2, abs=1e-14)
         assert res.partial_sums[1] == pytest.approx(o1 + o2, abs=1e-14)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            order_contribution(6, ModelParams(0.2, 2, 1, 3), gl_nodes=GL)
+            TermEvaluator(ModelParams(0.2, 2, 1, 3), GL).order_contribution(6)
         with pytest.raises(BudgetExceededError):
             logz_truncation(6, ModelParams(0.2, 2, 1, 3), gl_nodes=GL)
 
@@ -311,7 +376,7 @@ class TestOrders:
             for j2 in slices[i + 1 :]:
                 expect += complex(np.sum(w * W[j1] * W[j2])) - ew[j1] * ew[j2]
         expect -= 0.5 * sum(ew[j] ** 2 for j in slices)
-        val = order_contribution(2, params)
+        val = TermEvaluator(params).order_contribution(2)
         assert abs(val - expect) < 1e-9
 
 
@@ -321,6 +386,12 @@ def admissible(jungle, slices) -> bool:
 
 def first_admissible(jungle, window):
     return next(s for s in product(window, repeat=jungle.n) if admissible(jungle, s))
+
+
+def fermionic_vanishes(jungle) -> bool:
+    """A vertex of Fermionic degree >= 3: every exchange pattern repeats a
+    generator, so the Fermionic factor is zero."""
+    return max(Forest(jungle.n, jungle.fermionic).degrees()) >= 3
 
 
 def integrate_factor(jungle, slices, nodes, chunk=50_000):
@@ -384,10 +455,12 @@ class TestFermionicIntegral:
                     assert abs(ev.fermionic_integral(jungle, slices) - want) <= 1e-13 * max(1.0, abs(want))
         assert terms == {1: 3, 2: 9, 3: 63, 4: 696}[n]
 
-    @pytest.mark.parametrize("window, terms, distinct", [((1, 2, 3), 11835, 24), ((1, 2), 1850, 12)])
+    @pytest.mark.parametrize("window, terms, distinct", [((1, 2, 3), 11160, 20), ((1, 2), 1560, 8)])
     def test_distinct_integrals_at_order_five(self, monkeypatch, window, terms, distinct):
         # one Fermionic integral per (canonical jungle, slice-equality
-        # pattern); the block integrals are left out
+        # pattern); the block integrals are left out.  The terms are the
+        # admissible ones (11,835 and 1,850) less those of jungles with a
+        # vertex of Fermionic degree >= 3 (675 and 290)
         computed = []
 
         def counted(jungle, slices):
@@ -404,8 +477,9 @@ class TestFermionicIntegral:
 class TestTraceRecords:
     @pytest.mark.parametrize("n, window", [(n, tuple(range(1, m + 1))) for n in (1, 2, 3, 4) for m in (2, 3, 4)])
     def test_generator_yields_the_admissible_product(self, monkeypatch, n, window):
-        # the generator against the filtered product, order included; the
-        # term values are left out
+        # the generator against the filtered product, order included, less
+        # the jungles whose Fermionic factor vanishes; the term values are
+        # left out
         monkeypatch.setattr(TermEvaluator, "jungle_term", lambda self, jungle, slices: 0j)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, len(window)))
         got = [(index, slices) for index, _, slices, _ in ev.order_terms(n)]
@@ -413,24 +487,26 @@ class TestTraceRecords:
             (index, slices)
             for index, jungle in enumerate(enumerate_jungles(n, spanning=True))
             for slices in product(window, repeat=n)
-            if admissible(jungle, slices)
+            if admissible(jungle, slices) and not fermionic_vanishes(jungle)
         ]
         assert got == want
 
     def test_order_terms_zero_tagging(self):
-        # order 2 over two slices: the yielded labelings are the admissible
-        # ones of the product, and the public jungle_term keeps the exact
-        # zero on every other labeling
+        # order 4 over two slices: the yielded labelings are the admissible
+        # ones of the product on jungles without a vertex of Fermionic
+        # degree >= 3, each nonzero, and the public jungle_term keeps the
+        # exact zero on every other labeling
         params = ModelParams(0.25, 2, 1, 2)
         ev = TermEvaluator(params, gl_nodes=GL)
-        yielded = {(index, slices): value for index, _, slices, value in ev.order_terms(2)}
-        excluded = 0
-        for index, jungle in enumerate(enumerate_jungles(2, spanning=True)):
-            for slices in product(params.slices, repeat=2):
-                if admissible(jungle, slices):
+        yielded = {(index, slices): value for index, _, slices, value in ev.order_terms(4)}
+        excluded = vanishing = 0
+        for index, jungle in enumerate(enumerate_jungles(4, spanning=True)):
+            for slices in product(params.slices, repeat=4):
+                if admissible(jungle, slices) and not fermionic_vanishes(jungle):
                     assert yielded.pop((index, slices)) != 0j
                 else:
                     excluded += 1
+                    vanishing += admissible(jungle, slices)
                     assert ev.jungle_term(jungle, slices) == 0j
         assert yielded == {}
-        assert excluded == 4  # of the 2 x 4 labelings: 2 hardcore, 2 slice delta
+        assert (excluded, vanishing) == (1904, 8)  # 8: the Fermionic star on four singletons
