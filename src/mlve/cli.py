@@ -248,6 +248,10 @@ def cmd_oracle(args) -> int:
 def cmd_verify_bounds(args) -> int:
     from . import bounds
 
+    if not (math.isfinite(args.M) and args.M > 1):
+        _fail_usage(f"--M must be a finite number > 1, got {args.M!r}")
+    if args.q_max < 1:
+        _fail_usage(f"--q-max must be >= 1, got {args.q_max}")
     out = _out_dir(args)
     rows = bounds.stirling_chain_check(range(1, args.q_max + 1))
     with (out / "stirling_chain.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -273,6 +277,9 @@ def cmd_domain_map(args) -> int:
     res = args.resolution
     if res < 2:
         _fail_usage(f"--resolution must be >= 2, got {res}")
+    for name in ("re_min", "re_max", "im_min", "im_max"):
+        if not math.isfinite(getattr(args, name)):
+            _fail_usage(f"--{name.replace('_', '-')} must be a finite number, got {getattr(args, name)!r}")
     out = _out_dir(args)
     with (out / "domain_map.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -291,6 +298,8 @@ def cmd_domain_map(args) -> int:
 def cmd_mayer(args) -> int:
     from . import mayer
 
+    if args.n_max < 1:
+        _fail_usage(f"--n-max must be >= 1, got {args.n_max}")
     path = Path(args.gas)
     if not path.is_file():
         _fail_usage(f"gas file not found: {args.gas}")

@@ -43,24 +43,24 @@ is a polynomial of degree <= n - 1 in each cube coordinate of a cell, so
 (n + 1) // 2 Gauss-Legendre nodes integrate it exactly; ``gl_nodes``
 sets the rule of the Bosonic blocks only.
 
-Both caches are keyed by one canonical-form search, ``_canonical_orders``,
-which returns the least relabeled form of a graph and every vertex
-order that attains it.  Fermionic values are cached on the canonical
-form of the jungle and the slice-equality pattern read along those
-orders, since the factor depends on nothing else.  Block values are
-cached on the canonical form of the block tree and the least slice tuple
-read along its orders, which names the isomorphism class of the
-decorated block.  Both searches run once per jungle and block, never per
-term.  The two caches collapse the labeling sum to a few distinct
-integrals per order: at n = 5 over three slices, 11,160 terms need 20
-Fermionic and 9 block integrals.
+A term depends only on the isomorphism class of its slice-labeled
+jungle, so term values are cached on that class.  Its key is the least
+relabeled edge form of the jungle, found by one search per jungle,
+with the least slice tuple read along the vertex orders that attain
+it.  A class is filtered and evaluated once: a structural zero is
+cached as an exact 0.  Block values are cached on the block alone: the
+hardcore rule gives each block vertex its own slice, so naming every
+vertex by the rank of its slice puts the block in canonical form with
+no search.  The two caches collapse the labeling sum to a few distinct
+integrals per order: at n = 5 over three slices, 11,160 terms fall into
+105 term classes, and all of them need 9 block integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -185,54 +185,16 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
 
 
-def _canonical_orders(n: int, edge_sets, invariant):
-    """The least relabeled form of the edge sets on vertices 0..n-1 and
-    every vertex order that attains it.
-
-    A vertex order lists the old vertices by new label.  Only the orders
-    that sort the vertices by invariant[v] are searched; isomorphisms
-    preserve the invariant, so the least form over them is still a
-    canonical form.
-    """
-    classes: dict = {}
-    for v in range(n):
-        classes.setdefault(invariant[v], []).append(v)
-    best, orders = None, []
-    for parts in product(*(permutations(classes[c]) for c in sorted(classes))):
-        order = sum(parts, ())
-        label = {v: i for i, v in enumerate(order)}
-        form = tuple(tuple(sorted(norm_edge(label[u], label[v]) for u, v in edges)) for edges in edge_sets)
-        if best is None or form < best:
-            best, orders = form, [order]
-        elif form == best:
-            orders.append(order)
-    return best, tuple(orders)
-
-
-@cache
-def _block_plan(block: frozenset, tree_edges: tuple):
-    """(sorted vertices, tree edges in their local labels, (canonical form,
-    attaining vertex orders)) of one Bosonic block; the orders list global
-    vertices, so a slice labeling of the jungle reads along them directly.
-    Jungles share blocks, so a plan is worked out once per block."""
-    verts = tuple(sorted(block))
-    edges = _local_edges(verts, tree_edges)
-    form, orders = _canonical_orders(len(verts), (edges,), _degrees(len(verts), edges))
-    return verts, edges, (form, tuple(tuple(verts[a] for a in order) for order in orders))
-
-
 class _JungleShape:
     """What the order sum needs of one jungle, worked out once per jungle.
 
-    - blocks: for each Bosonic block, its sorted vertices, its tree edges
-      in their local labels and its canonical form with the vertex orders
-      that attain it, the orders listing global vertices;
     - components: the Fermionic components, by least vertex.  The slice
       delta makes a labeling constant on each of them;
     - conflicts: for each component, the earlier components that meet it
       in a Bosonic block.  The hardcore rule gives them different slices;
-    - form, orders: the canonical edge form of the jungle and the vertex
-      orders that attain it.
+    - blocks: for each Bosonic block, its vertex set and tree edges;
+    - the canonical edge form of the jungle and the vertex orders that
+      attain it, which ``term_key`` reads a labeling along.
 
     blocks and the canonical form are found on first use, so a jungle
     with no admissible labeling never searches for them.
@@ -251,16 +213,38 @@ class _JungleShape:
     @cached_property
     def blocks(self):
         edges = self.jungle.bosonic.edges
-        return tuple(_block_plan(b, tuple(e for e in edges if e[0] in b)) for b in self.jungle.partition().blocks)
+        return tuple((b, tuple(e for e in edges if e[0] in b)) for b in self.jungle.partition().blocks)
 
     @cached_property
     def _canonical(self):
+        """The least relabeled (Bosonic, Fermionic) edge form of the jungle
+        and every vertex order that attains it; an order lists the old
+        vertices by new label.
+
+        Only the orders that sort the vertices by (block size, Bosonic
+        degree, Fermionic degree) are searched; isomorphisms preserve that
+        invariant, so the least form over them is still a canonical form.
+        """
         jungle = self.jungle
         size = {v: len(b) for b in jungle.partition().blocks for v in b}
         bos = jungle.bosonic.degrees()
         ferm = _degrees(jungle.n, jungle.fermionic)
-        invariant = [(size[v], bos[v], ferm[v]) for v in range(jungle.n)]
-        return _canonical_orders(jungle.n, (jungle.bosonic.edges, jungle.fermionic), invariant)
+        classes: dict = {}
+        for v in range(jungle.n):
+            classes.setdefault((size[v], bos[v], ferm[v]), []).append(v)
+        best, orders = None, []
+        for parts in product(*(permutations(classes[c]) for c in sorted(classes))):
+            order = sum(parts, ())
+            label = {v: i for i, v in enumerate(order)}
+            form = tuple(
+                tuple(sorted(norm_edge(label[u], label[v]) for u, v in edges))
+                for edges in (jungle.bosonic.edges, jungle.fermionic)
+            )
+            if best is None or form < best:
+                best, orders = form, [order]
+            elif form == best:
+                orders.append(order)
+        return best, tuple(orders)
 
     def labelings(self, slices):
         """Every admissible slice labeling, in lexicographic order: one slice
@@ -286,26 +270,22 @@ class _JungleShape:
 
         yield from rec(0)
 
-    def fermionic_key(self, slices):
-        """(canonical form, slice-equality pattern in canonical labels): the
-        Fermionic integral depends on nothing else.  The pattern names each
-        slice by its first appearance, least over the canonical orders."""
+    def term_key(self, slices):
+        """(canonical form, least slice tuple read along its attaining
+        orders): two slice-labeled jungles share it exactly when they are
+        isomorphic, and a term depends on nothing else."""
         form, orders = self._canonical
-        patterns = []
-        for order in orders:
-            names: dict = {}
-            patterns.append(tuple(names.setdefault(slices[v], len(names)) for v in order))
-        return form, min(patterns)
+        return form, min(tuple(slices[v] for v in order) for order in orders)
 
 
 class TermEvaluator:
-    """Caches block and Fermionic integrals across the jungle and slice sums."""
+    """Caches term values by term class and block integrals by block class."""
 
     def __init__(self, params: ModelParams, gl_nodes: int = 12):
         self.params = params
         self.gl_nodes = gl_nodes
         self._block_cache: dict = {}
-        self._fermionic_cache: dict = {}
+        self._term_cache: dict = {}
         self._shapes: dict[Jungle, _JungleShape] = {}
 
     def _shape(self, jungle: Jungle) -> _JungleShape:
@@ -316,19 +296,21 @@ class TermEvaluator:
 
     # -- bosonic side --------------------------------------------------------
 
-    def block_integral(self, verts, edges, canonical, slices) -> complex:
+    def block_integral(self, verts, edges, slices) -> complex:
         """The block Gaussian integral, integrated over its tree weights.
 
-        verts are the sorted block vertices, edges the tree in their local
-        labels and canonical the block's (form, attaining orders).  The
-        cache key is the form with the least slice tuple read along the
-        orders: two decorated blocks share it exactly when they are
-        isomorphic, and the first of a class is the one integrated."""
-        form, orders = canonical
-        key = form, min(tuple(slices[v] for v in order) for order in orders)
-        value = self._block_cache.get(key)
+        verts are the block vertices and edges its tree.  The hardcore rule
+        gives each block vertex its own slice, so naming every vertex by the
+        rank of its slice puts the block in canonical form: the key (sorted
+        slices, tree edges in slice ranks) names the class of the decorated
+        block, and the block is integrated from the key itself."""
+        ranked = sorted(verts, key=slices.__getitem__)
+        rank = {v: i for i, v in enumerate(ranked)}
+        js = tuple(slices[v] for v in ranked)
+        local = tuple(sorted(norm_edge(rank[u], rank[v]) for u, v in edges))
+        value = self._block_cache.get((js, local))
         if value is None:
-            value = self._block_cache[key] = self._integrate_block(edges, tuple(slices[v] for v in verts))
+            value = self._block_cache[js, local] = self._integrate_block(local, js)
         return value
 
     def _integrate_block(self, edges, js) -> complex:
@@ -338,27 +320,31 @@ class TermEvaluator:
 
     # -- fermionic side ------------------------------------------------------
 
+    # a method of its own, though uncached, so that the layer trace of
+    # bench/layertrace.py can time the Fermionic integrals apart
     def fermionic_integral(self, jungle: Jungle, slices) -> float:
-        """``fermionic_weight_integral``, cached on the jungle's canonical
-        form and the slice-equality pattern."""
-        key = self._shape(jungle).fermionic_key(slices)
-        value = self._fermionic_cache.get(key)
-        if value is None:
-            value = self._fermionic_cache[key] = fermionic_weight_integral(jungle, slices)
-        return value
+        return fermionic_weight_integral(jungle, slices)
 
     # -- full terms ----------------------------------------------------------
 
     def jungle_term(self, jungle: Jungle, slices) -> complex:
+        """The Fermionic integral times the block integrals, cached on the
+        term class.  Relabeling keeps a labeling admissible or not, so the
+        structural filter runs once per class, and a structural zero is
+        cached as an exact 0."""
         slices = tuple(slices)
-        if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
-            return 0j
-        ferm = self.fermionic_integral(jungle, slices)
-        if ferm == 0.0:
-            return 0j
-        value = complex(ferm)
-        for block in self._shape(jungle).blocks:
-            value *= self.block_integral(*block, slices)
+        shape = self._shape(jungle)
+        key = shape.term_key(slices)
+        value = self._term_cache.get(key)
+        if value is None:
+            value = 0j
+            if not (hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices)):
+                ferm = self.fermionic_integral(jungle, slices)
+                if ferm != 0.0:
+                    value = complex(ferm)
+                    for verts, edges in shape.blocks:
+                        value *= self.block_integral(verts, edges, slices)
+            self._term_cache[key] = value
         return value
 
     def order_terms(self, n: int):

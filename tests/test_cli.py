@@ -253,6 +253,19 @@ class TestBoundsCommand:
         printed = capsys.readouterr().out
         assert "WARN m-threshold: q=1" in printed
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--M", "-1"], ["--M", "0"], ["--M", "1"], ["--M", "nan"], ["--M", "inf"], ["--q-max", "0"], ["--q-max", "-5"]],
+        ids=["M-negative", "M-zero", "M-one", "M-nan", "M-inf", "q-max-zero", "q-max-negative"],
+    )
+    def test_bad_argument_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify-bounds", "--out", str(out), *argv])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestDomainMap:
     def test_grid_matches_disk(self, tmp_path):
@@ -289,6 +302,15 @@ class TestDomainMap:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["--re-min", "nan"], ["--re-max", "inf"], ["--im-min=-inf"], ["--im-max", "nan"]])
+    def test_non_finite_bound_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["domain-map", "--out", str(out), *argv])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_config_not_offered(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(["domain-map", "--config", "x.json", "--out", str(tmp_path / "o")])
@@ -296,7 +318,8 @@ class TestDomainMap:
 
 
 class TestMayerCommand:
-    def test_worked_gas(self, tmp_path):
+    @staticmethod
+    def write_gas(tmp_path):
         gas = {
             "monomers": [0, 1],
             "activities": [
@@ -307,11 +330,24 @@ class TestMayerCommand:
         }
         path = tmp_path / "gas.json"
         path.write_text(json.dumps(gas), encoding="utf-8")
+        return path
+
+    def test_worked_gas(self, tmp_path):
+        path = self.write_gas(tmp_path)
         out = tmp_path / "out"
         assert run_cli(["mayer", "--gas", str(path), "--out", str(out), "--n-max", "4"]) == 0
         rec = json.loads((out / "mayer.json").read_text())
         assert rec["abs_error"] < 1e-3
         assert len(rec["orders"]) == 4
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_n_max_below_one_exits_two(self, tmp_path, capsys, n_max):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["mayer", "--gas", str(self.write_gas(tmp_path)), "--out", str(out), "--n-max", n_max])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_gas_file(self, tmp_path):
         with pytest.raises(SystemExit) as err:

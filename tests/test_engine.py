@@ -234,12 +234,12 @@ class TestBlockCache:
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 4))
         entry_of, key_of = {}, {}
         for b in range(1, 5):
+            verts = tuple(range(1, 2 * b, 2))
             for tree in enumerate_trees(b):
                 edges = sorted(tree.edges)
                 odd_edges = tuple((2 * u + 1, 2 * v + 1) for u, v in edges)
-                plan = mlve.engine._block_plan(frozenset(range(1, 2 * b, 2)), odd_edges)
                 for js in permutations(range(1, 5), b):
-                    entry = ev.block_integral(*plan, {2 * a + 1: j for a, j in enumerate(js)})
+                    entry = ev.block_integral(verts, odd_edges, {2 * a + 1: j for a, j in enumerate(js)})
                     key = brute_block_key(edges, js)
                     assert entry_of.setdefault(key, entry) == entry
                     assert key_of.setdefault(entry, key) == key
@@ -247,8 +247,8 @@ class TestBlockCache:
         assert len(key_of) == 38
 
     def test_nine_blocks_at_order_five(self, monkeypatch):
-        # the default config summed to n = 5 looks up 36,060 blocks and
-        # integrates 9 of them
+        # the default config summed to n = 5 looks up the blocks of its 162
+        # term classes only, 456 of them, and integrates 9
         lookups = []
         lookup = TermEvaluator.block_integral
 
@@ -260,7 +260,8 @@ class TestBlockCache:
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
         for n in range(1, 6):
             ev.order_contribution(n)
-        assert len(lookups) == 36060
+        assert len(lookups) == 456
+        assert len(ev._term_cache) == 162
         assert len(ev._block_cache) == 9
 
 
@@ -444,23 +445,34 @@ class TestFermionicIntegral:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cached_values_equal_uncached(self, n):
-        # every admissible term of order n over three slices
-        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
+        # every admissible term of order n over three slices: the value
+        # cached on its term class against its own Fermionic integral times
+        # its own blocks, each integrated in its own vertex labels
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3), GL)
+        own_blocks = {}
         terms = 0
         for jungle in enumerate_jungles(n, spanning=True):
             for slices in product((1, 2, 3), repeat=n):
                 if admissible(jungle, slices):
                     terms += 1
-                    want = fermionic_weight_integral(jungle, slices)
-                    assert abs(ev.fermionic_integral(jungle, slices) - want) <= 1e-13 * max(1.0, abs(want))
+                    want = complex(fermionic_weight_integral(jungle, slices))
+                    for block in jungle.partition().blocks:
+                        verts = sorted(block)
+                        local = {v: i for i, v in enumerate(verts)}
+                        edges = tuple(norm_edge(local[u], local[v]) for u, v in jungle.bosonic.edges if u in block)
+                        js = tuple(slices[v] for v in verts)
+                        if (edges, js) not in own_blocks:
+                            own_blocks[edges, js] = ev._integrate_block(edges, js)
+                        want *= own_blocks[edges, js]
+                    assert abs(ev.jungle_term(jungle, slices) - want) <= 1e-13 * abs(want)
         assert terms == {1: 3, 2: 9, 3: 63, 4: 696}[n]
 
-    @pytest.mark.parametrize("window, terms, distinct", [((1, 2, 3), 11160, 20), ((1, 2), 1560, 8)])
-    def test_distinct_integrals_at_order_five(self, monkeypatch, window, terms, distinct):
-        # one Fermionic integral per (canonical jungle, slice-equality
-        # pattern); the block integrals are left out.  The terms are the
-        # admissible ones (11,835 and 1,850) less those of jungles with a
-        # vertex of Fermionic degree >= 3 (675 and 290)
+    @pytest.mark.parametrize("window, terms, classes", [((1, 2, 3), 11160, 105), ((1, 2), 1560, 16)])
+    def test_distinct_integrals_at_order_five(self, monkeypatch, window, terms, classes):
+        # one Fermionic integral per term class, the isomorphism class of
+        # the slice-labeled jungle; the integrals themselves are stubbed.
+        # The terms are the admissible ones (11,835 and 1,850) less those
+        # of jungles with a vertex of Fermionic degree >= 3 (675 and 290)
         computed = []
 
         def counted(jungle, slices):
@@ -468,10 +480,43 @@ class TestFermionicIntegral:
             return 1.0
 
         monkeypatch.setattr(mlve.engine, "fermionic_weight_integral", counted)
-        monkeypatch.setattr(TermEvaluator, "jungle_term", lambda self, jungle, slices: self.fermionic_integral(jungle, slices))
+        monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 1.0)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, len(window)))
         assert sum(1 for _ in ev.order_terms(5)) == terms
-        assert len(computed) == distinct
+        assert len(computed) == len(ev._term_cache) == classes
+
+
+def brute_term_key(jungle, slices):
+    """The least (relabeled Bosonic edges, relabeled Fermionic edges,
+    relabeled slices) over all n! vertex permutations: the oracle of the
+    term classes."""
+    best = None
+    for perm in permutations(range(jungle.n)):
+        cand = (
+            tuple(sorted(norm_edge(perm[u], perm[v]) for u, v in jungle.bosonic.edges)),
+            tuple(sorted(norm_edge(perm[u], perm[v]) for u, v in jungle.fermionic)),
+            tuple(slices[perm.index(i)] for i in range(jungle.n)),
+        )
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+class TestTermKey:
+    def test_classes_match_brute_force_key(self):
+        # every spanning jungle with n <= 4 and every admissible labeling
+        # over three slices: two terms share a term key exactly when some
+        # vertex permutation maps one onto the other
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
+        brute_of, key_of = {}, {}
+        for n in range(1, 5):
+            for jungle in enumerate_jungles(n, spanning=True):
+                for slices in product((1, 2, 3), repeat=n):
+                    if admissible(jungle, slices):
+                        key = ev._shape(jungle).term_key(slices)
+                        brute = brute_term_key(jungle, slices)
+                        assert brute_of.setdefault(key, brute) == brute
+                        assert key_of.setdefault(brute, key) == key
 
 
 class TestTraceRecords:
