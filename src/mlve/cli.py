@@ -18,6 +18,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -51,6 +52,8 @@ def load_config(path: str | None) -> dict:
         loaded = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         _fail_usage(f"config is not valid JSON: {exc}")
+    if not isinstance(loaded, dict):
+        _fail_usage(f"config must be a JSON object, got {type(loaded).__name__}: {loaded!r}")
     unknown = set(loaded) - set(defaults) - {"schema_version"}
     if unknown:
         _fail_usage(f"unknown config keys: {sorted(unknown)}")
@@ -225,7 +228,8 @@ def cmd_oracle(args) -> int:
     params = _params(cfg)
     nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES)
     z, delta, reliable = oracle.z_reliable(params, nodes)
-    logz = oracle.logz_oracle(params, nodes) if reliable and abs(z) > 1e-8 else None
+    # the conditions under which oracle.logz_oracle answers rather than raises
+    logz = cmath.log(z) if reliable and abs(z) > 1e-8 else None
     record = {
         "schema_version": SCHEMA_VERSION,
         "lambda": [params.lam.real, params.lam.imag],
@@ -306,7 +310,12 @@ def cmd_mayer(args) -> int:
     try:
         spec = json.loads(path.read_text(encoding="utf-8"))
         monomers = frozenset(spec["monomers"])
-        acts = {frozenset(entry["polymer"]): complex(entry["activity"]) for entry in spec["activities"]}
+        acts = {}
+        for entry in spec["activities"]:
+            poly = frozenset(entry["polymer"])
+            if poly in acts:
+                raise ValueError(f"polymer {entry['polymer']!r} listed twice")
+            acts[poly] = complex(entry["activity"])
         gas = mayer.PolymerGas(monomers, acts)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _fail_usage(f"malformed gas file {args.gas}: {exc!r}")

@@ -22,6 +22,7 @@ integrand is a polynomial, making moderate Gauss-Legendre exact.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -40,11 +41,17 @@ class PolymerGas:
     activities: dict
 
     def __post_init__(self):
-        for poly in self.activities:
+        try:
+            sorted(self.monomers)  # support() orders polymers by their monomers
+        except TypeError as exc:
+            raise ValueError(f"monomers must be mutually comparable: {exc}") from None
+        for poly, act in self.activities.items():
             if not poly:
                 raise ValueError("polymers must be nonempty")
             if not frozenset(poly) <= self.monomers:
                 raise ValueError(f"polymer {set(poly)} leaves the monomer set")
+            if not cmath.isfinite(act):
+                raise ValueError(f"polymer {set(poly)} has a non-finite activity {act!r}")
 
     def support(self) -> list[tuple[frozenset, complex]]:
         """Polymers with nonzero activity, in a deterministic order."""

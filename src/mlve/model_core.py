@@ -11,9 +11,10 @@ order at small x.  The expansion engine needs sigma-derivatives of W_j of
 any small order; they are assembled from the closed forms for the
 derivatives of -V_j through the Faa di Bruno partition sum.
 
-Scalar operations here are the defining route (compensated direct sums);
-``*_grid`` variants evaluate the same quantities on numpy arrays and
-switch to gamma-function closed forms for very long slices.
+Scalar operations here are the defining route (compensated direct sums)
+and the test oracle for ``dw_grid``, which evaluates d^q W_j on numpy
+arrays from ``numerics.kernel_bundle`` (gamma-function closed forms for
+long slices).
 """
 
 from __future__ import annotations

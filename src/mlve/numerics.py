@@ -1,11 +1,13 @@
 """Low-level numerics shared by the kernel and oracle modules.
 
-Sums over a slice of propagator indices p come in two interchangeable
-routes: direct compensated summation (exact definition, used for small
-slices) and gamma-function closed forms (digamma / polygamma / loggamma,
-used when a slice holds more terms than ``DIRECT_SUM_LIMIT``, with a
-power series for -V where it converges fast).  Both routes are
-cross-checked in the test suite.
+``kernel_bundle`` is the one grid routine for the slice kernel
+W = exp(-V) - 1 and its sigma-derivatives d^k(-V); the jungle terms and
+the quadrature Z both call it.  It sweeps short index windows term by
+term and evaluates windows longer than ``DIRECT_SUM_LIMIT`` through
+gamma-function closed forms (digamma / polygamma / loggamma, with a
+power series for -V where it converges fast), which only long windows
+use.  The scalar compensated sums in ``model_core`` and 40-digit mpmath
+values pin both routes in the test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import digamma, loggamma
 
-# Grid evaluations switch from the term-by-term sweep to gamma-function
+# ``kernel_bundle`` switches from the term-by-term sweep to gamma-function
 # closed forms past this window length (the sweep cost is linear in the
 # window, the closed forms are flat).
 DIRECT_SUM_LIMIT = 96
@@ -115,18 +117,11 @@ def complex_polygamma(m: int, z):
 def shifted_inverse_power_sum(lo: int, hi: int, k: int, shift):
     """sum_{p=lo}^{hi} (p + shift)^(-k), vectorized over complex shift.
 
-    Direct summation when the range is small, otherwise polygamma closed
-    form: sum = (-1)^k [psi^(k-1)(lo+shift) - psi^(k-1)(hi+1+shift)]/(k-1)!.
+    Closed form for a long, non-empty window (short ones are swept in
+    ``kernel_bundle``): the digamma difference for k = 1, otherwise
+    sum = (-1)^k [psi^(k-1)(lo+shift) - psi^(k-1)(hi+1+shift)]/(k-1)!.
     """
-    if lo > hi:
-        return np.zeros_like(np.asarray(shift, dtype=complex))
     shift = np.asarray(shift, dtype=complex)
-    count = hi - lo + 1
-    if count <= DIRECT_SUM_LIMIT:
-        total = np.zeros_like(shift)
-        for p in range(hi, lo - 1, -1):
-            total = total + (p + shift) ** (-k)
-        return total
     if k == 1:
         return digamma(hi + 1 + shift) - digamma(lo + shift)
     sign = (-1.0) ** k
@@ -180,74 +175,30 @@ def _minus_v_long(lam: complex, lo: int, hi: int, sigma: np.ndarray):
     return minus_v, slope
 
 
-def exp_minus_v_range(lam: complex, lo: int, hi: int, sigma):
-    """exp(-V) for the index window [lo, hi], vectorized over sigma.
-
-    V = sum_p [i*lam*sigma/p + log(1 - i*lam*sigma/p)], so
-    exp(-V) = exp(-i*lam*sigma*H) * prod_p p/(p - i*lam*sigma).  The product
-    is evaluated directly for small windows and through ``_minus_v_long``
-    otherwise.
-    """
-    sigma = np.asarray(sigma, dtype=complex)
-    if lo > hi:
-        return np.ones_like(sigma)
-    if hi - lo + 1 > DIRECT_SUM_LIMIT:
-        return np.exp(_minus_v_long(lam, lo, hi, sigma)[0])
-    z0 = -1j * lam * sigma
-    prod = np.ones_like(sigma)
-    for p in range(hi, lo - 1, -1):
-        prod = prod * (p / (p + z0))
-    return np.exp(-1j * lam * sigma * harmonic_range_sum(lo, hi)) * prod
-
-
-def dv_range(lam: complex, lo: int, hi: int, k: int, sigma):
-    """k-th sigma-derivative of -V over the window [lo, hi], vectorized.
-
-    k = 1: sum_p (-lam^2 sigma)/(p (p - i lam sigma))
-         = i lam [sum_p 1/(p - i lam sigma) - H],
-    k >= 2: (k-1)! (i lam)^k sum_p (p - i lam sigma)^(-k).
-
-    On long windows the k = 1 difference T1 - H cancels at small sigma, so
-    k = 1 comes from ``_minus_v_long``, which sums the differentiated -V
-    series there.
-    """
-    if k < 1:
-        raise ValueError("derivative order must be >= 1")
-    sigma = np.asarray(sigma, dtype=complex)
-    if lo > hi:
-        return np.zeros_like(sigma)
-    z0 = -1j * lam * sigma
-    if k == 1:
-        count = hi - lo + 1
-        if count <= DIRECT_SUM_LIMIT:
-            # original form, free of the T1 - H cancellation at small sigma
-            total = np.zeros_like(sigma)
-            for p in range(hi, lo - 1, -1):
-                total = total + (-(lam**2) * sigma) / (p * (p + z0))
-            return total
-        return _minus_v_long(lam, lo, hi, sigma)[1]
-    tk = shifted_inverse_power_sum(lo, hi, k, z0)
-    return math.factorial(k - 1) * (1j * lam) ** k * tk
-
-
 def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     """W = exp(-V) - 1 and the derivatives d^k(-V), k = 1..max_k, in one pass.
 
-    For short windows a single complex sweep over p accumulates the
-    product form of exp(-V) together with all the inverse-power sums;
-    long windows fall back to ``_minus_v_long`` and the gamma-function
-    closed forms, with W = expm1(-V) free of cancellation at small V.
+    The only grid route for these quantities: the engine's kernel tables
+    and the oracle's integrand 1 + W both come from here.  For short
+    windows a single complex sweep over p accumulates the product form of
+    exp(-V) together with all the inverse-power sums; windows longer than
+    ``DIRECT_SUM_LIMIT`` take ``_minus_v_long`` for -V and d(-V)/dsigma
+    (W = expm1(-V), free of cancellation at small V) and, for k >= 2,
+    (k-1)! (i lam)^k sum_p (p - i lam sigma)^(-k) in polygamma closed form.
     Real and complex couplings take the same route.
     """
     lam = complex(lam)
     sigma_c = np.asarray(sigma, dtype=complex)
     if lo > hi:
         return np.zeros_like(sigma_c), {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
+    z0 = -1j * lam * sigma_c
     if hi - lo + 1 > DIRECT_SUM_LIMIT:
         minus_v, slope = _minus_v_long(lam, lo, hi, sigma_c)
-        dv = {k: slope if k == 1 else dv_range(lam, lo, hi, k, sigma_c) for k in range(1, max_k + 1)}
+        dv = {
+            k: slope if k == 1 else math.factorial(k - 1) * (1j * lam) ** k * shifted_inverse_power_sum(lo, hi, k, z0)
+            for k in range(1, max_k + 1)
+        }
         return np.expm1(minus_v), dv
-    z0 = -1j * lam * sigma_c
     prod = np.ones_like(sigma_c)
     sums = {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
     for p in range(hi, lo - 1, -1):

@@ -51,9 +51,9 @@ def _z_value(params: ModelParams, nodes: int, sliced: bool) -> complex:
         vals = np.ones_like(x, dtype=complex)
         for j in params.slices:
             sl = params.slice_set(j)
-            vals = vals * numerics.exp_minus_v_range(lam, sl.lo, sl.hi, x)
+            vals = vals * (1.0 + numerics.kernel_bundle(lam, sl.lo, sl.hi, 0, x)[0])
     else:
-        vals = numerics.exp_minus_v_range(lam, params.p_lo, params.cutoff, x)
+        vals = 1.0 + numerics.kernel_bundle(lam, params.p_lo, params.cutoff, 0, x)[0]
     return complex(np.sum(w * vals))
 
 
@@ -69,11 +69,6 @@ def z_sigma_quadrature_sliced(params: ModelParams, nodes: int = 200) -> complex:
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     return _z_value(params, nodes, sliced=True)
-
-
-def node_doubling_delta(params: ModelParams, nodes: int = 200) -> float:
-    """|Z(nodes) - Z(2*nodes)|, the self-convergence measure."""
-    return abs(z_sigma_quadrature(params, nodes) - z_sigma_quadrature(params, 2 * nodes))
 
 
 def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, bool]:

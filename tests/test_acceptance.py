@@ -44,7 +44,7 @@ def test_criterion_01_oracle_agreement():
         t0 = time.time()
         params = ModelParams(0.2, 2, 1, 3)
         # oracle target computed now, with the required doubling stability
-        assert oracle.node_doubling_delta(params, 200) < 1e-10
+        assert oracle.z_reliable(params, 200)[1] < 1e-10
         ref = oracle.logz_oracle(params, 200)
 
         res = logz_truncation(3, params)  # default engine settings
@@ -209,7 +209,7 @@ def test_criterion_08_borel_domain():
         for lam in points:
             assert bounds.borel_domain(lam=lam).inside
             params = ModelParams(lam, 2, 1, 3)
-            assert oracle.node_doubling_delta(params, 200) < 1e-10
+            assert oracle.z_reliable(params, 200)[1] < 1e-10
 
 
 def test_criterion_09_mayer_expansion():

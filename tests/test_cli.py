@@ -63,6 +63,18 @@ class TestCompare:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["compare", "oracle"])
+    @pytest.mark.parametrize("text", ["5", "null", '[["lambda", 0.3]]', "[]"], ids=["number", "null", "pairs", "empty-list"])
+    def test_config_not_an_object_exits_two(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, "--config", str(path), "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["bogus", "gh_nodes"])
     def test_unknown_config_key_exits_two(self, tmp_path, key):
         path = tmp_path / "bad.json"
@@ -365,12 +377,31 @@ class TestMayerCommand:
             '{"monomers": [0], "activities": [{"polymer": [1], "activity": 0.1}]}',
             '{"monomers": [0], "activities": [{"polymer": [], "activity": 0.1}]}',
             "[0]",
+            '{"monomers": ["a", 1], "activities": [{"polymer": ["a"], "activity": 0.1}]}',
+            '{"monomers": [0, 1], "activities": [{"polymer": [0, 1], "activity": 0.1}, '
+            '{"polymer": [1, 0], "activity": 0.2}]}',
+            '{"monomers": [0], "activities": [{"polymer": [0], "activity": "nan"}]}',
         ],
-        ids=["json", "no-activities", "no-monomers", "no-polymer", "bad-activity", "outside-monomers", "empty-polymer", "not-object"],
+        ids=[
+            "json",
+            "no-activities",
+            "no-monomers",
+            "no-polymer",
+            "bad-activity",
+            "outside-monomers",
+            "empty-polymer",
+            "not-object",
+            "mixed-monomers",
+            "duplicate-polymer",
+            "nan-activity",
+        ],
     )
-    def test_malformed_gas_file_exits_two(self, tmp_path, text):
+    def test_malformed_gas_file_exits_two(self, tmp_path, capsys, text):
         path = tmp_path / "gas.json"
         path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
         with pytest.raises(SystemExit) as err:
-            run_cli(["mayer", "--gas", str(path), "--out", str(tmp_path / "o")])
+            run_cli(["mayer", "--gas", str(path), "--out", str(out)])
         assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

@@ -9,7 +9,6 @@ from mlve.model_core import ModelParams
 from mlve.oracle import (
     logz_oracle,
     logz_series_g,
-    node_doubling_delta,
     perturbative_coefficients,
     z_reliable,
     z_sigma_quadrature,
@@ -27,15 +26,24 @@ class TestPartitionFunction:
         assert abs(z.imag) < 1e-12
 
     def test_slice_factorization_identity(self):
-        for lam, M, jmin, jmax in [(0.2, 2, 1, 3), (0.4, 3, 2, 4), (0.3 + 0.1j, 2, 1, 4)]:
+        # the last two cases integrate a long full window against slices on
+        # both sides of the direct-sum limit
+        cases = [
+            (0.2, 2, 1, 3),
+            (0.4, 3, 2, 4),
+            (0.3 + 0.1j, 2, 1, 4),
+            (0.5, 10, 1, 3),
+            (0.25 - 0.08j, 16, 1, 2),
+        ]
+        for lam, M, jmin, jmax in cases:
             params = ModelParams(lam, M, jmin, jmax)
             a = z_sigma_quadrature(params, 300)
             b = z_sigma_quadrature_sliced(params, 300)
             assert abs(a - b) < 1e-12
 
     def test_node_doubling_stability(self):
-        assert node_doubling_delta(ModelParams(0.2, 2, 1, 3), 200) < 1e-10
-        assert node_doubling_delta(ModelParams(0.5, 10, 1, 3), 300) < 1e-10
+        assert z_reliable(ModelParams(0.2, 2, 1, 3), 200)[1] < 1e-10
+        assert z_reliable(ModelParams(0.5, 10, 1, 3), 300)[1] < 1e-10
 
     def test_minimum_nodes(self):
         with pytest.raises(ValueError):
@@ -70,7 +78,7 @@ class TestLogOracle:
     def test_complex_coupling_inside_domain(self):
         lam = 0.3 * cmath.exp(1j * math.pi / 8)
         params = ModelParams(lam, 2, 1, 3)
-        assert node_doubling_delta(params, 200) < 1e-10
+        assert z_reliable(params, 200)[1] < 1e-10
         val = logz_oracle(params)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
