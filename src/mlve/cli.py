@@ -26,6 +26,8 @@ import sys
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+# math.exp(x) is finite exactly for x below this
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _fail_usage(message: str) -> "NoReturn":  # noqa: F821 - doc only
@@ -325,6 +327,11 @@ def cmd_mayer(args) -> int:
     except ValueError as exc:  # a gas or order past the enumeration budgets
         _fail_usage(str(exc))
     total = sum(orders)
+    # the record compares logarithms: both need a finite, nonzero partition function
+    if direct == 0 or not cmath.isfinite(direct):
+        _fail_usage(f"Z by direct enumeration is {direct}, which has no finite logarithm")
+    if not total.real < _LOG_FLOAT_MAX:  # also refuses NaN
+        _fail_usage(f"the tree sum {total} through n = {args.n_max} has no finite exponential")
     record = {
         "schema_version": SCHEMA_VERSION,
         "monomers": sorted(monomers),

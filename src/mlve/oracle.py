@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermitenorm
 
 from . import numerics
 from .errors import QuadratureUnreliableError
@@ -35,11 +34,32 @@ MIN_NODES = 50
 def gauss_hermite_norm(nodes: int):
     """Probabilists' Gauss-Hermite rule normalized to the N(0,1) measure.
 
-    scipy's Golub-Welsch route stays finite at high node counts where the
-    numpy recurrence overflows.
+    Golub-Welsch on numpy.  The nodes are the eigenvalues of the Jacobi
+    matrix of the monic Hermite recurrence (zero diagonal, off-diagonal
+    sqrt(k)), polished by one Newton step on q_n: q_k are the orthonormal
+    Hermite polynomials, and q_n' = sqrt(n) q_(n-1).  The weights equal the
+    squared first components of the unit eigenvectors; they are computed
+    as the Christoffel numbers 1 / sum_(k<n) q_k(x)^2, with the recurrence
+    rescaled at each step and the sum kept as a log.  Tail weights then
+    keep their relative accuracy down to underflow, where squared
+    eigenvector components stop near 1e-50 and skew high moments.  Nodes
+    and weights are made exactly mirror-symmetric, so a real coupling gives
+    Im Z at rounding level.  Set-up costs O(nodes^3) for the dense
+    eigenvalue solve, once per node count.
     """
-    x, w = roots_hermitenorm(nodes)
-    return x, w / math.sqrt(2.0 * math.pi)
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, nodes)), 1), UPLO="U")
+    # (prev, cur) = (q_(k-1), q_k) / sqrt(sum_(i<=k) q_i^2); log_sum = log of that sum
+    prev, cur, log_sum = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    for k in range(1, nodes):
+        nxt = (x * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
+        grow = 1.0 + nxt * nxt
+        norm = np.sqrt(grow)
+        prev, cur = cur / norm, nxt / norm
+        log_sum += np.log(grow)
+    q_n = (x * cur - math.sqrt(nodes - 1) * prev) / math.sqrt(nodes)
+    x = x - q_n / (math.sqrt(nodes) * cur)
+    w = np.exp(-log_sum)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 def _z_value(params: ModelParams, nodes: int, sliced: bool) -> complex:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,15 @@ class TestCompare:
         assert len(errs) == 3
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-9
+
+    def test_complex_coupling_on_a_long_slice(self, tmp_path):
+        # slice 1 is [1, 99], past the direct-sum limit; the closed forms there
+        # take polygammas at Re(1 - i lam sigma) < 0 on the sigma grid
+        cfg = write_config(tmp_path, **{"lambda": [0.15, 0.1], "M": 100, "j_max": 3, "n_max": 3, "gl_nodes": 12})
+        out = tmp_path / "out"
+        assert run_cli(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        errs = [float(r["abs_error_vs_oracle"]) for r in csv.DictReader((out / "orders.csv").open())]
+        assert errs[0] > errs[1] > errs[2] and errs[2] < 2e-7
 
     def test_zero_coupling_all_rows_zero(self, tmp_path):
         cfg = write_config(tmp_path, **{"lambda": 0.0})
@@ -381,6 +394,9 @@ class TestMayerCommand:
             '{"monomers": [0, 1], "activities": [{"polymer": [0, 1], "activity": 0.1}, '
             '{"polymer": [1, 0], "activity": 0.2}]}',
             '{"monomers": [0], "activities": [{"polymer": [0], "activity": "nan"}]}',
+            '{"monomers": [0], "activities": [{"polymer": [0], "activity": 1000}]}',
+            '{"monomers": [0], "activities": [{"polymer": [0], "activity": 1e200}]}',
+            '{"monomers": [0], "activities": [{"polymer": [0], "activity": -1}]}',
         ],
         ids=[
             "json",
@@ -394,6 +410,9 @@ class TestMayerCommand:
             "mixed-monomers",
             "duplicate-polymer",
             "nan-activity",
+            "tree-sum-overflows",
+            "tree-sum-not-finite",
+            "z-direct-zero",
         ],
     )
     def test_malformed_gas_file_exits_two(self, tmp_path, capsys, text):
@@ -401,7 +420,17 @@ class TestMayerCommand:
         path.write_text(text, encoding="utf-8")
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as err:
-            run_cli(["mayer", "--gas", str(path), "--out", str(out)])
+            run_cli(["mayer", "--gas", str(path), "--out", str(out), "--n-max", "3"])
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test oracle only; importing it costs most of the CLI's startup
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; import mlve.cli, mlve.engine, mlve.oracle; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

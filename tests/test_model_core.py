@@ -259,6 +259,52 @@ class TestFaaDiBruno:
             assert partition_weight_sum(d) == Fraction(1)
 
 
+class TestGammaFunctions:
+    # scipy is the oracle; errors are relative to the value or, near its
+    # zeros, to the size of the terms the series sums
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(7)
+        return rng.uniform(-20.0, 300.0, 2000) + 1j * rng.uniform(-60.0, 60.0, 2000)
+
+    def test_digamma_against_scipy(self):
+        from scipy.special import digamma
+
+        z = self.points()
+        ref = digamma(z)
+        got = numerics.complex_polygamma(0, z)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
+
+    def test_loggamma_against_scipy_mod_2pi_i(self):
+        from scipy.special import loggamma
+
+        z = self.points()
+        ref = loggamma(z)
+        diff = numerics.complex_loggamma(z) - ref
+        diff -= 2j * np.pi * np.round(diff.imag / (2.0 * np.pi))
+        # Stirling's (w - 1/2) log w is about 45 at Re(w) = 16, and the log of
+        # the recurrence product cancels it down to log Gamma(z), near 0 at z = 1, 2
+        assert np.all(np.abs(diff) <= 1e-14 * np.maximum(np.abs(ref), 45.0))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_left_half_plane_against_mpmath(self, m):
+        # Re(z) < 0 is where the long-window closed forms land at complex coupling
+        import mpmath as mp
+
+        z = np.array([-10.2 + 0.4j, -3.5 - 1.2j, -0.3 + 0.01j, 0.5 - 2.0j])
+        got = numerics.complex_polygamma(m, z)
+        with mp.workdps(30):
+            ref = np.array([complex(mp.psi(m, complex(v))) for v in z])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("z", [0.0, -3.0])
+    def test_poles_refused(self, z):
+        with pytest.raises(ValueError, match="pole"):
+            numerics.complex_polygamma(1, np.array([1.5, z]))
+        with pytest.raises(ValueError, match="pole"):
+            numerics.complex_loggamma(np.array([z]))
+
+
 class TestGridRoutes:
     def test_grid_matches_scalar(self, rng):
         sigma = rng.normal(scale=3.0, size=40)
@@ -287,6 +333,17 @@ class TestGridRoutes:
             assert np.abs(dv[k] - ref).max() <= 1e-10 * np.abs(ref).max()
         ref_e = np.array([exp_minus_v(params, j, s) for s in sigma])
         assert np.abs(1.0 + w - ref_e).max() < 1e-12
+
+    def test_closed_form_route_left_of_the_imaginary_axis(self):
+        # window [1, 99] is long; at this coupling 1 - i lam sigma has Re < 0
+        # for sigma < -10, where the k >= 2 closed forms take polygammas
+        lam = 0.15 + 0.1j
+        params = ModelParams(lam, 100, 1, 1)
+        sigma = np.array([-12.0, -11.0, -10.5, -8.0, 3.0])
+        _, dv = numerics.kernel_bundle(lam, 1, 99, 3, sigma)
+        for k in (1, 2, 3):
+            ref = np.array([dv_derivative(params, 1, k, s) for s in sigma])
+            assert np.abs(dv[k] - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
     @pytest.mark.parametrize("M, j", [(10, 5), (10, 3), (16, 2)])

@@ -7,6 +7,7 @@ import pytest
 from mlve.errors import QuadratureUnreliableError
 from mlve.model_core import ModelParams
 from mlve.oracle import (
+    gauss_hermite_norm,
     logz_oracle,
     logz_series_g,
     perturbative_coefficients,
@@ -14,6 +15,25 @@ from mlve.oracle import (
     z_sigma_quadrature,
     z_sigma_quadrature_sliced,
 )
+
+
+class TestGaussHermiteRule:
+    @pytest.mark.parametrize("nodes", [50, 200, 400, 800])
+    def test_matches_scipy(self, nodes):
+        from scipy.special import roots_hermitenorm
+
+        x, w = gauss_hermite_norm(nodes)
+        ref_x, ref_w = roots_hermitenorm(nodes)
+        assert np.abs(x - ref_x).max() < 1e-13
+        assert np.abs(w - ref_w / math.sqrt(2.0 * math.pi)).max() < 1e-14
+
+    @pytest.mark.parametrize("nodes", [50, 200, 400, 800])
+    def test_even_moments_and_symmetry(self, nodes):
+        x, w = gauss_hermite_norm(nodes)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        for m in range(1, 11):
+            double_factorial = math.prod(range(1, 2 * m, 2))  # E[x^(2m)] under N(0, 1)
+            assert abs(np.sum(w * x ** (2 * m)) - double_factorial) <= 1e-12 * double_factorial
 
 
 class TestPartitionFunction:
