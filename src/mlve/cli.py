@@ -25,7 +25,7 @@ import math
 import sys
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # math.exp(x) is finite exactly for x below this
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -127,22 +127,22 @@ def cmd_compare(args) -> int:
     running = 0j
     for n in range(1, n_max + 1):
         total = 0j
-        for index, jungle, slices, value in ev.order_terms(n):
-            total += value
-            if args.trace and value != 0:
+        for index, jungle, stabilizer, slices, value in ev.order_terms(n):
+            total += value / stabilizer
+            if args.trace:
                 trace_rows.append(
                     {
                         "n": n,
-                        "jungle": index,
+                        "class": index,
+                        "stabilizer": stabilizer,
                         "bosonic": sorted(jungle.bosonic.edges),
                         "fermionic": sorted(jungle.fermionic),
                         "slices": list(slices),
                         "value": [value.real, value.imag],
                     }
                 )
-        value_n = total / math.factorial(n)
-        orders.append(value_n)
-        running += value_n
+        orders.append(total)
+        running += total
         sums.append(running)
         rows.append((n, running.real, running.imag, abs(running - ref)))
 

@@ -1,4 +1,5 @@
-"""Labeled trees, forests, set partitions and two-level jungles.
+"""Labeled trees, forests, set partitions and two-level jungles, and one
+spanning jungle per isomorphism class.
 
 Everything is exhaustive at desk scale: enumerators refuse instead of
 silently running forever once past their budget, and every closed-form
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .errors import BudgetExceededError
 
@@ -58,6 +59,14 @@ class _DSU:
         self.size[ra] -= self.size[rb]
 
 
+def _degrees(n: int, edges) -> list[int]:
+    degrees = [0] * n
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    return degrees
+
+
 def _components_of(n: int, edges) -> tuple[frozenset, ...]:
     dsu = _DSU(n)
     for u, v in edges:
@@ -93,11 +102,7 @@ class Forest:
         return _components_of(self.n, self.edges)
 
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+        return tuple(_degrees(self.n, self.edges))
 
     @property
     def is_spanning_tree(self) -> bool:
@@ -228,8 +233,6 @@ def enumerate_trees(n: int):
     if n == 1:
         yield empty_forest(1)
         return
-    from itertools import product
-
     for seq in product(range(n), repeat=n - 2):
         yield Forest(n, prufer_decode(seq, n))
 
@@ -291,6 +294,64 @@ def enumerate_jungles(n: int, spanning: bool = False):
                     dsu.undo()
 
         yield from rec(0)
+
+
+def _canonical_form(jungle: Jungle):
+    """The least relabeled (Bosonic, Fermionic) edge form of the jungle
+    and every vertex order that attains it; an order lists the old
+    vertices by new label.
+
+    Only the orders that sort the vertices by (block size, Bosonic
+    degree, Fermionic degree) are searched; isomorphisms preserve that
+    invariant, so the least form over them is still a canonical form.
+    """
+    size = {v: len(b) for b in jungle.partition().blocks for v in b}
+    bos = jungle.bosonic.degrees()
+    ferm = _degrees(jungle.n, jungle.fermionic)
+    classes: dict = {}
+    for v in range(jungle.n):
+        classes.setdefault((size[v], bos[v], ferm[v]), []).append(v)
+    best, orders = None, []
+    for parts in product(*(permutations(classes[c]) for c in sorted(classes))):
+        order = sum(parts, ())
+        label = {v: i for i, v in enumerate(order)}
+        form = tuple(
+            tuple(sorted(norm_edge(label[u], label[v]) for u, v in edges))
+            for edges in (jungle.bosonic.edges, jungle.fermionic)
+        )
+        if best is None or form < best:
+            best, orders = form, [order]
+        elif form == best:
+            orders.append(order)
+    return best, tuple(orders)
+
+
+def jungle_classes(n: int) -> tuple[tuple[Jungle, tuple], ...]:
+    """One spanning jungle per isomorphism class on 0..n-1, with its
+    automorphisms, in the order of the canonical forms.
+
+    A representative is in canonical labels: its edges are its own
+    canonical form, so the vertex orders that attain that form are its
+    automorphisms.  Removing a leaf from a spanning jungle leaves a
+    spanning jungle, so growing one representative per class on n - 1
+    vertices by a leaf at every vertex, by a Bosonic or a Fermionic edge,
+    reaches every class on n vertices; the canonical form drops the
+    repeats (McKay's isomorph-free generation).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > JUNGLE_BUDGET:
+        raise BudgetExceededError(f"jungle classes refuse n = {n} > {JUNGLE_BUDGET}")
+    reps = [Jungle(1, empty_forest(1), frozenset())]
+    for m in range(2, n + 1):
+        forms = set()
+        for rep in reps:
+            for v in range(m - 1):
+                leaf = {(v, m - 1)}
+                forms.add(_canonical_form(Jungle(m, Forest(m, rep.bosonic.edges | leaf), rep.fermionic))[0])
+                forms.add(_canonical_form(Jungle(m, Forest(m, rep.bosonic.edges), rep.fermionic | leaf))[0])
+        reps = [Jungle(m, Forest(m, frozenset(bos)), frozenset(ferm)) for bos, ferm in sorted(forms)]
+    return tuple((rep, _canonical_form(rep)[1]) for rep in reps)
 
 
 def count_trees_with_degrees(degrees) -> int:

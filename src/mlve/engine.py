@@ -14,13 +14,13 @@ The order sum visits only the admissible slice labelings of a jungle:
 the slice delta makes a labeling constant on each Fermionic component,
 and the hardcore rule gives components that meet in a Bosonic block
 different slices.  A generator assigns one slice per component under
-those constraints, worked out once per jungle, in the lexicographic
-order of the full product.  A jungle with a vertex of Fermionic degree
->= 3 yields none: every exchange pattern repeats a generator there, so
-its Fermionic factor is zero.  Every other labeling is a structural
-zero; ``jungle_term`` still returns it as an exact 0 for outside
-callers, so a block with a repeated slice, or a Fermionic edge joining
-different slices, never reaches quadrature.
+those constraints, in the lexicographic order of the full product.  A
+jungle with a vertex of Fermionic degree >= 3 yields none: every
+exchange pattern repeats a generator there, so its Fermionic factor is
+zero.  Every other labeling is a structural zero; ``jungle_term`` still
+returns it as an exact 0 for outside callers, so a block with a
+repeated slice, or a Fermionic edge joining different slices, never
+reaches quadrature.
 
 A Bosonic block expectation is a Gaussian expectation under the
 interpolated covariance X(w), which ``interpolation.layered_decomposition``
@@ -44,28 +44,31 @@ is a polynomial of degree <= n - 1 in each cube coordinate of a cell, so
 sets the rule of the Bosonic blocks only.
 
 A term depends only on the isomorphism class of its slice-labeled
-jungle, so term values are cached on that class.  Its key is the least
-relabeled edge form of the jungle, found by one search per jungle,
-with the least slice tuple read along the vertex orders that attain
-it.  A class is filtered and evaluated once: a structural zero is
-cached as an exact 0.  Block values are cached on the block alone: the
-hardcore rule gives each block vertex its own slice, so naming every
-vertex by the rank of its slice puts the block in canonical form with
-no search.  The two caches collapse the labeling sum to a few distinct
-integrals per order: at n = 5 over three slices, 11,160 terms fall into
-105 term classes, and all of them need 9 block integrals.
+jungle, so by orbit-stabilizer order n is the sum over term classes of
+value / |Stab|, with no 1/n!: the n! relabelings of a class give
+n!/|Stab| distinct labeled terms, where Stab is the subgroup of the
+jungle's automorphisms that fixes the labeling.  The order sum walks
+``combinatorics.jungle_classes(n)``, one jungle per isomorphism class
+with its automorphisms, and keeps the admissible labelings of each that
+are least in their orbit, so each term class is evaluated once and
+nothing is cached: at n = 5 over three slices the 11,160 labeled terms
+are 105 classes, and at n = 6 the 233,820 are 369.  Block values are
+cached on the block alone: the hardcore rule gives each block vertex its
+own slice, so naming every vertex by the rank of its slice puts the
+block in canonical form with no search.  The default config needs 9
+block integrals through n = 6.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import permutations, product
+from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 
-from .combinatorics import Jungle, _components_of, enumerate_jungles, norm_edge
+# enumerate_jungles and min_over_paths are unused here but stay bound: the
+# benchmark's layer trace wraps them on this module
+from .combinatorics import Jungle, _components_of, _degrees, enumerate_jungles, jungle_classes, norm_edge  # noqa: F401
 from .errors import BudgetExceededError
 from .grassmann import (
     FermionicFactorInput,
@@ -73,12 +76,10 @@ from .grassmann import (
     hardcore_violated,
     slice_delta_violated,
 )
-# min_over_paths is unused here but stays bound: the benchmark's layer
-# trace wraps it on this module
 from .interpolation import layered_decomposition, min_over_paths, ordering_cell_points  # noqa: F401
 from .model_core import ModelParams, dw_grid
 
-ORDER_BUDGET = 5
+ORDER_BUDGET = 6
 BLOCK_BUDGET = 4
 
 # Smoothing grid, odd and symmetric so that its middle point is sigma = 0.
@@ -92,14 +93,6 @@ def _local_edges(verts, tree_edges) -> tuple:
     """The tree edges relabelled by position in the sorted block vertices."""
     local = {v: i for i, v in enumerate(verts)}
     return tuple(norm_edge(local[u], local[v]) for u, v in tree_edges)
-
-
-def _degrees(n: int, edges) -> list[int]:
-    degrees = [0] * n
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return degrees
 
 
 def _kernel_tables(params: ModelParams, edges, js) -> list[np.ndarray]:
@@ -185,114 +178,28 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
 
 
-class _JungleShape:
-    """What the order sum needs of one jungle, worked out once per jungle.
-
-    - components: the Fermionic components, by least vertex.  The slice
-      delta makes a labeling constant on each of them;
-    - conflicts: for each component, the earlier components that meet it
-      in a Bosonic block.  The hardcore rule gives them different slices;
-    - blocks: for each Bosonic block, its vertex set and tree edges;
-    - the canonical edge form of the jungle and the vertex orders that
-      attain it, which ``term_key`` reads a labeling along.
-
-    blocks and the canonical form are found on first use, so a jungle
-    with no admissible labeling never searches for them.
-    """
-
-    def __init__(self, jungle: Jungle):
-        self.jungle = jungle
-        blocks = jungle.partition().blocks
-        self.components = tuple(tuple(sorted(c)) for c in _components_of(jungle.n, jungle.fermionic))
-        comp_of = {v: c for c, comp in enumerate(self.components) for v in comp}
-        self.conflicts = tuple(
-            sorted({comp_of[v] for block in blocks if not block.isdisjoint(comp) for v in block if comp_of[v] < c})
-            for c, comp in enumerate(self.components)
-        )
-
-    @cached_property
-    def blocks(self):
-        edges = self.jungle.bosonic.edges
-        return tuple((b, tuple(e for e in edges if e[0] in b)) for b in self.jungle.partition().blocks)
-
-    @cached_property
-    def _canonical(self):
-        """The least relabeled (Bosonic, Fermionic) edge form of the jungle
-        and every vertex order that attains it; an order lists the old
-        vertices by new label.
-
-        Only the orders that sort the vertices by (block size, Bosonic
-        degree, Fermionic degree) are searched; isomorphisms preserve that
-        invariant, so the least form over them is still a canonical form.
-        """
-        jungle = self.jungle
-        size = {v: len(b) for b in jungle.partition().blocks for v in b}
-        bos = jungle.bosonic.degrees()
-        ferm = _degrees(jungle.n, jungle.fermionic)
-        classes: dict = {}
-        for v in range(jungle.n):
-            classes.setdefault((size[v], bos[v], ferm[v]), []).append(v)
-        best, orders = None, []
-        for parts in product(*(permutations(classes[c]) for c in sorted(classes))):
-            order = sum(parts, ())
-            label = {v: i for i, v in enumerate(order)}
-            form = tuple(
-                tuple(sorted(norm_edge(label[u], label[v]) for u, v in edges))
-                for edges in (jungle.bosonic.edges, jungle.fermionic)
-            )
-            if best is None or form < best:
-                best, orders = form, [order]
-            elif form == best:
-                orders.append(order)
-        return best, tuple(orders)
-
-    def labelings(self, slices):
-        """Every admissible slice labeling, in lexicographic order: one slice
-        per Fermionic component, different slices on components that meet
-        in a block.  None if a vertex has Fermionic degree >= 3: every
-        exchange pattern repeats a generator there, so the factor is zero."""
-        if max(_degrees(self.jungle.n, self.jungle.fermionic)) >= 3:
-            return
-        chosen = [None] * len(self.components)
-        labels = [None] * self.jungle.n
-
-        def rec(c: int):
-            if c == len(self.components):
-                yield tuple(labels)
-                return
-            taken = {chosen[d] for d in self.conflicts[c]}
-            for j in slices:
-                if j not in taken:
-                    chosen[c] = j
-                    for v in self.components[c]:
-                        labels[v] = j
-                    yield from rec(c + 1)
-
-        yield from rec(0)
-
-    def term_key(self, slices):
-        """(canonical form, least slice tuple read along its attaining
-        orders): two slice-labeled jungles share it exactly when they are
-        isomorphic, and a term depends on nothing else."""
-        form, orders = self._canonical
-        return form, min(tuple(slices[v] for v in order) for order in orders)
+def _admissible_labelings(jungle: Jungle, slices):
+    """Every admissible slice labeling, in lexicographic order: one slice
+    per Fermionic component, different slices on components that meet in
+    a block.  None if a vertex has Fermionic degree >= 3: every exchange
+    pattern repeats a generator there, so the factor is zero."""
+    if max(_degrees(jungle.n, jungle.fermionic)) >= 3:
+        return
+    components = _components_of(jungle.n, jungle.fermionic)
+    comp_of = {v: c for c, comp in enumerate(components) for v in comp}
+    clashes = {(comp_of[u], comp_of[v]) for block in jungle.partition().blocks for u, v in combinations(block, 2)}
+    for choice in product(slices, repeat=len(components)):
+        if all(choice[c] != choice[d] for c, d in clashes):
+            yield tuple(choice[comp_of[v]] for v in range(jungle.n))
 
 
 class TermEvaluator:
-    """Caches term values by term class and block integrals by block class."""
+    """Sums each order over term classes; caches block integrals by block class."""
 
     def __init__(self, params: ModelParams, gl_nodes: int = 12):
         self.params = params
         self.gl_nodes = gl_nodes
         self._block_cache: dict = {}
-        self._term_cache: dict = {}
-        self._shapes: dict[Jungle, _JungleShape] = {}
-
-    def _shape(self, jungle: Jungle) -> _JungleShape:
-        shape = self._shapes.get(jungle)
-        if shape is None:
-            shape = self._shapes[jungle] = _JungleShape(jungle)
-        return shape
 
     # -- bosonic side --------------------------------------------------------
 
@@ -328,67 +235,39 @@ class TermEvaluator:
     # -- full terms ----------------------------------------------------------
 
     def jungle_term(self, jungle: Jungle, slices) -> complex:
-        """The Fermionic integral times the block integrals, cached on the
-        term class.  Relabeling keeps a labeling admissible or not, so the
-        structural filter runs once per class, and a structural zero is
-        cached as an exact 0."""
+        """The Fermionic integral times the block integrals.  A labeling
+        that breaks the hardcore rule or the slice delta is an exact 0,
+        with no quadrature."""
         slices = tuple(slices)
-        shape = self._shape(jungle)
-        key = shape.term_key(slices)
-        value = self._term_cache.get(key)
-        if value is None:
-            value = 0j
-            if not (hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices)):
-                ferm = self.fermionic_integral(jungle, slices)
-                if ferm != 0.0:
-                    value = complex(ferm)
-                    for verts, edges in shape.blocks:
-                        value *= self.block_integral(verts, edges, slices)
-            self._term_cache[key] = value
+        if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
+            return 0j
+        value = complex(self.fermionic_integral(jungle, slices))
+        if value != 0:
+            edges = jungle.bosonic.edges
+            for block in jungle.partition().blocks:
+                value *= self.block_integral(block, [e for e in edges if e[0] in block], slices)
         return value
 
     def order_terms(self, n: int):
-        """Yield (jungle index, jungle, slices, value) over the admissible
-        labelings at order n; the index counts the spanning jungles in
-        enumeration order.  Every other labeling, and every labeling of a
-        jungle whose Fermionic factor vanishes, is a structural zero."""
+        """Yield (class index, jungle, stabilizer, slices, value), one row
+        per term class of order n, so that order n is the sum of
+        value / stabilizer.
+
+        The jungle is the representative of ``jungle_classes(n)`` with that
+        index, slices an admissible labeling of it that is least in its
+        orbit under the automorphisms, and the stabilizer the number of
+        automorphisms that fix slices.  Every other labeling is a
+        structural zero or a relabeled copy of a yielded one."""
         if n > ORDER_BUDGET:
             raise BudgetExceededError(f"order {n} > budget {ORDER_BUDGET}")
-        for index, jungle in enumerate(enumerate_jungles(n, spanning=True)):
-            for slices in self._shape(jungle).labelings(self.params.slices):
-                yield index, jungle, slices, self.jungle_term(jungle, slices)
+        for index, (jungle, automorphisms) in enumerate(jungle_classes(n)):
+            for slices in _admissible_labelings(jungle, self.params.slices):
+                images = [tuple(slices[v] for v in order) for order in automorphisms]
+                if min(images) == slices:
+                    yield index, jungle, images.count(slices), slices, self.jungle_term(jungle, slices)
 
     def order_contribution(self, n: int) -> complex:
         total = 0j
-        for *_, value in self.order_terms(n):
-            total += value
-        return total / math.factorial(n)
-
-
-@dataclass
-class TruncationResult:
-    orders: list[complex]
-    partial_sums: list[complex]
-
-    @property
-    def total(self) -> complex:
-        return self.partial_sums[-1] if self.partial_sums else 0j
-
-    def distances_to(self, reference: complex) -> list[float]:
-        return [abs(s - reference) for s in self.partial_sums]
-
-
-def logz_truncation(n_max: int, params: ModelParams, gl_nodes: int = 12) -> TruncationResult:
-    """Partial sums S_1..S_(n_max) of the jungle expansion of log Z."""
-    if n_max > ORDER_BUDGET:
-        raise BudgetExceededError(f"order {n_max} > budget {ORDER_BUDGET}")
-    ev = TermEvaluator(params, gl_nodes)
-    orders: list[complex] = []
-    sums: list[complex] = []
-    running = 0j
-    for n in range(1, n_max + 1):
-        val = ev.order_contribution(n)
-        orders.append(val)
-        running += val
-        sums.append(running)
-    return TruncationResult(orders, sums)
+        for _, _, stabilizer, _, value in self.order_terms(n):
+            total += value / stabilizer
+        return total

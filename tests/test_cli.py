@@ -40,7 +40,7 @@ class TestCompare:
         errs = [float(r["abs_error_vs_oracle"]) for r in rows]
         assert errs[1] < errs[0]
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert len(summary["orders"]) == 2
 
     def test_default_config_converges(self, tmp_path):
@@ -99,7 +99,7 @@ class TestCompare:
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            ("compare", "n_max", 6),
+            ("compare", "n_max", 7),
             ("compare", "n_max", 0),
             ("compare", "n_max", 2.7),
             ("compare", "n_max", "x"),
@@ -162,10 +162,10 @@ class TestCompare:
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        run_cli(["compare", "--config", str(cfg), "--out", str(out1)])
-        run_cli(["compare", "--config", str(cfg), "--out", str(out2)])
-        assert (out1 / "orders.csv").read_bytes() == (out2 / "orders.csv").read_bytes()
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+        run_cli(["compare", "--config", str(cfg), "--out", str(out1), "--trace"])
+        run_cli(["compare", "--config", str(cfg), "--out", str(out2), "--trace"])
+        for name in ("orders.csv", "summary.json", "trace.jsonl"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_trace_records(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -174,26 +174,28 @@ class TestCompare:
         lines = (out / "trace.jsonl").read_text().strip().splitlines()
         assert lines
         rec = json.loads(lines[0])
-        assert {"n", "jungle", "bosonic", "fermionic", "slices", "value"} <= set(rec)
+        assert set(rec) == {"n", "class", "stabilizer", "bosonic", "fermionic", "slices", "value"}
 
-    def test_trace_jungle_is_the_enumeration_index(self, tmp_path):
-        from mlve.combinatorics import count_two_level_trees, enumerate_jungles
+    def test_trace_rows_sum_to_the_orders(self, tmp_path):
+        # each row is one term class: value / stabilizer summed over the rows
+        # of order n, in row order, is summary.json's orders[n] exactly
+        from mlve.combinatorics import jungle_classes
 
-        cfg = write_config(tmp_path, n_max=3)
+        cfg = write_config(tmp_path, n_max=4)
         out = tmp_path / "out"
         assert run_cli(["compare", "--config", str(cfg), "--out", str(out), "--trace"]) == 0
         recs = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
-        jungles = {n: list(enumerate_jungles(n, spanning=True)) for n in (1, 2, 3)}
-        per_jungle = {}
+        summary = json.loads((out / "summary.json").read_text())
+        totals = [0j] * 4
         for rec in recs:
-            n = rec["n"]
-            assert 0 <= rec["jungle"] < count_two_level_trees(n)
-            jungle = jungles[n][rec["jungle"]]
+            jungle, _ = jungle_classes(rec["n"])[rec["class"]]
             assert rec["bosonic"] == [list(e) for e in sorted(jungle.bosonic.edges)]
             assert rec["fermionic"] == [list(e) for e in sorted(jungle.fermionic)]
-            per_jungle.setdefault((n, rec["jungle"]), []).append(rec["slices"])
-        # two slices: the all-Fermionic trees at n = 3 carry two nonzero terms
-        assert any(len(labelings) > 1 for labelings in per_jungle.values())
+            totals[rec["n"] - 1] += complex(*rec["value"]) / rec["stabilizer"]
+        assert [[t.real, t.imag] for t in totals] == summary["orders"]
+        # two slices: the all-Fermionic path at n = 3 carries two classes,
+        # one on each slice
+        assert max(sum(rec["n"] == 3 and rec["class"] == c for rec in recs) for c in range(3)) == 2
 
     def test_order_five_at_the_default_config(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -203,6 +205,15 @@ class TestCompare:
         errs = [float(r["abs_error_vs_oracle"]) for r in csv.DictReader((out / "orders.csv").open())]
         assert len(errs) == 5
         assert errs[4] < errs[3] and errs[4] < 2e-11
+
+    def test_order_six_at_the_default_config(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"n_max": 6}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        errs = [float(r["abs_error_vs_oracle"]) for r in csv.DictReader((out / "orders.csv").open())]
+        assert len(errs) == 6
+        assert errs[5] < errs[4]
 
 
 class TestVerify:

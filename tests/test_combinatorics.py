@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,6 +9,7 @@ from mlve.combinatorics import (
     BlockPartition,
     Forest,
     Jungle,
+    _canonical_form,
     _is_acyclic,
     count_partitions_by_profile,
     count_trees_with_degrees,
@@ -20,6 +21,7 @@ from mlve.combinatorics import (
     enumerate_set_partitions,
     enumerate_trees,
     fermionic_forest_weight,
+    jungle_classes,
     norm_edge,
     two_level_tree_bound,
 )
@@ -131,6 +133,49 @@ class TestJungles:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             list(enumerate_jungles(8))
+
+
+def edge_form(jungle, order=None):
+    """The (Bosonic, Fermionic) edges relabeled by a vertex order, which
+    lists the old vertices by new label; the identity by default."""
+    label = {v: i for i, v in enumerate(order or range(jungle.n))}
+    return tuple(
+        tuple(sorted(norm_edge(label[u], label[v]) for u, v in edges)) for edges in (jungle.bosonic.edges, jungle.fermionic)
+    )
+
+
+class TestJungleClasses:
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 3), (4, 10), (5, 27), (6, 98), (7, 350)])
+    def test_counts_and_orbit_sizes(self, n, classes):
+        # one class per two-coloured tree; by orbit-stabilizer the classes
+        # hold n!/|Aut| labeled jungles each, n^(n-2) 2^(n-1) in all
+        reps = jungle_classes(n)
+        assert len(reps) == classes
+        assert sum(math.factorial(n) // len(automorphisms) for _, automorphisms in reps) == count_two_level_trees(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_representatives_are_canonical_and_distinct(self, n):
+        forms = []
+        for jungle, automorphisms in jungle_classes(n):
+            assert jungle.is_spanning
+            form, orders = _canonical_form(jungle)
+            assert form == edge_form(jungle) and orders == automorphisms
+            forms.append(form)
+        assert forms == sorted(set(forms))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_against_labeled_enumeration(self, n):
+        # every labeled jungle has the canonical form of one representative,
+        # and the automorphisms are every vertex order that keeps the edges
+        reps = jungle_classes(n)
+        assert {_canonical_form(j)[0] for j in enumerate_jungles(n, spanning=True)} == {edge_form(j) for j, _ in reps}
+        for jungle, automorphisms in reps:
+            own = edge_form(jungle)
+            assert set(automorphisms) == {p for p in permutations(range(n)) if edge_form(jungle, p) == own}
+
+    def test_budget_refusal(self):
+        with pytest.raises(BudgetExceededError):
+            jungle_classes(8)
 
 
 class TestCounting:

@@ -1,5 +1,5 @@
 import math
-from itertools import count, permutations, product
+from itertools import accumulate, count, permutations, product
 
 import numpy as np
 import pytest
@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 import mlve.engine
 from conftest import random_spanning_jungle
-from mlve.combinatorics import Forest, Jungle, empty_forest, enumerate_jungles, enumerate_trees, norm_edge
-from mlve.engine import (
-    TermEvaluator,
-    bosonic_block_value,
-    fermionic_weight_integral,
-    logz_truncation,
+from mlve.combinatorics import (
+    Forest,
+    Jungle,
+    empty_forest,
+    enumerate_jungles,
+    enumerate_trees,
+    jungle_classes,
+    norm_edge,
 )
+from mlve.engine import TermEvaluator, bosonic_block_value, fermionic_weight_integral
 from mlve.errors import BudgetExceededError
 from mlve.grassmann import (
     FermionicFactorInput,
@@ -30,6 +33,13 @@ from mlve.oracle import gauss_hermite_norm
 # coarse but converged weight quadrature for unit tests; the acceptance
 # suite runs the default
 GL = 8
+
+
+def orders_and_sums(params, n_max, gl_nodes=12):
+    """Orders 1..n_max and their partial sums S_1..S_(n_max)."""
+    ev = TermEvaluator(params, gl_nodes)
+    orders = [ev.order_contribution(n) for n in range(1, n_max + 1)]
+    return orders, list(accumulate(orders))
 
 
 def gh_expectation(params, j, q, nodes=200):
@@ -247,8 +257,8 @@ class TestBlockCache:
         assert len(key_of) == 38
 
     def test_nine_blocks_at_order_five(self, monkeypatch):
-        # the default config summed to n = 5 looks up the blocks of its 162
-        # term classes only, 456 of them, and integrates 9
+        # the default config summed to n = 5 evaluates its 162 term classes
+        # once each, looks up their blocks, 456 of them, and integrates 9
         lookups = []
         lookup = TermEvaluator.block_integral
 
@@ -258,10 +268,9 @@ class TestBlockCache:
 
         monkeypatch.setattr(TermEvaluator, "block_integral", counted)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
-        for n in range(1, 6):
-            ev.order_contribution(n)
+        rows = sum(1 for n in range(1, 6) for _ in ev.order_terms(n))
+        assert rows == 162
         assert len(lookups) == 456
-        assert len(ev._term_cache) == 162
         assert len(ev._block_cache) == 9
 
 
@@ -303,20 +312,9 @@ class TestOrders:
             val = ev.order_contribution(n)
             assert abs(val.imag) < 1e-10
 
-    def test_truncation_consistency(self):
-        params = ModelParams(0.25, 2, 1, 2)
-        res = logz_truncation(2, params, gl_nodes=GL)
-        ev = TermEvaluator(params, GL)
-        o1, o2 = ev.order_contribution(1), ev.order_contribution(2)
-        assert res.orders[0] == pytest.approx(o1, abs=1e-14)
-        assert res.orders[1] == pytest.approx(o2, abs=1e-14)
-        assert res.partial_sums[1] == pytest.approx(o1 + o2, abs=1e-14)
-
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            TermEvaluator(ModelParams(0.2, 2, 1, 3), GL).order_contribution(6)
-        with pytest.raises(BudgetExceededError):
-            logz_truncation(6, ModelParams(0.2, 2, 1, 3), gl_nodes=GL)
+            TermEvaluator(ModelParams(0.2, 2, 1, 3), GL).order_contribution(7)
 
     def test_order_four_two_slices(self):
         # orders 1-4 as evaluated one weight point at a time (one
@@ -325,27 +323,29 @@ class TestOrders:
         from mlve.oracle import logz_oracle
 
         params = ModelParams(0.2, 2, 1, 2)
-        res = logz_truncation(4, params)
+        orders, sums = orders_and_sums(params, 4)
         pointwise = [-0.025541495510617643, 2.9869570073485835e-05, 3.5399891836708105e-06, 6.249487990403697e-08]
-        for got, want in zip(res.orders, pointwise, strict=True):
+        for got, want in zip(orders, pointwise, strict=True):
             assert got.real == pytest.approx(want, rel=1e-10)
             assert abs(got.imag) < 1e-15
-        errs = res.distances_to(logz_oracle(params))
+        ref = logz_oracle(params)
+        errs = [abs(s - ref) for s in sums]
         assert errs == pytest.approx([3.35e-5, 3.60e-6, 6.30e-8, 5.17e-10], rel=5e-3)
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
     def test_order_five_two_slices(self):
-        # order 5: 1,850 admissible terms over 12 distinct Fermionic
-        # integrals, the k = 4 ones exact on 4! x 3^4 points
+        # order 5: 1,560 labeled terms in 16 term classes, the
+        # k = 4 Fermionic integrals exact on 4! x 3^4 points
         from mlve.oracle import logz_oracle
 
         params = ModelParams(0.2, 2, 1, 2)
-        res = logz_truncation(5, params)
+        got_orders, sums = orders_and_sums(params, 5)
         orders = [-0.02554149551061696, 2.98695700734899e-05, 3.539989183670671e-06, 6.24948799040322e-08, 5.207146910039618e-10]
-        for got, want in zip(res.orders, orders, strict=True):
+        for got, want in zip(got_orders, orders, strict=True):
             assert got.real == pytest.approx(want, rel=1e-10)
             assert abs(got.imag) < 1e-15
-        errs = res.distances_to(logz_oracle(params))
+        ref = logz_oracle(params)
+        errs = [abs(s - ref) for s in sums]
         assert errs == pytest.approx([3.35e-5, 3.60e-6, 6.30e-8, 5.17e-10, 3.97e-12], rel=5e-3)
         assert errs[0] > errs[1] > errs[2] > errs[3] > errs[4]
 
@@ -359,8 +359,7 @@ class TestOrders:
         lam = 0.25 * cmath.exp(1j * math.pi / 12)
         params = ModelParams(lam, 2, 1, 2)
         ref = logz_oracle(params, 300)
-        res = logz_truncation(2, params, gl_nodes=10)
-        errs = res.distances_to(ref)
+        errs = [abs(s - ref) for s in orders_and_sums(params, 2, gl_nodes=10)[1]]
         assert errs[1] < errs[0] / 3.0
         assert errs[1] < 5e-5
 
@@ -445,9 +444,10 @@ class TestFermionicIntegral:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cached_values_equal_uncached(self, n):
-        # every admissible term of order n over three slices: the value
-        # cached on its term class against its own Fermionic integral times
-        # its own blocks, each integrated in its own vertex labels
+        # every admissible term of order n over three slices: the term, its
+        # blocks read from the block cache, against its own Fermionic
+        # integral times its own blocks, each integrated in its own vertex
+        # labels
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 3), GL)
         own_blocks = {}
         terms = 0
@@ -471,8 +471,9 @@ class TestFermionicIntegral:
     def test_distinct_integrals_at_order_five(self, monkeypatch, window, terms, classes):
         # one Fermionic integral per term class, the isomorphism class of
         # the slice-labeled jungle; the integrals themselves are stubbed.
-        # The terms are the admissible ones (11,835 and 1,850) less those
-        # of jungles with a vertex of Fermionic degree >= 3 (675 and 290)
+        # The labeled terms, n!/stabilizer per class, are the admissible
+        # ones (11,835 and 1,850) less those of jungles with a vertex of
+        # Fermionic degree >= 3 (675 and 290)
         computed = []
 
         def counted(jungle, slices):
@@ -481,9 +482,17 @@ class TestFermionicIntegral:
 
         monkeypatch.setattr(mlve.engine, "fermionic_weight_integral", counted)
         monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 1.0)
-        ev = TermEvaluator(ModelParams(0.2, 2, 1, len(window)))
-        assert sum(1 for _ in ev.order_terms(5)) == terms
-        assert len(computed) == len(ev._term_cache) == classes
+        rows = list(TermEvaluator(ModelParams(0.2, 2, 1, len(window))).order_terms(5))
+        assert sum(math.factorial(5) // stabilizer for _, _, stabilizer, _, _ in rows) == terms
+        assert len(computed) == len(rows) == classes
+
+    def test_distinct_integrals_at_order_six(self, monkeypatch):
+        # order 6 over three slices: 233,820 labeled terms in 369 classes
+        monkeypatch.setattr(mlve.engine, "fermionic_weight_integral", lambda jungle, slices: 1.0)
+        monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 1.0)
+        rows = list(TermEvaluator(ModelParams(0.2, 2, 1, 3)).order_terms(6))
+        assert sum(math.factorial(6) // stabilizer for _, _, stabilizer, _, _ in rows) == 233820
+        assert len(rows) == 369
 
 
 def brute_term_key(jungle, slices):
@@ -503,55 +512,95 @@ def brute_term_key(jungle, slices):
 
 
 class TestTermKey:
-    def test_classes_match_brute_force_key(self):
+    def test_classes_match_brute_force_key(self, monkeypatch):
         # every spanning jungle with n <= 4 and every admissible labeling
-        # over three slices: two terms share a term key exactly when some
-        # vertex permutation maps one onto the other
+        # over three slices: the rows of the order sum are pairwise
+        # non-isomorphic, they cover every labeled term, and a row stands
+        # for n!/stabilizer labeled terms
+        monkeypatch.setattr(TermEvaluator, "jungle_term", lambda self, jungle, slices: 0j)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
-        brute_of, key_of = {}, {}
         for n in range(1, 5):
+            rows = {}
+            for _, jungle, stabilizer, slices, _ in ev.order_terms(n):
+                key = brute_term_key(jungle, slices)
+                assert key not in rows
+                rows[key] = math.factorial(n) // stabilizer
+            labeled: dict = {}
             for jungle in enumerate_jungles(n, spanning=True):
-                for slices in product((1, 2, 3), repeat=n):
-                    if admissible(jungle, slices):
-                        key = ev._shape(jungle).term_key(slices)
-                        brute = brute_term_key(jungle, slices)
-                        assert brute_of.setdefault(key, brute) == brute
-                        assert key_of.setdefault(brute, key) == key
+                if not fermionic_vanishes(jungle):
+                    for slices in product((1, 2, 3), repeat=n):
+                        if admissible(jungle, slices):
+                            key = brute_term_key(jungle, slices)
+                            labeled[key] = labeled.get(key, 0) + 1
+            assert labeled == rows
+
+
+class TestLabeledSum:
+    @pytest.mark.parametrize(
+        "n, lam, j_max",
+        [(n, lam, 3) for n in (1, 2, 3, 4) for lam in (0.2, 0.3 + 0.1j)] + [(5, 0.2, 2)],
+    )
+    def test_class_sum_matches_the_labeled_sum(self, n, lam, j_max):
+        # the order as defined: 1/n! times the sum of jungle_term over every
+        # spanning jungle and admissible labeling, against the sum over term
+        # classes of value / stabilizer, to rounding of the terms' scale
+        params = ModelParams(lam, 2, 1, j_max)
+        ev = TermEvaluator(params, GL)
+        labeled = scale = 0
+        for jungle in enumerate_jungles(n, spanning=True):
+            for slices in product(params.slices, repeat=n):
+                if admissible(jungle, slices):
+                    term = ev.jungle_term(jungle, slices)
+                    labeled += term
+                    scale += abs(term)
+        labeled /= math.factorial(n)
+        scale /= math.factorial(n)
+        assert abs(ev.order_contribution(n) - labeled) <= 1e-14 * scale
+
+
+def least_images(automorphisms, slices):
+    """The images of a labeling under the automorphisms, and the least."""
+    images = [tuple(slices[v] for v in order) for order in automorphisms]
+    return images, min(images)
 
 
 class TestTraceRecords:
     @pytest.mark.parametrize("n, window", [(n, tuple(range(1, m + 1))) for n in (1, 2, 3, 4) for m in (2, 3, 4)])
     def test_generator_yields_the_admissible_product(self, monkeypatch, n, window):
-        # the generator against the filtered product, order included, less
-        # the jungles whose Fermionic factor vanishes; the term values are
-        # left out
+        # the generator against the filtered product, order included: on
+        # each class representative, the admissible labelings that are least
+        # under its automorphisms, less the jungles whose Fermionic factor
+        # vanishes, each with the automorphisms that fix it; the term values
+        # are left out
         monkeypatch.setattr(TermEvaluator, "jungle_term", lambda self, jungle, slices: 0j)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, len(window)))
-        got = [(index, slices) for index, _, slices, _ in ev.order_terms(n)]
-        want = [
-            (index, slices)
-            for index, jungle in enumerate(enumerate_jungles(n, spanning=True))
-            for slices in product(window, repeat=n)
-            if admissible(jungle, slices) and not fermionic_vanishes(jungle)
-        ]
+        got = [(index, stabilizer, slices) for index, _, stabilizer, slices, _ in ev.order_terms(n)]
+        want = []
+        for index, (jungle, automorphisms) in enumerate(jungle_classes(n)):
+            for slices in product(window, repeat=n):
+                images, least = least_images(automorphisms, slices)
+                if admissible(jungle, slices) and not fermionic_vanishes(jungle) and least == slices:
+                    want.append((index, images.count(slices), slices))
         assert got == want
 
     def test_order_terms_zero_tagging(self):
-        # order 4 over two slices: the yielded labelings are the admissible
-        # ones of the product on jungles without a vertex of Fermionic
-        # degree >= 3, each nonzero, and the public jungle_term keeps the
-        # exact zero on every other labeling
+        # order 4 over two slices: every yielded term is nonzero; on each
+        # class representative, a labeling of the product that is not
+        # yielded is either a relabeled copy of a yielded one or a
+        # structural zero, and the public jungle_term keeps the exact zero
+        # on the structural zeros
         params = ModelParams(0.25, 2, 1, 2)
         ev = TermEvaluator(params, gl_nodes=GL)
-        yielded = {(index, slices): value for index, _, slices, value in ev.order_terms(4)}
-        excluded = vanishing = 0
-        for index, jungle in enumerate(enumerate_jungles(4, spanning=True)):
+        yielded = {(index, slices): value for index, _, _, slices, value in ev.order_terms(4)}
+        assert all(value != 0j for value in yielded.values())
+        copies, excluded, vanishing = set(), 0, 0
+        for index, (jungle, automorphisms) in enumerate(jungle_classes(4)):
             for slices in product(params.slices, repeat=4):
                 if admissible(jungle, slices) and not fermionic_vanishes(jungle):
-                    assert yielded.pop((index, slices)) != 0j
+                    copies.add((index, least_images(automorphisms, slices)[1]))
                 else:
                     excluded += 1
                     vanishing += admissible(jungle, slices)
                     assert ev.jungle_term(jungle, slices) == 0j
-        assert yielded == {}
-        assert (excluded, vanishing) == (1904, 8)  # 8: the Fermionic star on four singletons
+        assert copies == set(yielded)
+        assert (excluded, vanishing) == (150, 2)  # 2: the Fermionic star on four singletons
