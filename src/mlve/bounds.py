@@ -94,8 +94,6 @@ def summed_series_bound(lam_abs: float, M: float, q_max: int = 60, b_max: int = 
 
     evaluated in high precision; S < 1 flags geometric convergence.
     """
-    if M <= 4:
-        pass  # still evaluable; the flag will simply report non-convergence
     s = mp.mpf(0)
     lam_abs = mp.mpf(lam_abs)
     Mm = mp.mpf(M)
@@ -208,12 +206,6 @@ def borel_domain(lam: complex | None = None, g: complex | None = None) -> BorelP
     re_inv = (1.0 / g).real
     disk = abs(g - 0.5)
     return BorelPoint(crit < 0, crit, re_inv, disk)
-
-
-def min_hardcore_slice_sum(block_size: int, j_min: int) -> int:
-    """Smallest possible sum of pairwise-distinct slice labels >= j_min:
-    j_min |B| + |B|(|B| - 1)/2."""
-    return j_min * block_size + block_size * (block_size - 1) // 2
 
 
 def assemble_term_bound(jungle: Jungle, slices, lam_abs: float, M: int) -> float:

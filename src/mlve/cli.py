@@ -231,7 +231,7 @@ def cmd_oracle(args) -> int:
     nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES)
     z, delta, reliable = oracle.z_reliable(params, nodes)
     # the conditions under which oracle.logz_oracle answers rather than raises
-    logz = cmath.log(z) if reliable and abs(z) > 1e-8 else None
+    logz = cmath.log(z) if reliable and abs(z) >= oracle.MIN_ABS_Z else None
     record = {
         "schema_version": SCHEMA_VERSION,
         "lambda": [params.lam.real, params.lam.imag],

@@ -1,4 +1,4 @@
-"""Labeled trees, forests, set partitions and two-level jungles, and one
+"""Labeled trees, forests, block partitions and two-level jungles, and one
 spanning jungle per isomorphism class.
 
 Everything is exhaustive at desk scale: enumerators refuse instead of
@@ -9,7 +9,6 @@ labeled 0..n-1 and edges are ordered pairs (u, v) with u < v.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product
@@ -104,10 +103,6 @@ class Forest:
     def degrees(self) -> tuple[int, ...]:
         return tuple(_degrees(self.n, self.edges))
 
-    @property
-    def is_spanning_tree(self) -> bool:
-        return len(self.edges) == self.n - 1
-
 
 def empty_forest(n: int) -> Forest:
     return Forest(n, frozenset())
@@ -138,12 +133,6 @@ class BlockPartition:
                 idx[v] = i
         return idx
 
-    def profile(self) -> dict[int, int]:
-        prof: dict[int, int] = {}
-        for b in self.blocks:
-            prof[len(b)] = prof.get(len(b), 0) + 1
-        return prof
-
 
 @dataclass(frozen=True)
 class Jungle:
@@ -170,9 +159,6 @@ class Jungle:
             if block_of[u] == block_of[v]:
                 raise ValueError(f"Fermionic edge ({u}, {v}) stays inside one block")
 
-    def union_forest(self) -> Forest:
-        return Forest(self.n, self.bosonic.edges | self.fermionic)
-
     def partition(self) -> BlockPartition:
         return self._partition
 
@@ -180,10 +166,6 @@ class Jungle:
     def _partition(self) -> BlockPartition:
         # built once per instance; equality and hashing see only the fields
         return BlockPartition(self.n, self.bosonic.components())
-
-    @property
-    def is_spanning(self) -> bool:
-        return len(self.bosonic.edges) + len(self.fermionic) == self.n - 1
 
     def block_level_edges(self) -> tuple[tuple[Edge, Edge], ...]:
         """(block-index pair, vertex pair) for each Fermionic edge.
@@ -354,44 +336,6 @@ def jungle_classes(n: int) -> tuple[tuple[Jungle, tuple], ...]:
     return tuple((rep, _canonical_form(rep)[1]) for rep in reps)
 
 
-def count_trees_with_degrees(degrees) -> int:
-    """Number of labeled trees with the given degree sequence.
-
-    (q-2)! / prod (d_i - 1)!  with sum d_i = 2q - 2.
-    """
-    degrees = tuple(degrees)
-    q = len(degrees)
-    if q < 2:
-        raise ValueError("need at least two vertices")
-    if any(d < 1 for d in degrees):
-        raise ValueError("all degrees must be >= 1")
-    if sum(degrees) != 2 * q - 2:
-        raise ValueError(f"degree sum must be 2q - 2 = {2 * q - 2}, got {sum(degrees)}")
-    num = math.factorial(q - 2)
-    den = 1
-    for d in degrees:
-        den *= math.factorial(d - 1)
-    assert num % den == 0
-    return num // den
-
-
-def count_partitions_by_profile(n: int, profile: dict) -> int:
-    """Number of set partitions of 0..n-1 with m_q blocks of size q.
-
-    n! / prod_q m_q! (q!)^(m_q).
-    """
-    if sum(q * m for q, m in profile.items()) != n:
-        raise ValueError("profile does not sum to n")
-    if any(q < 1 or m < 0 for q, m in profile.items()):
-        raise ValueError("bad profile entry")
-    den = 1
-    for q, m in profile.items():
-        den *= math.factorial(m) * math.factorial(q) ** m
-    num = math.factorial(n)
-    assert num % den == 0
-    return num // den
-
-
 def count_two_level_trees(n: int) -> int:
     """Exact count 2^(n-1) n^(n-2) of spanning jungles on n vertices."""
     if n < 1:
@@ -404,50 +348,3 @@ def count_two_level_trees(n: int) -> int:
 def two_level_tree_bound(n: int) -> int:
     """The coarser bound 2^(2n) n^(n-2)."""
     return 2 ** (2 * n) * (1 if n == 1 else n ** (n - 2))
-
-
-def fermionic_forest_weight(partition: BlockPartition) -> int:
-    """Number of detailed Fermionic trees connecting the partition blocks.
-
-    (sum |B|)^(|P|-2) * prod |B|, the block-level Cayley count times the
-    hooking choices; a single block has the empty tree only.
-    """
-    sizes = [len(b) for b in partition.blocks]
-    if len(sizes) == 1:
-        return 1
-    n = sum(sizes)
-    total = n ** (len(sizes) - 2)
-    for s in sizes:
-        total *= s
-    return total
-
-
-def enumerate_set_partitions(n: int):
-    """All partitions of 0..n-1 as BlockPartition, by restricted growth."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-
-    def rec(v: int, blocks: list[list[int]]):
-        if v == n:
-            yield BlockPartition(n, tuple(frozenset(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(v)
-            yield from rec(v + 1, blocks)
-            b.pop()
-        blocks.append([v])
-        yield from rec(v + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
-
-
-def enumerate_compositions(total: int, parts: int, minimum: int = 1):
-    """Ordered tuples (c_1..c_parts), c_i >= minimum, summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in enumerate_compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import Jungle
-from .interpolation import layered_decomposition, min_over_paths, weight_shape
+from .interpolation import min_over_paths, weight_shape
 
 BRUTE_FORCE_BUDGET = 8
 
@@ -224,10 +224,6 @@ def grassmann_minor(spec: MinorSpec):
     return sign * _det(sub)
 
 
-def minor_value(matrix, cols, rows):
-    return grassmann_minor(MinorSpec(matrix, tuple(cols), tuple(rows)))
-
-
 # --- Fermionic factor of an expansion term ----------------------------------
 
 
@@ -269,27 +265,6 @@ def lifted_y_matrix(jungle: Jungle, slices, weights: dict) -> np.ndarray:
     block_edges = {be: weights[e] for be, e in jungle.block_level_edges()}
     yblk = min_over_paths(len(part.blocks), list(block_edges), block_edges)
     return yblk[..., blk[:, None], blk] * (js[:, None] == js)
-
-
-def layered_lifted_terms(jungle: Jungle, slices, weights: dict):
-    """Sum-of-squares layers reproducing lifted Y: (coeff, indicator vector).
-
-    The layered decomposition of the block-level Fermionic forest gives
-    Y = sum_i c_i sum_f 1_f 1_f^T over block components f; the slice
-    delta splits each component into one rank-one term per slice j, on
-    the vertices of f carrying slice j.
-    """
-    part = jungle.partition()
-    block_of = part.block_of()
-    block_weights = {be: weights[e] for be, e in jungle.block_level_edges()}
-    terms = []
-    for coeff, comps in layered_decomposition(len(part.blocks), list(block_weights), block_weights):
-        for comp in comps:
-            for j in sorted(set(slices)):
-                vec = np.array([1.0 if block_of[v] in comp and slices[v] == j else 0.0 for v in range(jungle.n)])
-                if vec.any():
-                    terms.append((coeff, vec))
-    return terms
 
 
 def fermionic_factor(inp: FermionicFactorInput):

@@ -70,26 +70,6 @@ def x_matrix(forest: Forest, weights: dict) -> np.ndarray:
     return min_over_paths(forest.n, forest.edges, weights)
 
 
-def block_matrix(n: int, blocks) -> np.ndarray:
-    """X^Pi: 1 on same-block pairs, 0 across blocks."""
-    out = np.zeros((n, n))
-    for b in blocks:
-        for i in b:
-            for j in b:
-                out[i, j] = 1.0
-    return out
-
-
-def y_block_matrix(num_blocks: int, fermionic_edges, weights: dict) -> np.ndarray:
-    """Block-level interpolated matrix Y(w) from Fermionic tree weights."""
-    edges = [norm_edge(*e) for e in fermionic_edges]
-    if len(set(edges)) != len(edges):
-        raise ValueError("duplicate Fermionic block edge")
-    f = Forest(num_blocks, frozenset(edges))  # validates acyclicity
-    _validate_weights(f.edges, {norm_edge(*e): w for e, w in weights.items()})
-    return min_over_paths(num_blocks, edges, {e: weights.get(e, weights.get((e[1], e[0]))) for e in edges})
-
-
 def layered_decomposition(n: int, edges, weights):
     """Write the min-over-path matrix as sum_i c_i * sum_f 1_f 1_f^T.
 
@@ -113,23 +93,6 @@ def layered_decomposition(n: int, edges, weights):
         if np.any(coeff > 0):
             terms.append((coeff, comps))
     return terms
-
-
-def reconstruct_from_layers(n: int, terms) -> np.ndarray:
-    out = np.zeros((n, n))
-    for coeff, comps in terms:
-        for comp in comps:
-            idx = np.array(sorted(comp))
-            out[np.ix_(idx, idx)] += coeff
-    return out
-
-
-def min_eigenvalue(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(mat).min())
-
-
-def is_positive_semidefinite(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    return min_eigenvalue(mat) >= -tol
 
 
 # --- quadrature over the weakening parameters ------------------------------
@@ -209,55 +172,6 @@ class ExpEdgeFunction:
         for e in edges:
             prod *= self.coeffs.get(norm_edge(*e), 0.0)
         return prod * self.value(X)
-
-
-class MonomialEdgeFunction:
-    """f(X) = prod_l X_l^(k_l) over chosen off-diagonal entries."""
-
-    def __init__(self, n: int, powers: dict):
-        self.n = n
-        self.powers = {norm_edge(*e): int(k) for e, k in powers.items()}
-
-    def value(self, X: np.ndarray) -> float:
-        prod = 1.0
-        for e, k in self.powers.items():
-            prod *= X[e[0], e[1]] ** k
-        return prod
-
-    def forest_derivative(self, edges, X: np.ndarray) -> float:
-        edges = {norm_edge(*e) for e in edges}
-        prod = 1.0
-        for e, k in self.powers.items():
-            x = X[e[0], e[1]]
-            if e in edges:
-                if k == 0:
-                    return 0.0
-                prod *= k * x ** (k - 1)
-            else:
-                prod *= x**k
-        for e in edges:
-            if e not in self.powers:
-                return 0.0
-        return prod
-
-
-class TabulatedEdgeFunction:
-    """Caller-supplied value and mixed partials keyed by frozen edge sets."""
-
-    def __init__(self, value_fn, partials: dict):
-        self._value = value_fn
-        self._partials = {frozenset(norm_edge(*e) for e in k): fn for k, fn in partials.items()}
-
-    def value(self, X):
-        return self._value(X)
-
-    def forest_derivative(self, edges, X):
-        key = frozenset(norm_edge(*e) for e in edges)
-        if not key:
-            return self._value(X)
-        if key not in self._partials:
-            raise ValueError(f"no derivative closure supplied for edge set {sorted(key)}")
-        return self._partials[key](X)
 
 
 def forest_formula_eval(n: int, func, quadrature_order: int = 16) -> float:

@@ -39,12 +39,6 @@ class SliceIndexSet:
     lo: int
     hi: int
 
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    def __iter__(self):
-        return iter(range(self.lo, self.hi + 1))
-
 
 def slice_range(M: int, j: int) -> SliceIndexSet:
     """Index window of the j-th slice for base M."""
@@ -85,10 +79,6 @@ class ModelParams:
         return self.M**self.j_max - 1
 
     @property
-    def coupling_g(self) -> complex:
-        return complex(self.lam) ** 2
-
-    @property
     def slices(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
@@ -119,21 +109,6 @@ def log2m(x) -> complex:
     return x + cmath.log(one_minus)
 
 
-def self_loop_sum(N: int) -> float:
-    """The self-loop counterterm L_N = sum_{p=1}^N 1/p (about log N)."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    return numerics.harmonic_range_sum(1, N)
-
-
-def power_sum(params: ModelParams, j: int, t: float) -> float:
-    """sum_{p in I_j} p^(-t), compensated, smallest terms first."""
-    if t < 1:
-        raise ValueError(f"need t >= 1, got {t}")
-    sl = params.slice_set(j)
-    return numerics.kahan_sum(p ** (-t) for p in range(sl.hi, sl.lo - 1, -1))
-
-
 def _checked_pole_terms(params: ModelParams, j: int, sigma: complex):
     """Yield i*lam*sigma/p over the slice, raising at poles/branch hits."""
     sl = params.slice_set(j)
@@ -153,14 +128,6 @@ def v_kernel(params: ModelParams, j: int, sigma) -> complex:
 def w_kernel(params: ModelParams, j: int, sigma) -> complex:
     """W_j(sigma) = exp(-V_j(sigma)) - 1, cancellation-safe at small V."""
     return numerics.cexpm1(-v_kernel(params, j, sigma))
-
-
-def w_kernel_product(params: ModelParams, j: int, sigma) -> complex:
-    """Independent product route: prod_p exp(-i lam sigma/p)/(1 - i lam sigma/p) - 1."""
-    prod = 1.0 + 0.0j
-    for _, x in _checked_pole_terms(params, j, sigma):
-        prod *= cmath.exp(-x) / (1.0 - x)
-    return prod - 1.0
 
 
 def exp_minus_v(params: ModelParams, j: int, sigma) -> complex:

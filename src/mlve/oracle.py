@@ -3,11 +3,14 @@
 In the intermediate-field representation Z is a one-dimensional Gaussian
 integral,
 
-    Z(lam, N) = int dnu(sigma) prod_p 1/(1 - i lam sigma/p) e^(-i lam sigma/p),
+    Z(lam, N) = int dnu(sigma) prod_p 1/(1 - i lam sigma/p) e^(-i lam sigma/p)
+              = int dnu(sigma) prod_j (1 + W_j(sigma)),
 
-with p running over the full slice window.  Gauss-Hermite quadrature of
-moderate order nails it to machine precision at desk scale; reliability
-is defined operationally by node doubling.  The module also extracts the
+with p running over the full slice window and j over its slices.  The
+quadrature integrates the slice product, so each factor takes the
+accurate route of its own window.  Gauss-Hermite quadrature of moderate
+order nails it to machine precision at desk scale; reliability is
+defined operationally by node doubling.  The module also extracts the
 low-order coefficients of log Z as a series in the quartic coupling
 g = lam^2, by exact rational series manipulation of the integrand.
 """
@@ -26,6 +29,8 @@ from .errors import QuadratureUnreliableError
 from .model_core import ModelParams
 
 DOUBLING_TOL = 1e-10
+# log Z is taken only where |Z| is at least this far from 0.
+MIN_ABS_Z = 1e-8
 # Fewest Gauss-Hermite nodes a Z quadrature accepts.
 MIN_NODES = 50
 
@@ -62,33 +67,19 @@ def gauss_hermite_norm(nodes: int):
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
-def _z_value(params: ModelParams, nodes: int, sliced: bool) -> complex:
+def z_sigma_quadrature(params: ModelParams, nodes: int = 200) -> complex:
+    """Gauss-Hermite value of Z, integrating prod_j (1 + W_j) over the slices."""
+    if nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     lam = complex(params.lam)
     if lam == 0:
         return 1.0 + 0.0j  # integrand identically 1 under the normalized measure
     x, w = gauss_hermite_norm(nodes)
-    if sliced:
-        vals = np.ones_like(x, dtype=complex)
-        for j in params.slices:
-            sl = params.slice_set(j)
-            vals = vals * (1.0 + numerics.kernel_bundle(lam, sl.lo, sl.hi, 0, x)[0])
-    else:
-        vals = 1.0 + numerics.kernel_bundle(lam, params.p_lo, params.cutoff, 0, x)[0]
+    vals = np.ones_like(x, dtype=complex)
+    for j in params.slices:
+        sl = params.slice_set(j)
+        vals *= 1.0 + numerics.kernel_bundle(lam, sl.lo, sl.hi, 0, x)[0]
     return complex(np.sum(w * vals))
-
-
-def z_sigma_quadrature(params: ModelParams, nodes: int = 200) -> complex:
-    """Gauss-Hermite value of Z over the full index window."""
-    if nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
-    return _z_value(params, nodes, sliced=False)
-
-
-def z_sigma_quadrature_sliced(params: ModelParams, nodes: int = 200) -> complex:
-    """Same integral with the slice-factorized form of the integrand."""
-    if nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
-    return _z_value(params, nodes, sliced=True)
 
 
 def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, bool]:
@@ -107,7 +98,7 @@ def logz_oracle(params: ModelParams, nodes: int = 200) -> complex:
         raise QuadratureUnreliableError(
             f"node doubling moved Z by {delta:.3e} (tolerance {DOUBLING_TOL:.0e})"
         )
-    if abs(z) < 1e-8:
+    if abs(z) < MIN_ABS_Z:
         raise ValueError(f"Z = {z} too close to zero for a stable logarithm")
     return cmath.log(z)
 

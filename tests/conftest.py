@@ -1,4 +1,7 @@
-"""Shared helpers: random spanning jungles and finite-difference oracles."""
+"""Shared helpers: random spanning jungles, finite-difference oracles and
+the degree count of labeled trees."""
+
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +49,11 @@ def random_partition(rng, n):
         blocks.append(frozenset(order[:size]))
         order = order[size:]
     return BlockPartition(n, tuple(blocks))
+
+
+def count_trees_with_degrees(degrees) -> int:
+    """Labeled trees with the given degree sequence: (q-2)! / prod (d_i - 1)!."""
+    return math.factorial(len(degrees) - 2) // math.prod(math.factorial(d - 1) for d in degrees)
 
 
 def central_diff(f, x, h=1e-5):

@@ -14,7 +14,6 @@ from mlve.bounds import (
     summed_series_bound,
     block_bound_complex,
     m_threshold_check,
-    min_hardcore_slice_sum,
     stirling_chain_check,
 )
 from mlve.combinatorics import Forest, Jungle, empty_forest
@@ -160,9 +159,16 @@ class TestHardcoreSliceSum:
     @pytest.mark.parametrize("b", range(1, 7))
     @pytest.mark.parametrize("j_min", (1, 3))
     def test_minimum_over_injective_assignments(self, b, j_min):
+        # under the hardcore rule a block's slices are distinct, so their sum
+        # is at least j_min b + b(b-1)/2, and the block bound, through its
+        # factor M^-(sum_a j_a - 2b), is largest at that minimum
+        M = 10
+        degrees = (0,) if b == 1 else (1,) + (2,) * (b - 2) + (1,)  # a path
         window = range(j_min, j_min + b + 2)
-        brute = min(sum(p) for p in permutations(window, b))
-        assert min_hardcore_slice_sum(b, j_min) == brute
+        worst = max(block_bound_real(b, degrees, js, 1.0, M) for js in permutations(window, b))
+        least_sum = j_min * b + b * (b - 1) // 2
+        closed = math.sqrt(double_factorial(4 * b - 4)) * math.prod(map(math.factorial, degrees)) * M ** -(least_sum - 2 * b)
+        assert worst == pytest.approx(closed, rel=1e-12)
 
 
 class TestTermBound:

@@ -1,31 +1,50 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from conftest import random_partition
+from conftest import count_trees_with_degrees
 from mlve.combinatorics import (
-    BlockPartition,
     Forest,
     Jungle,
     _canonical_form,
     _is_acyclic,
-    count_partitions_by_profile,
-    count_trees_with_degrees,
     count_two_level_trees,
     empty_forest,
-    enumerate_compositions,
     enumerate_forests,
     enumerate_jungles,
-    enumerate_set_partitions,
     enumerate_trees,
-    fermionic_forest_weight,
     jungle_classes,
     norm_edge,
     two_level_tree_bound,
 )
 from mlve.errors import BudgetExceededError
+from mlve.model_core import faa_di_bruno_weight, partition_multiplicities
+
+
+def _set_partitions(n):
+    """All set partitions of 0..n-1 as lists of blocks."""
+    parts = [[]]
+    for v in range(n):
+        parts = [p[:i] + [p[i] + [v]] + p[i + 1 :] for p in parts for i in range(len(p))] + [p + [[v]] for p in parts]
+    return parts
+
+
+def _fermionic_tree_count(blocks) -> int:
+    """Detailed Fermionic trees joining the blocks: (sum |B|)^(|P|-2) prod |B|,
+    the block-level Cayley count times the hooking choices; a single block
+    has the empty tree only."""
+    sizes = [len(b) for b in blocks]
+    if len(sizes) == 1:
+        return 1
+    return sum(sizes) ** (len(sizes) - 2) * math.prod(sizes)
+
+
+def _jungles_over(n, bosonic_edges) -> int:
+    """Number of spanning jungles on n vertices with the given Bosonic forest."""
+    return sum(1 for j in enumerate_jungles(n, spanning=True) if j.bosonic.edges == frozenset(bosonic_edges))
 
 
 class TestTrees:
@@ -37,7 +56,7 @@ class TestTrees:
     def test_all_distinct_and_spanning(self):
         seen = set()
         for t in enumerate_trees(5):
-            assert t.is_spanning_tree
+            assert len(t.edges) == 4
             assert t.edges not in seen
             seen.add(t.edges)
 
@@ -157,7 +176,7 @@ class TestJungleClasses:
     def test_representatives_are_canonical_and_distinct(self, n):
         forms = []
         for jungle, automorphisms in jungle_classes(n):
-            assert jungle.is_spanning
+            assert len(jungle.bosonic.edges) + len(jungle.fermionic) == n - 1
             form, orders = _canonical_form(jungle)
             assert form == edge_form(jungle) and orders == automorphisms
             forms.append(form)
@@ -180,42 +199,29 @@ class TestJungleClasses:
 
 class TestCounting:
     def test_degree_count_examples(self):
-        assert count_trees_with_degrees((1, 1)) == 1
-        assert count_trees_with_degrees((2, 1, 1)) == 1
-        assert count_trees_with_degrees((3, 1, 1, 1)) == 1
+        assert Counter(t.degrees() for t in enumerate_trees(2)) == {(1, 1): 1}
+        assert Counter(t.degrees() for t in enumerate_trees(3))[(2, 1, 1)] == 1
+        assert Counter(t.degrees() for t in enumerate_trees(4))[(3, 1, 1, 1)] == 1
 
     @pytest.mark.parametrize("q", range(2, 7))
     def test_degree_count_vs_enumeration(self, q):
-        from collections import Counter
-
         observed = Counter(t.degrees() for t in enumerate_trees(q))
         for degrees, count in observed.items():
             assert count_trees_with_degrees(degrees) == count
 
-    def test_degree_count_validation(self):
-        with pytest.raises(ValueError):
-            count_trees_with_degrees((2, 2))  # sum != 2q - 2
-        with pytest.raises(ValueError):
-            count_trees_with_degrees((0, 2, 2))
-
+    # the Faa di Bruno weight q!/prod m_k! (k!)^m_k counts the set
+    # partitions of q elements with m_k blocks of size k
     def test_partition_profile_examples(self):
-        assert count_partitions_by_profile(2, {2: 1}) == 1
-        assert count_partitions_by_profile(3, {1: 1, 2: 1}) == 3
-        assert count_partitions_by_profile(4, {2: 2}) == 3
+        assert faa_di_bruno_weight({2: 1}) == 1
+        assert faa_di_bruno_weight({1: 1, 2: 1}) == 3
+        assert faa_di_bruno_weight({2: 2}) == 3
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_partition_profile_vs_enumeration(self, n):
-        from collections import Counter
-
-        observed = Counter(
-            tuple(sorted(p.profile().items())) for p in enumerate_set_partitions(n)
-        )
+        observed = Counter(tuple(sorted(Counter(map(len, p)).items())) for p in _set_partitions(n))
+        assert sorted(observed) == sorted(tuple(sorted(m.items())) for m in partition_multiplicities(n))
         for profile, count in observed.items():
-            assert count_partitions_by_profile(n, dict(profile)) == count
-
-    def test_partition_profile_validation(self):
-        with pytest.raises(ValueError):
-            count_partitions_by_profile(4, {2: 1})
+            assert faa_di_bruno_weight(dict(profile)) == count
 
     def test_two_level_count_examples(self):
         assert count_two_level_trees(2) == 2
@@ -228,51 +234,37 @@ class TestCounting:
         assert count_two_level_trees(n) <= two_level_tree_bound(n)
 
 
-def _count_detailed_fermionic_trees(partition: BlockPartition) -> int:
-    """Brute force: vertex-pair sets whose block contraction is a spanning tree."""
-    n = partition.n
-    block_of = partition.block_of()
-    cross = [e for e in combinations(range(n), 2) if block_of[e[0]] != block_of[e[1]]]
-    nb = len(partition.blocks)
-    count = 0
-    for subset in combinations(cross, nb - 1):
-        block_edges = [norm_edge(block_of[u], block_of[v]) for u, v in subset]
-        if len(set(block_edges)) == nb - 1 and _is_acyclic(nb, block_edges):
-            count += 1
-    return count
-
-
 class TestFermionicWeight:
+    """Spanning jungles over one Bosonic forest: one per detailed Fermionic tree."""
+
     def test_examples(self):
-        two_singletons = BlockPartition(2, (frozenset({0}), frozenset({1})))
-        assert fermionic_forest_weight(two_singletons) == 1
-        pair_and_one = BlockPartition(3, (frozenset({0, 1}), frozenset({2})))
-        assert fermionic_forest_weight(pair_and_one) == 2
-        three_singletons = BlockPartition(3, tuple(frozenset({i}) for i in range(3)))
-        assert fermionic_forest_weight(three_singletons) == 3
+        assert _jungles_over(2, ()) == 1  # two singletons
+        assert _jungles_over(3, {(0, 1)}) == 2  # a pair and a singleton
+        assert _jungles_over(3, ()) == 3  # three singletons
 
     def test_single_block_convention(self):
-        assert fermionic_forest_weight(BlockPartition(3, (frozenset({0, 1, 2}),))) == 1
+        assert _jungles_over(3, {(0, 1), (1, 2)}) == 1
 
-    def test_against_enumeration(self, rng):
-        for n in range(2, 7):
-            for _ in range(6):
-                part = random_partition(rng, n)
-                assert fermionic_forest_weight(part) == _count_detailed_fermionic_trees(part)
+    def test_against_enumeration(self):
+        for n in range(2, 6):
+            per_forest = Counter(j.bosonic for j in enumerate_jungles(n, spanning=True))
+            for fb in enumerate_forests(n):
+                assert per_forest[fb] == _fermionic_tree_count(fb.components())
 
 
 class TestCoordinationIdentity:
+    # the degree sequences of the labeled trees on b vertices are the
+    # compositions of 2b - 2 into b positive parts
     @pytest.mark.parametrize("b", range(2, 9))
     def test_composition_sum(self, b):
         # sum over d_a >= 1 with sum d_a = 2b - 2 of prod d_a = C(3b-3, b-2)
-        total = 0
-        for comp in enumerate_compositions(2 * b - 2, b):
-            total += math.prod(comp)
-        assert total == math.comb(3 * b - 3, b - 2)
+        compositions = {t.degrees() for t in enumerate_trees(b)}
+        assert len(compositions) == math.comb(2 * b - 3, b - 1)
+        assert sum(math.prod(c) for c in compositions) == math.comb(3 * b - 3, b - 2)
 
     def test_worked_example(self):
-        comps = list(enumerate_compositions(4, 3))
-        assert sorted(comps) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        comps = {t.degrees() for t in enumerate_trees(3)}
+        assert comps == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
         assert sum(math.prod(c) for c in comps) == 6 == math.comb(6, 1)
 
 

@@ -15,12 +15,27 @@ from mlve.grassmann import (
     fermionic_factor_brute,
     grassmann_minor,
     hardcore_violated,
-    layered_lifted_terms,
     lifted_y_matrix,
-    minor_value,
     slice_delta_violated,
 )
-from mlve.interpolation import min_over_paths
+from mlve.interpolation import layered_decomposition, min_over_paths
+
+
+def _layered_lifted_sum(jungle, slices, weights):
+    """sum_i c_i sum_(f, j) 1_(f, j) 1_(f, j)^T: the layered decomposition of
+    the block-level Fermionic forest, each block component f split by the
+    slice delta into its vertices of slice j."""
+    block_of = jungle.partition().block_of()
+    block_weights = {be: weights[e] for be, e in jungle.block_level_edges()}
+    js = np.asarray(slices)
+    out = np.zeros((jungle.n, jungle.n))
+    for coeff, comps in layered_decomposition(len(jungle.partition().blocks), list(block_weights), block_weights):
+        for comp in comps:
+            in_comp = np.array([block_of[v] in comp for v in range(jungle.n)])
+            for j in set(slices):
+                vec = in_comp & (js == j)
+                out += coeff * np.outer(vec, vec)
+    return out
 
 
 class TestBruteForce:
@@ -45,7 +60,7 @@ class TestMinorFormula:
         assert grassmann_minor(MinorSpec(m, (), ())) == pytest.approx(np.linalg.det(m), rel=1e-12)
 
     def test_identity_interior_minor(self):
-        assert minor_value(np.eye(3), (0,), (0,)) == pytest.approx(1.0)
+        assert grassmann_minor(MinorSpec(np.eye(3), (0,), (0,))) == pytest.approx(1.0)
 
     def test_off_diagonal_sign_locked_by_oracle(self, rng):
         m = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -159,12 +174,7 @@ class TestFermionicFactor:
             weights = {e: float(rng.uniform()) for e in jungle.fermionic}
             y = lifted_y_matrix(jungle, slices, weights)
             assert np.linalg.eigvalsh(y).min() >= -1e-12
-            terms = layered_lifted_terms(jungle, slices, weights)
-            rec = sum(c * np.outer(v, v) for c, v in terms)
-            # quadratic forms compared at random vectors
-            for _ in range(5):
-                x = rng.normal(size=n)
-                assert x @ y @ x == pytest.approx(x @ rec @ x, abs=1e-10)
+            assert np.allclose(_layered_lifted_sum(jungle, slices, weights), y, rtol=0.0, atol=1e-12)
 
 
 class TestStackedRoute:
@@ -234,7 +244,7 @@ class TestMinorBounds:
 
     def test_all_ones_diagonal_minor(self):
         ones = np.ones((3, 3))
-        assert minor_value(ones, (0,), (0,)) == pytest.approx(0.0, abs=1e-14)
+        assert grassmann_minor(MinorSpec(ones, (0,), (0,))) == pytest.approx(0.0, abs=1e-14)
         report = check_minor_bound(ones, trials=50, rng=1)
         assert report.ok
 

@@ -1,25 +1,43 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mlve.combinatorics import Forest, empty_forest, enumerate_forests
+from mlve.combinatorics import Forest, Jungle, empty_forest, enumerate_forests
+from mlve.grassmann import check_minor_bound
 from mlve.interpolation import (
     ExpEdgeFunction,
-    MonomialEdgeFunction,
-    TabulatedEdgeFunction,
-    block_matrix,
     forest_formula_eval,
     gaussian_expectation,
-    is_positive_semidefinite,
     layered_decomposition,
-    min_eigenvalue,
-    reconstruct_from_layers,
+    min_over_paths,
     replica_gaussian_eval,
     replica_gaussian_left,
     x_matrix,
-    y_block_matrix,
 )
+
+
+def _sum_of_layers(n, terms):
+    """sum_i c_i sum_f 1_f 1_f^T for layers (c_i, components f)."""
+    out = np.zeros((n, n))
+    for coeff, comps in terms:
+        for comp in comps:
+            idx = np.array(sorted(comp))
+            out[np.ix_(idx, idx)] += coeff
+    return out
+
+
+class _Monomial:
+    """f(X) = prod_l X_l^(k_l) over off-diagonal entries l, all k_l >= 1."""
+
+    def __init__(self, powers):
+        self.powers = powers
+
+    def forest_derivative(self, edges, X):
+        if not set(edges) <= set(self.powers):
+            return 0.0
+        return math.prod(k * X[e] ** (k - 1) if e in edges else X[e] ** k for e, k in self.powers.items())
 
 
 class TestXMatrix:
@@ -63,12 +81,13 @@ class TestXMatrix:
                 else:
                     from conftest import random_spanning_jungle
 
-                    f = random_spanning_jungle(rng, n).union_forest()
+                    jungle = random_spanning_jungle(rng, n)
+                    f = Forest(n, jungle.bosonic.edges | jungle.fermionic)
                 w = {e: float(rng.uniform()) for e in f.edges}
                 X = x_matrix(f, w)
-                assert is_positive_semidefinite(X, tol=1e-12)
+                assert np.linalg.eigvalsh(X).min() >= -1e-12
                 layers = layered_decomposition(f.n, f.edges, w)
-                assert np.allclose(reconstruct_from_layers(f.n, layers), X, atol=1e-12)
+                assert np.allclose(_sum_of_layers(f.n, layers), X, atol=1e-12)
 
     def test_block_matrix_is_w_to_one_limit(self, rng):
         from conftest import random_partition, random_block_tree
@@ -80,30 +99,38 @@ class TestXMatrix:
             )
             f = Forest(5, edges)
             X = x_matrix(f, {e: 1.0 for e in edges})
-            assert np.array_equal(X, block_matrix(5, part.blocks))
+            block_of = part.block_of()
+            same_block = [[block_of[u] == block_of[v] for v in range(5)] for u in range(5)]
+            assert np.array_equal(X, np.array(same_block, dtype=float))
 
     def test_non_psd_regression_matrix(self):
+        # unit diagonal and entries in [0, 1], but no path-minimum matrix
         bad = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
-        assert min_eigenvalue(bad) < -0.4  # 1 - sqrt(2)
+        assert np.linalg.eigvalsh(bad).min() < -0.4  # 1 - sqrt(2)
+        with pytest.raises(ValueError):
+            check_minor_bound(bad, trials=1)
 
 
 class TestYBlockMatrix:
+    """Block-level Y of the Fermionic forest, as lifted_y_matrix builds it."""
+
     def test_single_block(self):
-        Y = y_block_matrix(1, [], {})
+        Y = min_over_paths(1, [], {})
         assert np.array_equal(Y, np.eye(1))
 
     def test_two_blocks(self):
-        Y = y_block_matrix(2, [(0, 1)], {(0, 1): 0.4})
+        Y = min_over_paths(2, [(0, 1)], {(0, 1): 0.4})
         assert np.allclose(Y, [[1, 0.4], [0.4, 1]])
 
     def test_three_block_path(self):
-        Y = y_block_matrix(3, [(0, 1), (1, 2)], {(0, 1): 0.9, (1, 2): 0.2})
+        Y = min_over_paths(3, [(0, 1), (1, 2)], {(0, 1): 0.9, (1, 2): 0.2})
         assert Y[0, 2] == 0.2
         assert np.linalg.eigvalsh(Y).min() >= -1e-12
 
     def test_non_forest_rejected(self):
+        # the block-level edges come from a jungle, which refuses a cycle
         with pytest.raises(ValueError):
-            y_block_matrix(3, [(0, 1), (1, 2), (0, 2)], {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.5})
+            Jungle(3, empty_forest(3), frozenset({(0, 1), (1, 2), (0, 2)}))
 
 
 class TestOrderingSimplexQuadrature:
@@ -144,7 +171,7 @@ class TestOrderingSimplexQuadrature:
 
 class TestForestFormula:
     def test_monomial_two_vertices(self):
-        fn = MonomialEdgeFunction(2, {(0, 1): 2})
+        fn = _Monomial({(0, 1): 2})
         assert forest_formula_eval(2, fn, 16) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant(self):
@@ -152,7 +179,7 @@ class TestForestFormula:
         assert forest_formula_eval(3, fn, 8) == pytest.approx(1.0, abs=1e-12)
 
     def test_triple_product(self):
-        fn = MonomialEdgeFunction(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+        fn = _Monomial({(0, 1): 1, (1, 2): 1, (0, 2): 1})
         assert forest_formula_eval(3, fn, 16) == pytest.approx(1.0, abs=1e-8)
 
     def test_exp_family_random(self, rng):
@@ -171,16 +198,10 @@ class TestForestFormula:
         target = math.exp(sum(coeffs.values()))
         assert forest_formula_eval(4, fn, 10) == pytest.approx(target, abs=1e-6)
 
-    def test_tabulated_missing_derivative(self):
-        fn = TabulatedEdgeFunction(lambda X: 1.0, {})
-        with pytest.raises(ValueError):
-            forest_formula_eval(2, fn, 4)
-
     def test_tabulated_squared_entry(self):
-        fn = TabulatedEdgeFunction(
-            lambda X: X[0, 1] ** 2,
-            {frozenset({(0, 1)}): lambda X: 2.0 * X[0, 1]},
-        )
+        # f(X) = X_01^2 given only as a table of its forest derivatives
+        table = {(): lambda X: X[0, 1] ** 2, ((0, 1),): lambda X: 2.0 * X[0, 1]}
+        fn = SimpleNamespace(forest_derivative=lambda edges, X: table[tuple(edges)](X))
         assert forest_formula_eval(2, fn, 16) == pytest.approx(1.0, abs=1e-12)
 
     def test_budget(self):

@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from mlve import numerics
 from mlve.errors import QuadratureUnreliableError
 from mlve.model_core import ModelParams
 from mlve.oracle import (
@@ -13,7 +15,6 @@ from mlve.oracle import (
     perturbative_coefficients,
     z_reliable,
     z_sigma_quadrature,
-    z_sigma_quadrature_sliced,
 )
 
 
@@ -46,8 +47,10 @@ class TestPartitionFunction:
         assert abs(z.imag) < 1e-12
 
     def test_slice_factorization_identity(self):
-        # the last two cases integrate a long full window against slices on
-        # both sides of the direct-sum limit
+        # the slice product that z_sigma_quadrature integrates against 1 + W
+        # over the full window; the last two cases integrate a long full
+        # window against slices on both sides of the direct-sum limit
+        x, w = gauss_hermite_norm(300)
         cases = [
             (0.2, 2, 1, 3),
             (0.4, 3, 2, 4),
@@ -57,9 +60,25 @@ class TestPartitionFunction:
         ]
         for lam, M, jmin, jmax in cases:
             params = ModelParams(lam, M, jmin, jmax)
-            a = z_sigma_quadrature(params, 300)
-            b = z_sigma_quadrature_sliced(params, 300)
-            assert abs(a - b) < 1e-12
+            full = 1.0 + numerics.kernel_bundle(lam, params.p_lo, params.cutoff, 0, x)[0]
+            assert abs(complex(np.sum(w * full)) - z_sigma_quadrature(params, 300)) < 1e-12
+
+    @pytest.mark.parametrize("lam, M, j_max", [(0.5, 10, 6), (0.3, 100, 3)])
+    def test_matches_mpmath_full_window(self, lam, M, j_max):
+        # the same Gauss-Hermite sum, with -V over the whole window
+        # [lo, hi] at 30 digits: z H + log Gamma(hi + 1) - log Gamma(lo)
+        # - log Gamma(hi + 1 + z) + log Gamma(lo + z), z = -i lam sigma
+        params = ModelParams(lam, M, 1, j_max)
+        x, w = gauss_hermite_norm(400)
+        lo, hi = params.p_lo, params.cutoff
+        with mp.workdps(30):
+            h = mp.psi(0, hi + 1) - mp.psi(0, lo)
+            const = mp.loggamma(hi + 1) - mp.loggamma(lo)
+            ref = mp.mpc(0)
+            for xk, wk in zip(x, w):
+                z = -1j * mp.mpf(lam) * mp.mpf(xk)
+                ref += mp.mpf(wk) * mp.exp(z * h + const - mp.loggamma(hi + 1 + z) + mp.loggamma(lo + z))
+        assert abs(z_sigma_quadrature(params, 400) - complex(ref)) < 1e-14
 
     def test_node_doubling_stability(self):
         assert z_reliable(ModelParams(0.2, 2, 1, 3), 200)[1] < 1e-10
@@ -177,7 +196,7 @@ class TestPerturbativeSeries:
     def test_partial_sums_approach_oracle(self):
         params = ModelParams(0.2, 2, 1, 3)
         coeffs = perturbative_coefficients(params, 4)
-        g = params.coupling_g.real
+        g = params.lam**2
         ref = logz_oracle(params).real
         errs = []
         for order in range(1, 5):

@@ -1,0 +1,93 @@
+"""Every top-level function and class in src/mlve has a caller in src/mlve.
+
+A name is called when module-level code, or a function or class that is
+itself called, refers to it.  Import statements at module level do not
+count: a name only imported is not run.  ``cli.main`` is reached from the
+``__main__`` guard of ``cli``, and the ``verify`` suites from its suite
+table.
+
+The one exemption is REFERENCE_ROUTES: second implementations that tests
+compare a production route against, and bounds of the paper that the
+acceptance criteria verify.  Every exempt name must still be used by a
+test.
+"""
+
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mlve"
+
+REFERENCE_ROUTES = {
+    # the scalar kernel route: compensated sums, one sigma at a time
+    "log2m": "numerics.kernel_bundle, the terms of -V",
+    "v_kernel": "numerics.kernel_bundle, -V over a slice",
+    "w_kernel": "model_core.dw_grid at q = 0",
+    "exp_minus_v": "numerics.kernel_bundle, 1 + W",
+    "dv_derivative": "numerics.kernel_bundle, d^k(-V)",
+    "dw_derivative": "model_core.dw_grid, d^q W by the Faa di Bruno sum",
+    "cexpm1": "numerics.kernel_bundle, W = expm1(-V)",
+    # Berezin algebra
+    "fermionic_factor_brute": "grassmann.fermionic_factor",
+    # exact rational series of log Z in g
+    "logz_series_g": "oracle.logz_oracle at small coupling",
+    "perturbative_coefficients": "oracle.logz_oracle at small coupling",
+    # one weight point at a time
+    "bosonic_block_value": "engine.TermEvaluator's batched block integrals",
+    # paper bounds verified by acceptance criteria 7-9
+    "block_bound_complex": "the block bound on the domain |lam|^2 < cos(2 gamma)",
+    "summed_series_bound": "geometric convergence of the summed series for large M",
+    "inner_tail_bound": "the inner sum bound 1 / (M^(1/8) - |lam|^2)",
+    "borel_domain": "the three descriptions of the analyticity domain agree",
+    "convergence_condition": "the Kotecky-Preiss condition of the Mayer expansion",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(node) -> set:
+    """Every identifier a node refers to: names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.asname or sub.name)
+    return out
+
+
+def _source_graph():
+    """Top-level definitions as {name: (module, names it refers to)}, and the
+    names that module-level code other than imports refers to."""
+    defs, roots = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, _DEFS):
+                assert node.name not in defs, f"{node.name} is defined twice in src/mlve"
+                defs[node.name] = (path.stem, _names(node) - {node.name})
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
+    return defs, roots
+
+
+def test_every_definition_has_a_caller():
+    defs, roots = _source_graph()
+    assert set(REFERENCE_ROUTES) <= set(defs), sorted(set(REFERENCE_ROUTES) - set(defs))
+    called, todo = set(), [n for n in roots | set(REFERENCE_ROUTES) if n in defs]
+    while todo:
+        name = todo.pop()
+        if name not in called:
+            called.add(name)
+            todo.extend(n for n in defs[name][1] if n in defs)
+    uncalled = sorted(f"{defs[n][0]}.{n}" for n in set(defs) - called)
+    assert not uncalled, f"no caller in src/mlve: {uncalled}"
+
+
+def test_reference_routes_are_used_by_tests():
+    used = set()
+    for path in TESTS.glob("test_*.py"):
+        if path.name != Path(__file__).name:
+            used |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not set(REFERENCE_ROUTES) - used, sorted(set(REFERENCE_ROUTES) - used)
