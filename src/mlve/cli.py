@@ -116,8 +116,9 @@ def cmd_compare(args) -> int:
             f"a higher order reaches Bosonic blocks of more than {engine.BLOCK_BUDGET} vertices"
         )
     gl_nodes = _int_setting(cfg, "gl_nodes", 1)
+    nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES, oracle.MAX_NODES)
     try:
-        ref = oracle.logz_oracle(params, _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES))
+        ref = oracle.logz_oracle(params, nodes)
     except (QuadratureUnreliableError, ValueError) as exc:
         _fail_usage(f"no reliable log Z reference at this coupling: {exc}")
     out = _out_dir(args)
@@ -228,7 +229,7 @@ def cmd_oracle(args) -> int:
 
     cfg = load_config(args.config)
     params = _params(cfg)
-    nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES)
+    nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES, oracle.MAX_NODES)
     z, delta, reliable = oracle.z_reliable(params, nodes)
     # the conditions under which oracle.logz_oracle answers rather than raises
     logz = cmath.log(z) if reliable and abs(z) >= oracle.MIN_ABS_Z else None

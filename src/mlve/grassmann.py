@@ -17,7 +17,7 @@ exchange-pattern minors of the slice-delta-lifted block matrix Y.
 Minors act on the last two axes, so edge weights given as arrays of
 shape (P,) yield the factor at P weight points at once: a stack of P
 lifted matrices and one stacked determinant per exchange pattern.  Real
-stacks stay real; the exact Fraction route is for single matrices.
+stacks stay real.
 
 Monomials for the brute-force route are coefficient maps keyed by
 (psi bitmask, psibar bitmask) relative to the canonical word
@@ -27,7 +27,6 @@ psi_(i1)...psi_(ir) psibar_(j1)...psibar_(js) with ascending indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -184,30 +183,6 @@ def _sort_parity(indices) -> int:
     return -1 if inv % 2 else 1
 
 
-def _det(arr: np.ndarray):
-    """Determinant over the last two axes, in the dtype of the entries;
-    exact cofactor expansion for a 2-D matrix of object entries (Fractions)."""
-    if arr.dtype == object:
-        return _det_exact([list(row) for row in arr])
-    return np.linalg.det(arr)
-
-
-def _det_exact(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for col in range(n):
-        if rows[0][col] == 0:
-            continue
-        sub = [[r[c] for c in range(n) if c != col] for r in rows[1:]]
-        sign = -1 if col % 2 else 1
-        total += sign * rows[0][col] * _det_exact(sub)
-    return total
-
-
 def grassmann_minor(spec: MinorSpec):
     """Value of the defining Grassmann integral, sign included.
 
@@ -221,7 +196,7 @@ def grassmann_minor(spec: MinorSpec):
     sign = _sort_parity(a) * _sort_parity(b)
     if (sum(a) + sum(b)) % 2:
         sign = -sign
-    return sign * _det(sub)
+    return sign * np.linalg.det(sub)
 
 
 # --- Fermionic factor of an expansion term ----------------------------------

@@ -33,6 +33,9 @@ DOUBLING_TOL = 1e-10
 MIN_ABS_Z = 1e-8
 # Fewest Gauss-Hermite nodes a Z quadrature accepts.
 MIN_NODES = 50
+# Most nodes a run may ask for: the doubled rule then has 3,200 nodes and
+# a dense 3,200 x 3,200 Jacobi matrix, a few seconds to solve.
+MAX_NODES = 1600
 
 
 @lru_cache(maxsize=None)

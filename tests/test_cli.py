@@ -123,6 +123,8 @@ class TestCompare:
             pytest.param(
                 "compare", "n_max", {"j_max": 5, "n_max": 5}, id="compare-n_max-5-over-5-slices"
             ),
+            ("compare", "oracle_nodes", 1601),
+            ("oracle", "oracle_nodes", 10**6),
         ],
     )
     def test_bad_setting_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch, command, key, value):

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -101,11 +100,6 @@ class TestMinorFormula:
                 mono.append(("psibar", b[i]))
             bf = berezin_integral(dim, algebra_mul(expo, monomial_element(mono)))
             assert grassmann_minor(MinorSpec(m, a, b)) == pytest.approx(bf, abs=1e-10, rel=1e-8)
-
-    def test_exact_rational_entries(self):
-        m = np.array([[Fraction(1), Fraction(1, 2)], [Fraction(1, 3), Fraction(2)]], dtype=object)
-        assert grassmann_minor(MinorSpec(m, (), ())) == Fraction(11, 6)
-        assert grassmann_minor(MinorSpec(m, (0,), (1,))) == -Fraction(1, 2)
 
     def test_antisymmetry_in_columns(self, rng):
         m = rng.normal(size=(4, 4))

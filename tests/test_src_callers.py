@@ -1,10 +1,12 @@
-"""Every top-level function and class in src/mlve has a caller in src/mlve.
+"""Every top-level function and class in src/mlve has a caller in src/mlve,
+and every module-level constant there a reader.
 
 A name is called when module-level code, or a function or class that is
 itself called, refers to it.  Import statements at module level do not
 count: a name only imported is not run.  ``cli.main`` is reached from the
 ``__main__`` guard of ``cli``, and the ``verify`` suites from its suite
-table.
+table.  A constant is read when module-level code or a called function or
+class loads it; assigning it does not count.
 
 The one exemption is REFERENCE_ROUTES: second implementations that tests
 compare a production route against, and bounds of the paper that the
@@ -42,14 +44,18 @@ REFERENCE_ROUTES = {
     "convergence_condition": "the Kotecky-Preiss condition of the Mayer expansion",
 }
 
+# package metadata that only importers read
+MODULE_DUNDERS = {"__version__", "__all__"}
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(node) -> set:
-    """Every identifier a node refers to: names, attributes and imported names."""
+    """Every identifier a node refers to, other than by assigning it: names,
+    attributes and imported names."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
@@ -59,9 +65,10 @@ def _names(node) -> set:
 
 
 def _source_graph():
-    """Top-level definitions as {name: (module, names it refers to)}, and the
-    names that module-level code other than imports refers to."""
-    defs, roots = {}, set()
+    """Top-level definitions as {name: (module, names it refers to)}, the
+    module-level constants as (module, name) pairs, and the names that
+    module-level code other than imports refers to."""
+    defs, constants, roots = {}, [], set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, _DEFS):
@@ -69,20 +76,35 @@ def _source_graph():
                 defs[node.name] = (path.stem, _names(node) - {node.name})
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots |= _names(node)
-    return defs, roots
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants += [(path.stem, t.id) for t in targets if isinstance(t, ast.Name)]
+    return defs, constants, roots
 
 
-def test_every_definition_has_a_caller():
-    defs, roots = _source_graph()
-    assert set(REFERENCE_ROUTES) <= set(defs), sorted(set(REFERENCE_ROUTES) - set(defs))
+def _called(defs, roots) -> set:
+    """The definitions that module-level code or a reference route reaches."""
     called, todo = set(), [n for n in roots | set(REFERENCE_ROUTES) if n in defs]
     while todo:
         name = todo.pop()
         if name not in called:
             called.add(name)
             todo.extend(n for n in defs[name][1] if n in defs)
-    uncalled = sorted(f"{defs[n][0]}.{n}" for n in set(defs) - called)
+    return called
+
+
+def test_every_definition_has_a_caller():
+    defs, _, roots = _source_graph()
+    assert set(REFERENCE_ROUTES) <= set(defs), sorted(set(REFERENCE_ROUTES) - set(defs))
+    uncalled = sorted(f"{defs[n][0]}.{n}" for n in set(defs) - _called(defs, roots))
     assert not uncalled, f"no caller in src/mlve: {uncalled}"
+
+
+def test_every_constant_has_a_reader():
+    defs, constants, roots = _source_graph()
+    read = roots.union(*(defs[n][1] for n in _called(defs, roots)))
+    unread = sorted(f"{module}.{name}" for module, name in constants if name not in read | MODULE_DUNDERS)
+    assert not unread, f"no reader in src/mlve: {unread}"
 
 
 def test_reference_routes_are_used_by_tests():
