@@ -50,18 +50,21 @@ n!/|Stab| distinct labeled terms, where Stab is the subgroup of the
 jungle's automorphisms that fixes the labeling.  The order sum walks
 ``combinatorics.jungle_classes(n)``, one jungle per isomorphism class
 with its automorphisms, and keeps the admissible labelings of each that
-are least in their orbit, so each term class is evaluated once and
-nothing is cached: at n = 5 over three slices the 11,160 labeled terms
-are 105 classes, and at n = 6 the 233,820 are 369.  Block values are
-cached on the block alone: the hardcore rule gives each block vertex its
-own slice, so naming every vertex by the rank of its slice puts the
-block in canonical form with no search.  The default config needs 9
-block integrals through n = 6.
+are least in their orbit, so each term class is evaluated once: at
+n = 5 over three slices the 11,160 labeled terms are 105 classes, and at
+n = 6 the 233,820 are 369.  Two caches on the evaluator share the
+integrals between classes.  Block values are cached on the block alone:
+the hardcore rule gives each block vertex its own slice, so naming every
+vertex by the rank of its slice puts the block in canonical form with no
+search.  The default config needs 9 block integrals through n = 6.  The
+Fermionic integral sees the slices only through which of them are equal,
+so it is cached on the jungle and that equality pattern: the 105 and 369
+classes need 21 and 75 Fermionic integrals.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -82,11 +85,26 @@ from .model_core import ModelParams, dw_grid
 ORDER_BUDGET = 6
 BLOCK_BUDGET = 4
 
-# Smoothing grid, odd and symmetric so that its middle point is sigma = 0.
+# Smoothing grid, odd and symmetric so that its middle point is sigma = 0,
+# where the blocks are read: 216 or 256 points read them 0.1 to 5 off.
 # Every sigma_a has unit variance, so the periodic wrap of the FFT at
-# |sigma| = 12 sits far out in the Gaussian tail.  729 = 3^6 points: an
-# FFT of this length runs about 3x faster than one of 801 = 9 x 89.
-SIGMA_GRID = np.linspace(-12.0, 12.0, 729)
+# |sigma| = 12 sits far out in the Gaussian tail.  The kernels are
+# analytic in a strip of width about cos(gamma)/|lambda|, so their spectra
+# decay fast, and 243 = 3^5 points, a fast FFT length, resolve them.  Over
+# the 1- to 3-vertex blocks of slices 1..4 and six 4-vertex trees, at
+# lambda = 0.2, 0.5, 0.3+0.1i, 0.45+0.2i, 0.5 e^(0.7i) and 0.8 (M = 2) and
+# 0.2 (M = 16), the largest relative distance of a block integral from its
+# value on 729 points, and from its value on 1601 points over [-16, 16], is
+#
+#     points          81      135      243      729
+#     from 729    1.3e-6  1.8e-10  2.7e-13        0
+#     from 1601   1.3e-6  1.8e-10  3.7e-12  3.5e-12
+#
+# Over all 16 4-vertex trees, 243 points move one block by 6.4e-13 from
+# 729, at 0.5 e^(0.7i), outside the Borel domain, where on 3201 points
+# over [-16, 16] the 729-point value is itself 2.0e-12 off and the
+# 243-point value 1.5e-12.
+SIGMA_GRID = np.linspace(-12.0, 12.0, 243)
 
 
 def _local_edges(verts, tree_edges) -> tuple:
@@ -103,6 +121,19 @@ def _kernel_tables(params: ModelParams, edges, js) -> list[np.ndarray]:
     if len(js) > BLOCK_BUDGET:
         raise BudgetExceededError(f"block size {len(js)} > {BLOCK_BUDGET}")
     return [dw_grid(params, j, d, SIGMA_GRID) for j, d in zip(js, _degrees(len(js), edges))]
+
+
+@lru_cache(maxsize=None)
+def _grid_constants(n: int, step: float):
+    """-k^2/2 on a grid of n points spaced by step, and the phases that read
+    an inverse transform at the middle point, sigma = 0: spectrum @ phase.
+    The inverse transform of the unit impulse there gives the phases with
+    the FFT's own exactly reduced twiddles.  Cached, so read-only."""
+    half_k2 = -0.5 * (2.0 * np.pi * np.fft.fftfreq(n, step)) ** 2
+    phase = np.fft.ifft(np.arange(n) == n // 2)
+    for a in (half_k2, phase):
+        a.setflags(write=False)
+    return half_k2, phase
 
 
 def _block_values(tables, edges, w_pts) -> np.ndarray:
@@ -122,25 +153,22 @@ def _block_values(tables, edges, w_pts) -> np.ndarray:
     it by exp(-c k^2/2) with c of shape (P, 1), and only a merge goes back
     to the grid for the product.  Returns shape (P,).
     """
-    n = SIGMA_GRID.size
-    k2 = (2.0 * np.pi * np.fft.fftfreq(n, SIGMA_GRID[1] - SIGMA_GRID[0])) ** 2
-    # spectrum @ phase is the inverse transform read at the middle point,
-    # sigma = 0; the inverse transform of the unit impulse there gives the
-    # phases with the FFT's own exactly reduced twiddles
-    phase = np.fft.ifft(np.arange(n) == n // 2)
+    half_k2, phase = _grid_constants(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
     spectra = np.fft.fft(tables, axis=-1)
-    orders = np.argsort(-w_pts, axis=1, kind="stable")
+    k = w_pts.shape[1]
+    # one integer per point: its descending edge order, as digits in base k
+    cells = np.argsort(-w_pts, axis=1, kind="stable") @ k ** np.arange(k)
     out = np.empty(len(w_pts), dtype=complex)
-    for order in np.unique(orders, axis=0):
-        at = np.flatnonzero((orders == order).all(axis=1))
+    for cell in np.unique(cells):
+        at = np.flatnonzero(cells == cell)
         weights = {e: w_pts[at, col] for col, e in enumerate(edges)}
         funcs = {frozenset([a]): spec for a, spec in enumerate(spectra)}
         for c, comps in layered_decomposition(len(tables), edges, weights):
-            smooth = np.exp(np.multiply.outer(np.broadcast_to(c, at.shape), -0.5 * k2))
+            smooth = np.exp(np.multiply.outer(np.broadcast_to(c, at.shape), half_k2))
             for comp in comps:
                 parts = [funcs.pop(f) for f in list(funcs) if f <= comp]
                 if len(parts) > 1:
-                    parts = [np.fft.fft(reduce(np.multiply, map(np.fft.ifft, parts)))]
+                    parts = [np.fft.fft(np.fft.ifft(np.stack(parts)).prod(axis=0))]
                 funcs[comp] = parts[0] * smooth
         out[at] = reduce(np.multiply, [spec @ phase for spec in funcs.values()])
     return out
@@ -194,12 +222,14 @@ def _admissible_labelings(jungle: Jungle, slices):
 
 
 class TermEvaluator:
-    """Sums each order over term classes; caches block integrals by block class."""
+    """Sums each order over term classes; caches block integrals by block
+    class and Fermionic integrals by jungle and slice-equality pattern."""
 
     def __init__(self, params: ModelParams, gl_nodes: int = 12):
         self.params = params
         self.gl_nodes = gl_nodes
         self._block_cache: dict = {}
+        self._fermionic_cache: dict = {}
 
     # -- bosonic side --------------------------------------------------------
 
@@ -227,10 +257,17 @@ class TermEvaluator:
 
     # -- fermionic side ------------------------------------------------------
 
-    # a method of its own, though uncached, so that the layer trace of
-    # bench/layertrace.py can time the Fermionic integrals apart
     def fermionic_integral(self, jungle: Jungle, slices) -> float:
-        return fermionic_weight_integral(jungle, slices)
+        """``fermionic_weight_integral``, memoized on the jungle and the
+        slice-equality pattern of the labeling: the lifted Y, the hardcore
+        and slice-delta filters and the node count read nothing else.  The
+        pattern is the labeling relabeled by first occurrence."""
+        first = {}
+        key = jungle, tuple(first.setdefault(j, len(first)) for j in slices)
+        value = self._fermionic_cache.get(key)
+        if value is None:
+            value = self._fermionic_cache[key] = fermionic_weight_integral(jungle, slices)
+        return value
 
     # -- full terms ----------------------------------------------------------
 

@@ -173,13 +173,14 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     only over its head [lo, s), s = max(lo, ceil(2 max |lam sigma|)) capped
     at hi + 1; over the tail [s, hi], -V and d(-V)/dsigma come from
     ``_minus_v_series`` and, for k >= 2, the sums
-    sum_p (p - i lam sigma)^(-k) in polygamma closed form.  There
+    sum_p (p - i lam sigma)^(-k) in polygamma closed form.  On every window
     W = expm1(z0 H_head - V_tail) prod + (prod - 1), with z0 = -i lam sigma,
     H_head the harmonic sum and prod the product of p/(p + z0) over the
-    head.  Each step multiplies prod by 1 - z0/(p + z0), so prod - 1 is
-    summed from the steps -z0 prod/(p + z0) and keeps its digits where
-    prod is near 1: W is free of cancellation at small V.  Real and
-    complex couplings take the same route.
+    head; a short window is all head, with V_tail = 0.  Each step
+    multiplies prod by 1 - z0/(p + z0), so prod - 1 is summed from the
+    steps -z0 prod/(p + z0) and keeps its digits where prod is near 1: W
+    is free of cancellation at small V.  Real and complex couplings take
+    the same route.
     """
     lam = complex(lam)
     sigma_c = np.asarray(sigma, dtype=complex)
@@ -195,8 +196,7 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     sums = {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
     for p in range(split - 1, lo - 1, -1):
         r = 1.0 / (p + z0)
-        if long_window:
-            prod_m1 = prod_m1 - z0 * r * prod
+        prod_m1 = prod_m1 - z0 * r * prod
         prod = prod * (p * r)
         if max_k >= 1:
             sums[1] = sums[1] + r / p
@@ -205,14 +205,12 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
             rk = rk * r
             sums[k] = sums[k] + rk
     head = z0 * harmonic_range_sum(lo, split - 1)
-    slope = 0.0
+    minus_v, slope = 0.0, 0.0
     if long_window:
         minus_v, slope = _minus_v_series(lam, split, hi, z0, max_k >= 1)
-        w = np.expm1(head + minus_v) * prod + prod_m1
         for k in range(2, max_k + 1):
             sums[k] = sums[k] + shifted_inverse_power_sum(split, hi, k, z0)
-    else:
-        w = np.exp(head) * prod - 1.0
+    w = np.expm1(head + minus_v) * prod + prod_m1
     dv = {}
     if max_k >= 1:
         dv[1] = -(lam**2) * sigma_c * sums[1] + slope

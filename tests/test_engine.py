@@ -92,10 +92,19 @@ class TestBosonicBlockValue:
         val = bosonic_block_value([0], [], (1,), {}, ModelParams(0.0, 2, 1, 3))
         assert val == 0
 
-    @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
-    def test_grid_refinement(self, lam, monkeypatch):
+    def test_grid_is_odd_with_sigma_zero_in_the_middle(self):
+        # blocks are read at the middle point, which must be sigma = 0
+        grid = mlve.engine.SIGMA_GRID
+        assert grid.size % 2 == 1
+        assert grid[grid.size // 2] == 0.0
+
+    @pytest.mark.parametrize(
+        "lam, M",
+        [pytest.param(lam, 2, id=str(lam)) for lam in (0.5, 0.3 + 0.1j, 0.45 + 0.2j)] + [pytest.param(0.2, 16, id="0.2-M16")],
+    )
+    def test_grid_refinement(self, lam, M, monkeypatch):
         # a finer and wider smoothing grid leaves every block size unchanged
-        params = ModelParams(lam, 2, 1, 4)
+        params = ModelParams(lam, M, 1, 4)
         coarse = [bosonic_block_value(*blk, params) for blk in BLOCKS]
         monkeypatch.setattr(mlve.engine, "SIGMA_GRID", np.linspace(-16.0, 16.0, 1601))
         fine = [bosonic_block_value(*blk, params) for blk in BLOCKS]
@@ -469,30 +478,58 @@ class TestFermionicIntegral:
 
     @pytest.mark.parametrize("window, terms, classes", [((1, 2, 3), 11160, 105), ((1, 2), 1560, 16)])
     def test_distinct_integrals_at_order_five(self, monkeypatch, window, terms, classes):
-        # one Fermionic integral per term class, the isomorphism class of
-        # the slice-labeled jungle; the integrals themselves are stubbed.
-        # The labeled terms, n!/stabilizer per class, are the admissible
-        # ones (11,835 and 1,850) less those of jungles with a vertex of
-        # Fermionic degree >= 3 (675 and 290)
-        computed = []
-
-        def counted(jungle, slices):
-            computed.append((jungle, slices))
-            return 1.0
-
-        monkeypatch.setattr(mlve.engine, "fermionic_weight_integral", counted)
-        monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 1.0)
+        # one row per term class, the isomorphism class of the slice-labeled
+        # jungle, and one Fermionic integral per distinct (class, slice
+        # equality pattern): 21 over three slices and 8 over two; the
+        # integrals themselves are stubbed.  The labeled terms,
+        # n!/stabilizer per class, are the admissible ones (11,835 and
+        # 1,850) less those of jungles with a vertex of Fermionic degree
+        # >= 3 (675 and 290)
+        computed = stub_integrals(monkeypatch)
         rows = list(TermEvaluator(ModelParams(0.2, 2, 1, len(window))).order_terms(5))
         assert sum(math.factorial(5) // stabilizer for _, _, stabilizer, _, _ in rows) == terms
-        assert len(computed) == len(rows) == classes
+        assert len(rows) == classes
+        patterns = {(jungle, equality_pattern(slices)) for _, jungle, _, slices, _ in rows}
+        assert len(computed) == len(patterns) == {105: 21, 16: 8}[classes]
 
     def test_distinct_integrals_at_order_six(self, monkeypatch):
-        # order 6 over three slices: 233,820 labeled terms in 369 classes
-        monkeypatch.setattr(mlve.engine, "fermionic_weight_integral", lambda jungle, slices: 1.0)
-        monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 1.0)
+        # order 6 over three slices: 233,820 labeled terms in 369 classes,
+        # which need 75 Fermionic integrals
+        computed = stub_integrals(monkeypatch)
         rows = list(TermEvaluator(ModelParams(0.2, 2, 1, 3)).order_terms(6))
         assert sum(math.factorial(6) // stabilizer for _, _, stabilizer, _, _ in rows) == 233820
         assert len(rows) == 369
+        assert len(computed) == 75
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_memoized_integral_is_bit_identical(self, n):
+        # every admissible labeling over n slices, through one evaluator: a
+        # labeling whose equality pattern was seen before reads the memo
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, n))
+        for jungle in enumerate_jungles(n, spanning=True):
+            for slices in product(range(1, n + 1), repeat=n):
+                if admissible(jungle, slices):
+                    assert ev.fermionic_integral(jungle, slices) == fermionic_weight_integral(jungle, slices)
+
+
+def stub_integrals(monkeypatch) -> list:
+    """Stub the Fermionic and block integrals to 1; the returned list
+    collects (jungle, slices) for every Fermionic integral computed."""
+    computed = []
+
+    def counted(jungle, slices):
+        computed.append((jungle, slices))
+        return 1.0
+
+    monkeypatch.setattr(mlve.engine, "fermionic_weight_integral", counted)
+    monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 1.0)
+    return computed
+
+
+def equality_pattern(slices) -> tuple:
+    """The slices relabeled 0, 1, ... by first occurrence."""
+    first = {}
+    return tuple(first.setdefault(j, len(first)) for j in slices)
 
 
 def brute_term_key(jungle, slices):

@@ -342,7 +342,7 @@ class TestGridRoutes:
         # past half its first index: the head of the window is swept and
         # the rest summed as the -V series
         params = ModelParams(lam, 100, 1, 1)
-        sigma = SIGMA_GRID[::37]
+        sigma = SIGMA_GRID[::12]
         with mp.workdps(40):
             ilam = 1j * mp.mpc(lam)
 
