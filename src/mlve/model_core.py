@@ -13,8 +13,8 @@ derivatives of -V_j through the Faa di Bruno partition sum.
 
 Scalar operations here are the defining route (compensated direct sums)
 and the test oracle for ``dw_grid``, which evaluates d^q W_j on numpy
-arrays from ``numerics.kernel_bundle`` (power series and polygamma
-closed forms past the head of a long slice).
+arrays from ``numerics.kernel_bundle`` (past the head of a long slice,
+one power series for -V, differentiated termwise).
 """
 
 from __future__ import annotations

@@ -4,13 +4,12 @@
 W = exp(-V) - 1 and its sigma-derivatives d^k(-V); the jungle terms and
 the quadrature Z both call it.  It sweeps a short index window term by
 term.  A window longer than ``DIRECT_SUM_LIMIT`` is swept only over its
-head, up to twice the largest |lambda sigma|; past that -V converges fast
-as a power series in lambda sigma, and the k >= 2 derivatives of the
-tail take the polygamma closed form.  The polygamma is numpy code here:
-the recurrence carries the argument to large Re(z), where an 8-term
-Bernoulli series is exact to rounding.  The scalar compensated sums in
-``model_core`` and 40-digit mpmath values pin the route in the test
-suite.
+head, up to twice the largest |lambda sigma|; past that, -V is one power
+series in x = i lambda sigma, differentiated termwise for d^k(-V).  Its
+coefficients u_m = sum_p p^(-m), real and free of sigma, are the only
+special-function values: Hurwitz zeta differences by Euler-Maclaurin, at
+a cost flat in the window length.  The scalar compensated sums in
+``model_core`` and 40-digit mpmath values pin the route in the tests.
 """
 
 from __future__ import annotations
@@ -22,16 +21,17 @@ from functools import lru_cache
 import numpy as np
 
 # ``kernel_bundle`` sweeps a window of at most this length term by term;
-# a longer one only over its head, with the -V series and polygamma closed
-# forms for the tail (the sweep cost is linear in the window, the tail's
-# is flat).
+# a longer one only over its head, with the -V series for the tail (the
+# sweep cost is linear in the window, the series' is flat).
 DIRECT_SUM_LIMIT = 96
 
-# The asymptotic polygamma series below is summed once the recurrence has
-# carried every Re(z) past this.
-_ASYMPTOTIC_THRESHOLD = 64.0
+# zeta(k, a) takes the Euler-Maclaurin series from this a on; smaller
+# indices are summed directly.  At a = 64 it is exact to rounding for
+# k <= 20 and to 2e-13 for k <= 70, where u_k enters the series below
+# 2^-19 of its leading term.
+_ASYMPTOTIC_THRESHOLD = 64
 
-# Bernoulli numbers B_2 .. B_16 for the polygamma tails.
+# Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin series of zeta(k, a).
 _BERNOULLI = [
     Fraction(1, 6),
     Fraction(-1, 30),
@@ -72,95 +72,68 @@ def cexpm1(z):
 
 @lru_cache(maxsize=None)
 def harmonic_range_sum(lo: int, hi: int) -> float:
-    """Sum of 1/p for lo <= p <= hi, compensated, summed in ascending p.
-
-    Summing the smallest terms first (descending p) keeps the compensation
-    effective; for the harmonic sum the terms increase toward small p, so
-    we iterate p from hi down to lo.
-    """
+    """Sum of 1/p for lo <= p <= hi, compensated, summed in descending p:
+    the smallest terms first keeps the compensation effective."""
     if lo > hi:
         return 0.0
     return kahan_sum(1.0 / p for p in range(hi, lo - 1, -1))
 
 
-def _polygamma_asymptotic(m: int, z: np.ndarray) -> np.ndarray:
-    """Asymptotic expansion of psi^(m)(z), m >= 1, valid for large Re(z)."""
-    inv = 1.0 / z
-    # (-1)^(m-1) [ (m-1)!/z^m + m!/(2 z^(m+1)) + sum_k B_2k (2k+m-1)!/((2k)! z^(2k+m)) ]
-    total = math.factorial(m) / 2.0 * inv ** (m + 1)
-    for k, b in enumerate(_BERNOULLI, start=1):
-        coeff = float(b) * math.factorial(2 * k + m - 1) / math.factorial(2 * k)
-        total = total + coeff * inv ** (2 * k + m)
-    total = math.factorial(m - 1) * inv**m + total
-    if m % 2 == 0:
-        total = -total
-    return total
+def _hurwitz_zeta(k: int, a: int) -> float:
+    """zeta(k, a) = sum_(p>=a) p^(-k) for k >= 2 and a >= the threshold,
+    from the Euler-Maclaurin series (DLMF section 25.11):
 
-
-def complex_polygamma(m: int, z):
-    """psi^(m)(z), m >= 1, for a complex array z off the poles 0, -1, -2, ...,
-    vectorized.
-
-    The recurrence psi^(m)(z) = psi^(m)(z+1) + (-1)^(m+1) m!/z^(m+1) holds
-    at every z off the poles; it pushes the argument past the asymptotic
-    threshold, after which the Bernoulli tail converges to machine
-    precision.
+        zeta(k, a) = a^(1-k) [1/(k-1) + 1/(2a)
+                     + sum_j B_2j/(2j)! k (k+1) ... (k+2j-2) a^(-2j)].
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any((z.imag == 0) & (z.real <= 0) & (z.real == np.floor(z.real))):
-        raise ValueError("gamma-function pole: z is a non-positive integer")
-    # fewest unit steps with Re(z) + shift >= the threshold for every entry
-    shift = int(math.ceil(_ASYMPTOTIC_THRESHOLD - z.real.min(initial=_ASYMPTOTIC_THRESHOLD)))
-    acc = np.zeros_like(z)
-    sign = (-1.0) ** (m + 1)
-    fact = math.factorial(m)
-    for i in range(shift):
-        acc = acc + sign * fact / (z + i) ** (m + 1)
-    return acc + _polygamma_asymptotic(m, z + shift)
-
-
-def shifted_inverse_power_sum(lo: int, hi: int, k: int, shift):
-    """sum_{p=lo}^{hi} (p + shift)^(-k), k >= 2, vectorized over complex shift.
-
-    Closed form for the tail of a long window (short windows and heads are
-    swept in ``kernel_bundle``):
-    sum = (-1)^k [psi^(k-1)(lo+shift) - psi^(k-1)(hi+1+shift)]/(k-1)!.
-    """
-    shift = np.asarray(shift, dtype=complex)
-    sign = (-1.0) ** k
-    lead = complex_polygamma(k - 1, lo + shift) - complex_polygamma(k - 1, hi + 1 + shift)
-    return sign * lead / math.factorial(k - 1)
+    inv2 = 1.0 / (float(a) * a)
+    terms = [1.0 / (k - 1), 0.5 / a]
+    rising = k  # k (k+1) ... (k+2j-2)
+    for j, b in enumerate(_BERNOULLI, start=1):
+        terms.append(float(b) * rising / math.factorial(2 * j) * inv2**j)
+        rising *= (k + 2 * j - 1) * (k + 2 * j)
+    return math.fsum(terms) * float(a) ** (1 - k)
 
 
 @lru_cache(maxsize=None)
-def _inverse_power_sum(lo: int, hi: int, k: int) -> complex:
-    """u_k = sum_{p=lo}^{hi} p^(-k), cached: it does not depend on sigma."""
-    return complex(shifted_inverse_power_sum(lo, hi, k, 0.0))
+def _inverse_power_sum(lo: int, hi: int, k: int) -> float:
+    """u_k = sum_{p=lo}^{hi} p^(-k), k >= 2, cached: it does not depend on
+    sigma.  The indices below ``_ASYMPTOTIC_THRESHOLD`` are summed
+    by math.fsum, the rest is zeta(k, a) - zeta(k, hi + 1)."""
+    a = max(lo, _ASYMPTOTIC_THRESHOLD)
+    rest = _hurwitz_zeta(k, a) - _hurwitz_zeta(k, hi + 1) if a <= hi else 0.0
+    return math.fsum([rest, *(p**-k for p in range(min(hi, a - 1), lo - 1, -1))])
 
 
-# Terms of the -V power series; where it is used, |z0| <= lo/2, so the
-# tail after this many terms is below 2^-53 of the leading one.
-_SERIES_TERMS = 56
+# Highest power of the -V series and of its first derivative.  Where the
+# series is used, |x| <= s/2 on the tail [s, hi] and u_m <= u_2 s^(2-m),
+# so term m is at most 2^(2-m) of the leading one and the terms past m =
+# 57 sum to 2^-55 of it.  The k-th derivative multiplies term m by
+# C(m-1, k-1); 7 more powers per order past the first keep the terms past
+# the last below 2^-55 of the leading one for every k.
+_SERIES_TOP = 57
+_POWERS_PER_ORDER = 7
 
 
-def _minus_v_series(lam: complex, lo: int, hi: int, z0: np.ndarray, with_slope: bool):
-    """-V over [lo, hi] and, if ``with_slope``, its sigma-derivative (else
-    None), as the power series in x = -z0 = i*lam*sigma:
+def _tail_series(lo: int, hi: int, x: np.ndarray, max_k: int) -> list:
+    """-V over the tail [lo, hi] and its x-derivatives, as the list
+    [d^k(-V)/dx^k for k = 0..max_k], from the power series
 
-        -V = sum_(k>=2) u_k x^k / k,  d(-V)/dsigma = i lam sum_(k>=2) u_k x^(k-1),
+        -V = sum_(m>=2) u_m x^m / m,
+        d^k(-V)/dx^k = sum_(m>=max(k,2)) u_m (m-1)!/(m-k)! x^(m-k),
 
-    with u_k = sum_p p^(-k).  Valid where |z0| <= lo/2 at every point.
+    with u_m = sum_p p^(-m), each by Horner's rule from its highest power
+    on.  Valid where |x| <= lo/2 at every point.
     """
-    x = -z0
-    xk = x  # x^(k-1)
-    acc_v = np.zeros_like(x)
-    acc_d = np.zeros_like(x)
-    for k in range(2, _SERIES_TERMS + 2):
-        uk = _inverse_power_sum(lo, hi, k)
-        acc_d = acc_d + uk * xk
-        xk = xk * x
-        acc_v = acc_v + uk / k * xk
-    return acc_v, (1j * lam * acc_d if with_slope else None)
+    out = []
+    for k in range(max_k + 1):
+        acc = np.zeros_like(x)
+        for m in range(_SERIES_TOP + _POWERS_PER_ORDER * max(k - 1, 0), k - 1, -1):
+            acc *= x
+            if m >= 2:
+                acc += _inverse_power_sum(lo, hi, m) * (math.perm(m - 1, k - 1) if k else 1.0 / m)
+        out.append(acc)
+    return out
 
 
 def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
@@ -171,9 +144,9 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     over p accumulates the product form of exp(-V) together with all the
     inverse-power sums.  A window longer than ``DIRECT_SUM_LIMIT`` is swept
     only over its head [lo, s), s = max(lo, ceil(2 max |lam sigma|)) capped
-    at hi + 1; over the tail [s, hi], -V and d(-V)/dsigma come from
-    ``_minus_v_series`` and, for k >= 2, the sums
-    sum_p (p - i lam sigma)^(-k) in polygamma closed form.  On every window
+    at hi + 1; over a nonempty tail [s, hi], -V and its x-derivatives come
+    from ``_tail_series`` in x = i lam sigma and enter d^k(-V) with the
+    chain-rule factor (i lam)^k.  On every window
     W = expm1(z0 H_head - V_tail) prod + (prod - 1), with z0 = -i lam sigma,
     H_head the harmonic sum and prod the product of p/(p + z0) over the
     head; a short window is all head, with V_tail = 0.  Each step
@@ -187,9 +160,8 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     if lo > hi:
         return np.zeros_like(sigma_c), {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
     z0 = -1j * lam * sigma_c
-    long_window = hi - lo + 1 > DIRECT_SUM_LIMIT
     split = hi + 1
-    if long_window:
+    if hi - lo + 1 > DIRECT_SUM_LIMIT:
         split = min(split, max(lo, math.ceil(2.0 * np.abs(z0).max(initial=0.0))))
     prod = np.ones_like(sigma_c)
     prod_m1 = np.zeros_like(sigma_c)  # prod - 1, summed over the steps of prod
@@ -205,15 +177,11 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
             rk = rk * r
             sums[k] = sums[k] + rk
     head = z0 * harmonic_range_sum(lo, split - 1)
-    minus_v, slope = 0.0, 0.0
-    if long_window:
-        minus_v, slope = _minus_v_series(lam, split, hi, z0, max_k >= 1)
-        for k in range(2, max_k + 1):
-            sums[k] = sums[k] + shifted_inverse_power_sum(split, hi, k, z0)
-    w = np.expm1(head + minus_v) * prod + prod_m1
+    tail = _tail_series(split, hi, -z0, max_k) if split <= hi else [0.0] * (max_k + 1)
+    w = np.expm1(head + tail[0]) * prod + prod_m1
     dv = {}
     if max_k >= 1:
-        dv[1] = -(lam**2) * sigma_c * sums[1] + slope
+        dv[1] = -(lam**2) * sigma_c * sums[1] + 1j * lam * tail[1]
     for k in range(2, max_k + 1):
-        dv[k] = math.factorial(k - 1) * (1j * lam) ** k * sums[k]
+        dv[k] = (1j * lam) ** k * (math.factorial(k - 1) * sums[k] + tail[k])
     return w, dv

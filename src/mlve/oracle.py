@@ -71,18 +71,24 @@ def gauss_hermite_norm(nodes: int):
 
 
 def z_sigma_quadrature(params: ModelParams, nodes: int = 200) -> complex:
-    """Gauss-Hermite value of Z, integrating prod_j (1 + W_j) over the slices."""
+    """Gauss-Hermite value of Z, integrating prod_j (1 + W_j) over the slices.
+
+    The rule integrates prod_j (1 + W_j) - 1, accumulated as
+    acc + W + acc W, and Z is 1 plus that: the weights sum to 1 only up to
+    a few ulps, which would otherwise enter log Z at every coupling.
+    """
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     lam = complex(params.lam)
     if lam == 0:
         return 1.0 + 0.0j  # integrand identically 1 under the normalized measure
     x, w = gauss_hermite_norm(nodes)
-    vals = np.ones_like(x, dtype=complex)
+    acc = np.zeros_like(x, dtype=complex)  # prod_j (1 + W_j) - 1
     for j in params.slices:
         sl = params.slice_set(j)
-        vals *= 1.0 + numerics.kernel_bundle(lam, sl.lo, sl.hi, 0, x)[0]
-    return complex(np.sum(w * vals))
+        wj = numerics.kernel_bundle(lam, sl.lo, sl.hi, 0, x)[0]
+        acc += wj + acc * wj
+    return 1.0 + complex(np.sum(w * acc))
 
 
 def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, bool]:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -53,8 +54,9 @@ class TestCompare:
         assert errs[2] < 1e-9
 
     def test_complex_coupling_on_a_long_slice(self, tmp_path):
-        # slice 1 is [1, 99], past the direct-sum limit; the closed forms there
-        # take polygammas at Re(1 - i lam sigma) < 0 on the sigma grid
+        # slice 1 is [1, 99], past the direct-sum limit; on the sigma grid
+        # Re(1 - i lam sigma) < 0 falls in the swept head, the rest in the
+        # -V series
         cfg = write_config(tmp_path, **{"lambda": [0.15, 0.1], "M": 100, "j_max": 3, "n_max": 3, "gl_nodes": 12})
         out = tmp_path / "out"
         assert run_cli(["compare", "--config", str(cfg), "--out", str(out)]) == 0
@@ -153,6 +155,18 @@ class TestCompare:
             run_cli(["compare", "--config", str(cfg), "--out", str(out)])
         assert err.value.code == 2
         assert "node doubling moved Z" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_head_past_the_window_exits_two_on_z(self, tmp_path, capsys):
+        # at lambda = 1e5 the swept head of slice 2 = [16, 255] covers the
+        # whole window; the quadrature is finite and Z is what fails
+        cfg = write_config(tmp_path, **{"lambda": 1e5, "M": 16})
+        out = tmp_path / "o"
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            run_cli(["compare", "--config", str(cfg), "--out", str(out)])
+        assert err.value.code == 2
+        assert "too close to zero" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_config_key_exits_two(self, tmp_path):

@@ -30,11 +30,26 @@ from mlve.model_core import (
 
 def _slice_power_sum(M, j, k):
     """u_k = sum of p^(-k) over slice j: the harmonic sum at k = 1, else the
-    polygamma closed form that the long-window kernel uses."""
+    Hurwitz zeta difference that the long-window kernel uses."""
     sl = slice_range(M, j)
     if k == 1:
         return numerics.harmonic_range_sum(sl.lo, sl.hi)
-    return complex(numerics.shifted_inverse_power_sum(sl.lo, sl.hi, k, 0.0)).real
+    return numerics._inverse_power_sum(sl.lo, sl.hi, k)
+
+
+def _mp_dw_product(lam, lo, hi, q, sigma):
+    """d^q W over [lo, hi] at each sigma: a 40-digit mp.diff of the product
+    prod_p exp(-i lam sigma / p) / (1 - i lam sigma / p) - 1, its
+    exponentials gathered into one."""
+    with mp.workdps(40):
+        ilam = 1j * mp.mpc(lam)
+
+        def w_product(s):
+            x = ilam * s
+            h = mp.fsum(1 / mp.mpf(p) for p in range(lo, hi + 1))
+            return mp.exp(-x * h) / mp.fprod(1 - x / p for p in range(lo, hi + 1)) - 1
+
+        return np.array([complex(mp.diff(w_product, mp.mpf(float(s)), q)) for s in sigma])
 
 
 def _w_product(params, j, sigma):
@@ -280,20 +295,25 @@ class TestFaaDiBruno:
             assert partition_weight_sum(d) == Fraction(1)
 
 
-class TestGammaFunctions:
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_left_half_plane_against_mpmath(self, m):
-        # the recurrence holds at every z off the poles, Re(z) < 0 included
-        z = np.array([-10.2 + 0.4j, -3.5 - 1.2j, -0.3 + 0.01j, 0.5 - 2.0j])
-        got = numerics.complex_polygamma(m, z)
-        with mp.workdps(30):
-            ref = np.array([complex(mp.psi(m, complex(v))) for v in z])
-        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+class TestInversePowerSums:
+    @pytest.mark.parametrize("lo, hi", [(1, 99), (16, 255), (64, 127), (128, 255), (2048, 4095)])
+    def test_against_mpmath(self, lo, hi):
+        # past k = 20 on [64, 127] the eight Bernoulli terms at a = 64 bound
+        # the accuracy; those u_k enter the series below 2^-19 of its lead
+        with mp.workdps(60):
+            for k in range(2, 71):
+                ref = mp.fsum(mp.mpf(p) ** -k for p in range(lo, hi + 1))
+                err = abs(numerics._inverse_power_sum(lo, hi, k) - ref) / ref
+                assert err <= (1e-15 if k <= 20 else 2e-13), k
 
-    @pytest.mark.parametrize("z", [0.0, -3.0])
-    def test_poles_refused(self, z):
-        with pytest.raises(ValueError, match="pole"):
-            numerics.complex_polygamma(1, np.array([1.5, z]))
+    def test_series_terms_bound(self):
+        # with |x| <= s/2, term m of the k-th x-derivative of the tail series
+        # is at most C(m-1, k-1) 2^(m0-m) of the leading term m0 = max(k, 2)
+        for k in range(1, 41):
+            top = numerics._SERIES_TOP + numerics._POWERS_PER_ORDER * (k - 1)
+            m0 = max(k, 2)
+            terms = (math.comb(m - 1, k - 1) / (math.comb(m0 - 1, k - 1) * 2 ** (m - m0)) for m in range(top + 1, top + 500))
+            assert math.fsum(terms) <= 2.0**-55, k
 
 
 class TestGridRoutes:
@@ -313,7 +333,7 @@ class TestGridRoutes:
 
     @pytest.mark.parametrize("lam", [0.25, 0.2 + 0.1j])
     def test_closed_form_route_matches_scalar(self, lam, rng):
-        # slice long enough to trigger the gamma-function route
+        # slice long enough to take the -V series and its termwise derivatives
         params = ModelParams(lam, 2, 1, 8)
         sigma = rng.normal(scale=2.0, size=12)
         j = 8  # window [128, 255], above the direct-sum limit
@@ -324,6 +344,17 @@ class TestGridRoutes:
             assert np.abs(dv[k] - ref).max() <= 1e-10 * np.abs(ref).max()
         ref_e = np.array([exp_minus_v(params, j, s) for s in sigma])
         assert np.abs(1.0 + w - ref_e).max() < 1e-12
+
+    def test_head_covering_the_whole_window(self):
+        # at lam = 1e5 the head of [16, 255] reaches past its last index
+        # for sigma != 0: there is no tail, and W is the swept product
+        sigma = np.array([0.0, 1.0, 12.0])
+        w, dv = numerics.kernel_bundle(1e5, 16, 255, 1, sigma)
+        with mp.workdps(30):
+            xs = [1j * mp.mpf(1e5) * mp.mpf(float(s)) for s in sigma]
+            ref = [complex(mp.fprod(mp.exp(-x / p) / (1 - x / p) for p in range(16, 256)) - 1) for x in xs]
+        assert np.abs(w - ref).max() <= 1e-15
+        assert np.all(np.isfinite(dv[1]))
 
     def test_closed_form_route_left_of_the_imaginary_axis(self):
         # window [1, 99] is long; at this coupling 1 - i lam sigma has Re < 0
@@ -343,16 +374,23 @@ class TestGridRoutes:
         # the rest summed as the -V series
         params = ModelParams(lam, 100, 1, 1)
         sigma = SIGMA_GRID[::12]
-        with mp.workdps(40):
-            ilam = 1j * mp.mpc(lam)
+        for q in range(4):
+            ref = _mp_dw_product(lam, 1, 99, q, sigma)
+            got = dw_grid(params, 1, q, sigma)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
-            def w_product(s):
-                return mp.fprod(mp.exp(-ilam * s / p) / (1 - ilam * s / p) for p in range(1, 100)) - 1
-
-            for q in range(4):
-                ref = np.array([complex(mp.diff(w_product, mp.mpf(float(s)), q)) for s in sigma])
-                got = dw_grid(params, 1, q, sigma)
-                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    @pytest.mark.parametrize("lam, M, j", [(0.3, 16, 2), (0.2 + 0.1j, 16, 2), (0.25, 2, 8)])
+    def test_tail_window_against_mpmath(self, lam, M, j):
+        # on [16, 255] and [128, 255], 2 |lam sigma| stays below the first
+        # index on the whole grid: the window is all tail, and d^q W comes
+        # from the -V series and its termwise derivatives alone
+        sl = slice_range(M, j)
+        assert 2.0 * abs(lam) * np.abs(SIGMA_GRID).max() < sl.lo
+        sigma = SIGMA_GRID[::12]
+        for q in range(4):
+            ref = _mp_dw_product(lam, sl.lo, sl.hi, q, sigma)
+            got = dw_grid(ModelParams(lam, M, j, j), j, q, sigma)
+            assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
     @pytest.mark.parametrize("M, j", [(10, 5), (10, 3), (16, 2)])

@@ -114,6 +114,22 @@ class TestLogOracle:
         assert val.real == pytest.approx(-0.02836435349833546, abs=1e-12)
         assert abs(val.imag) < 1e-12
 
+    @pytest.mark.parametrize("lam", [0.01, 1e-300])
+    def test_small_coupling_against_mpmath_quad(self, lam):
+        # the rule's weights sum to 1 only up to a few ulps; Z = 1 plus the
+        # integral of prod_j (1 + W_j) - 1 keeps them out of log Z
+        params = ModelParams(lam, 2, 1, 3)
+        lo, hi = params.p_lo, params.cutoff
+        with mp.workdps(30):
+            ilam = 1j * mp.mpc(lam)
+            h = mp.fsum(1 / mp.mpf(p) for p in range(lo, hi + 1))
+
+            def integrand(s):
+                return mp.exp(-s * s / 2 - ilam * s * h) / mp.fprod(1 - ilam * s / p for p in range(lo, hi + 1))
+
+            ref = complex(mp.log(mp.quad(integrand, [-mp.inf, 0, mp.inf]) / mp.sqrt(2 * mp.pi)))
+        assert abs(logz_oracle(params) - ref) <= 1e-16
+
     def test_complex_coupling_inside_domain(self):
         lam = 0.3 * cmath.exp(1j * math.pi / 8)
         params = ModelParams(lam, 2, 1, 3)
