@@ -52,7 +52,7 @@ def load_config(path: str | None) -> dict:
         _fail_usage(f"config file not found: {path}")
     try:
         loaded = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         _fail_usage(f"config is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
         _fail_usage(f"config must be a JSON object, got {type(loaded).__name__}: {loaded!r}")
@@ -64,7 +64,7 @@ def load_config(path: str | None) -> dict:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _coupling(value) -> complex:

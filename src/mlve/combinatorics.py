@@ -10,7 +10,7 @@ labeled 0..n-1 and edges are ordered pairs (u, v) with u < v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 from .errors import BudgetExceededError
@@ -308,6 +308,7 @@ def _canonical_form(jungle: Jungle):
     return best, tuple(orders)
 
 
+@lru_cache(maxsize=None)
 def jungle_classes(n: int) -> tuple[tuple[Jungle, tuple], ...]:
     """One spanning jungle per isomorphism class on 0..n-1, with its
     automorphisms, in the order of the canonical forms.
@@ -318,21 +319,23 @@ def jungle_classes(n: int) -> tuple[tuple[Jungle, tuple], ...]:
     spanning jungle, so growing one representative per class on n - 1
     vertices by a leaf at every vertex, by a Bosonic or a Fermionic edge,
     reaches every class on n vertices; the canonical form drops the
-    repeats (McKay's isomorph-free generation).
+    repeats (McKay's isomorph-free generation).  Cached, so each order is
+    grown once, from the cached classes of order n - 1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > JUNGLE_BUDGET:
         raise BudgetExceededError(f"jungle classes refuse n = {n} > {JUNGLE_BUDGET}")
-    reps = [Jungle(1, empty_forest(1), frozenset())]
-    for m in range(2, n + 1):
+    if n == 1:
+        reps = [Jungle(1, empty_forest(1), frozenset())]
+    else:
         forms = set()
-        for rep in reps:
-            for v in range(m - 1):
-                leaf = {(v, m - 1)}
-                forms.add(_canonical_form(Jungle(m, Forest(m, rep.bosonic.edges | leaf), rep.fermionic))[0])
-                forms.add(_canonical_form(Jungle(m, Forest(m, rep.bosonic.edges), rep.fermionic | leaf))[0])
-        reps = [Jungle(m, Forest(m, frozenset(bos)), frozenset(ferm)) for bos, ferm in sorted(forms)]
+        for rep, _ in jungle_classes(n - 1):
+            for v in range(n - 1):
+                leaf = {(v, n - 1)}
+                forms.add(_canonical_form(Jungle(n, Forest(n, rep.bosonic.edges | leaf), rep.fermionic))[0])
+                forms.add(_canonical_form(Jungle(n, Forest(n, rep.bosonic.edges), rep.fermionic | leaf))[0])
+        reps = [Jungle(n, Forest(n, frozenset(bos)), frozenset(ferm)) for bos, ferm in sorted(forms)]
     return tuple((rep, _canonical_form(rep)[1]) for rep in reps)
 
 

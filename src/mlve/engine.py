@@ -23,23 +23,24 @@ repeated slice, or a Fermionic edge joining different slices, never
 reaches quadrature.
 
 A Bosonic block expectation is a Gaussian expectation under the
-interpolated covariance X(w), which ``interpolation.layered_decomposition``
-writes as sum_i c_i sum_f 1_f 1_f^T with c_i >= 0: sigma is a sum of
-independent Gaussian shifts, one per layer and component.  The
-expectation is therefore a bottom-up chain of 1-D Gaussian smoothings of
-the kernel tables on one fixed uniform grid, each applied exactly as the
-Fourier multiplier exp(-c k^2/2).  A block integral runs over all of its
-weight points at once, one ordering cell at a time: inside a cell the
-layers have the same components and only the c_i vary, so each kernel
-table is transformed once, every component stays in Fourier space as a
-stack over the cell's points, and only a merge of components returns to
-the grid for the product.  Both weight integrals use the
-Gauss-Legendre ordering-cell points of
-``interpolation.ordering_cell_points``, on which the min() interpolation
-is smooth.  The Fermionic factor is evaluated at all of a term's weight
-points in one call: the lifted Y matrices form one stack and each of the
-2^k exchange-pattern minors is one stacked determinant.  Its integrand
-is a polynomial of degree <= n - 1 in each cube coordinate of a cell, so
+interpolated covariance X(w), and both weight integrals run over the
+Gauss-Legendre points of ``interpolation.ordering_cells``, on which the
+min() interpolation is smooth.  Inside one ordering cell the tree edges
+have one order by weight, w_1 >= ... >= w_k, and X is the layer sum
+sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T over the components f of the i
+heaviest edges: sigma is a sum of independent Gaussian shifts, one per
+layer and component.  A block integral walks each cell's edges by
+decreasing weight.  Each edge merges the two components it joins, a
+product on one fixed uniform grid; then every component is smoothed by
+the exact Fourier multiplier exp(-(w_i - w_(i+1)) k^2/2), and the one
+function left is read at sigma = 0.  Each kernel table is transformed
+once, and a component stays in Fourier space as a stack over the cell's
+points, returning to the grid only to merge.
+
+The Fermionic factor is evaluated at all of a term's weight points in
+one call: the lifted Y matrices form one stack and each of the 2^k
+exchange-pattern minors is one stacked determinant.  Its integrand is a
+polynomial of degree <= n - 1 in each cube coordinate of a cell, so
 (n + 1) // 2 Gauss-Legendre nodes integrate it exactly; ``gl_nodes``
 sets the rule of the Bosonic blocks only.
 
@@ -64,7 +65,7 @@ classes need 21 and 75 Fermionic integrals.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -79,7 +80,7 @@ from .grassmann import (
     hardcore_violated,
     slice_delta_violated,
 )
-from .interpolation import layered_decomposition, min_over_paths, ordering_cell_points  # noqa: F401
+from .interpolation import min_over_paths, ordering_cell_points, ordering_cells  # noqa: F401
 from .model_core import ModelParams, dw_grid
 
 ORDER_BUDGET = 6
@@ -113,14 +114,15 @@ def _local_edges(verts, tree_edges) -> tuple:
     return tuple(norm_edge(local[u], local[v]) for u, v in tree_edges)
 
 
-def _kernel_tables(params: ModelParams, edges, js) -> list[np.ndarray]:
-    """d^(d_a) W_(j_a) on SIGMA_GRID for each local vertex a of degree d_a.
+def _kernel_tables(params: ModelParams, edges, js) -> np.ndarray:
+    """The spectra of d^(d_a) W_(j_a) on SIGMA_GRID, one row per local
+    vertex a of degree d_a.
 
     Every block evaluation starts here, so this is where a block past
     BLOCK_BUDGET is refused."""
     if len(js) > BLOCK_BUDGET:
         raise BudgetExceededError(f"block size {len(js)} > {BLOCK_BUDGET}")
-    return [dw_grid(params, j, d, SIGMA_GRID) for j, d in zip(js, _degrees(len(js), edges))]
+    return np.fft.fft([dw_grid(params, j, d, SIGMA_GRID) for j, d in zip(js, _degrees(len(js), edges))], axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -136,42 +138,36 @@ def _grid_constants(n: int, step: float):
     return half_k2, phase
 
 
-def _block_values(tables, edges, w_pts) -> np.ndarray:
-    """E[prod_a f_a(sigma_a)] at each weight point, f_a = tables[a] on SIGMA_GRID.
+def _cell_values(spectra, order, levels) -> np.ndarray:
+    """E[prod_a f_a(sigma_a)] at each point of one ordering cell.
 
-    w_pts has shape (P, k), one column per edge.  At each point sigma has
-    covariance X = sum_i c_i sum_f 1_f 1_f^T (the layered decomposition of
-    the min-over-path matrix of the weighted tree), so every component f of
-    layer i adds one shift of variance c_i to all of its vertices.  From
-    the finest layer up, a component's function is the product of the
-    functions of the components it merges, smoothed by that Gaussian; the
-    expectation is the product of what is left at sigma = 0.
-
-    Points are grouped by their descending edge order (their ordering
-    cell), inside which the components are the same and only the c_i
-    differ.  Every function is kept as its spectrum: smoothing multiplies
-    it by exp(-c k^2/2) with c of shape (P, 1), and only a merge goes back
-    to the grid for the product.  Returns shape (P,).
+    spectra holds the spectrum of f_a on SIGMA_GRID in row a, order the
+    tree edges by decreasing weight and levels their weights, shape
+    (Q, k), w_1 >= ... >= w_k at every point.  With w_0 := 1 and
+    w_(k+1) := 0, sigma has covariance sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T
+    over the components f of the i heaviest edges, so every component of
+    layer i adds one Gaussian shift of variance w_i - w_(i+1) to all of
+    its vertices.  Edge i merges the two components it joins: the product
+    of their functions, on the grid.  Then every component is smoothed,
+    in Fourier space, by exp(-(w_i - w_(i+1)) k^2/2), a stack over the
+    points; the one function left is read at sigma = 0.  Returns shape
+    (Q,).
     """
     half_k2, phase = _grid_constants(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
-    spectra = np.fft.fft(tables, axis=-1)
-    k = w_pts.shape[1]
-    # one integer per point: its descending edge order, as digits in base k
-    cells = np.argsort(-w_pts, axis=1, kind="stable") @ k ** np.arange(k)
-    out = np.empty(len(w_pts), dtype=complex)
-    for cell in np.unique(cells):
-        at = np.flatnonzero(cells == cell)
-        weights = {e: w_pts[at, col] for col, e in enumerate(edges)}
-        funcs = {frozenset([a]): spec for a, spec in enumerate(spectra)}
-        for c, comps in layered_decomposition(len(tables), edges, weights):
-            smooth = np.exp(np.multiply.outer(np.broadcast_to(c, at.shape), half_k2))
-            for comp in comps:
-                parts = [funcs.pop(f) for f in list(funcs) if f <= comp]
-                if len(parts) > 1:
-                    parts = [np.fft.fft(np.fft.ifft(np.stack(parts)).prod(axis=0))]
-                funcs[comp] = parts[0] * smooth
-        out[at] = reduce(np.multiply, [spec @ phase for spec in funcs.values()])
-    return out
+    bounds = np.pad(levels, ((0, 0), (1, 1)), constant_values=(1.0, 0.0))
+    # a component is named by its least vertex, and a merge puts the lesser
+    # name first: complex products are not bitwise commutative
+    comp = list(range(len(spectra)))
+    funcs = dict(enumerate(spectra))
+    for i, c in enumerate((bounds[:, :-1] - bounds[:, 1:]).T):
+        if i:
+            a, b = sorted(comp[v] for v in order[i - 1])
+            funcs[a] = np.fft.fft(np.fft.ifft(np.stack([funcs[a], funcs.pop(b)])).prod(axis=0))
+            comp = [a if x == b else x for x in comp]
+        smooth = np.exp(np.multiply.outer(c, half_k2))
+        funcs = {x: f * smooth for x, f in funcs.items()}
+    (spectrum,) = funcs.values()
+    return spectrum @ phase
 
 
 def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams) -> complex:
@@ -185,9 +181,10 @@ def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams)
     if len(tree_edges) != len(verts) - 1:
         raise ValueError("tree must span the block")
     edges = _local_edges(verts, tree_edges)
-    tables = _kernel_tables(params, edges, [slices[v] for v in verts])
-    w_pts = np.array([[weights[e] for e in tree_edges]])
-    return complex(_block_values(tables, edges, w_pts)[0])
+    spectra = _kernel_tables(params, edges, [slices[v] for v in verts])
+    cell = sorted(zip(edges, (weights[e] for e in tree_edges)), key=lambda ew: -ew[1])
+    levels = np.array([[w for _, w in cell]], dtype=float)
+    return complex(_cell_values(spectra, [e for e, _ in cell], levels)[0])
 
 
 def fermionic_weight_integral(jungle: Jungle, slices) -> float:
@@ -251,9 +248,14 @@ class TermEvaluator:
         return value
 
     def _integrate_block(self, edges, js) -> complex:
-        tables = _kernel_tables(self.params, edges, js)
-        w_pts, w_weights = ordering_cell_points(len(edges), self.gl_nodes)
-        return complex(np.dot(w_weights, _block_values(tables, edges, w_pts)))
+        """Cell pi puts t[:, m] on edge pi[m], so its edges by decreasing
+        weight are pi read backwards, at levels t[:, ::-1].  The cells'
+        values are one vector in permutation order, against the tiled
+        weights."""
+        spectra = _kernel_tables(self.params, edges, js)
+        perms, t, weights = ordering_cells(len(edges), self.gl_nodes)
+        values = [_cell_values(spectra, [edges[m] for m in perm[::-1]], t[:, ::-1]) for perm in perms]
+        return complex(np.dot(np.tile(weights, len(perms)), np.concatenate(values)))
 
     # -- fermionic side ------------------------------------------------------
 

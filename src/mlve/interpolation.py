@@ -2,9 +2,12 @@
 
 The interpolated matrix X^F(w) has unit diagonal and X_ij equal to the
 smallest weakening parameter along the unique forest path from i to j
-(zero across components).  Such matrices are positive; the layered
-decomposition below exhibits them directly as a nonnegative combination
-of rank-one block indicators.
+(zero across components).  Such matrices are positive: with the edge
+weights sorted decreasingly, w_1 >= ... >= w_k, w_0 := 1, w_(k+1) := 0,
+X = sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T over the components f of the i
+heaviest edges, and every w_i - w_(i+1) is >= 0.  On one ordering cell
+of the weight cube that edge order is fixed, which is how
+``engine`` integrates the Bosonic blocks.
 
 ``forest_formula_eval`` checks the Taylor-with-remainder identity
 f(all-ones) = sum over forests of the w-integrated forest derivative,
@@ -20,7 +23,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .combinatorics import Forest, _components_of, enumerate_forests, norm_edge
+from .combinatorics import Forest, enumerate_forests, norm_edge
 
 
 def _validate_weights(edges, weights) -> None:
@@ -70,31 +73,6 @@ def x_matrix(forest: Forest, weights: dict) -> np.ndarray:
     return min_over_paths(forest.n, forest.edges, weights)
 
 
-def layered_decomposition(n: int, edges, weights):
-    """Write the min-over-path matrix as sum_i c_i * sum_f 1_f 1_f^T.
-
-    Sort the weights decreasingly (w_0 := 1, w_(k+1) := 0); after the i
-    largest edges are switched on, the graph splits into components f and
-    the matrix gains (w_i - w_(i+1)) on every same-component pair.  All
-    coefficients are nonnegative, so positivity is manifest.
-
-    Weights may also be arrays of one shape (P,) whose points share one
-    descending edge order (one ordering cell; ties allowed).  The sums
-    over the points then sort in that same order, each coefficient is a
-    (P,) array, and a layer is dropped only where it vanishes at every
-    point.
-    """
-    order = sorted(edges, key=lambda e: -np.sum(weights[e]))
-    levels = [1.0] + [weights[e] for e in order] + [0.0]
-    terms = []
-    for i in range(len(order) + 1):
-        coeff = levels[i] - levels[i + 1]
-        comps = _components_of(n, order[:i])
-        if np.any(coeff > 0):
-            terms.append((coeff, comps))
-    return terms
-
-
 # --- quadrature over the weakening parameters ------------------------------
 
 
@@ -113,37 +91,35 @@ def gauss_legendre_01(order: int):
 
 
 @lru_cache(maxsize=None)
-def ordering_cell_points(k: int, order: int):
-    """Gauss-Legendre points and weights on [0,1]^k, split along orderings.
+def ordering_cells(k: int, order: int):
+    """Gauss-Legendre points of the ordering cells of [0,1]^k.
 
-    Within each ordering cell every min() of coordinates is a single
-    coordinate, so min-over-path integrands are smooth there.  The cell
-    with w_(pi[0]) <= ... <= w_(pi[k-1]) is mapped from the unit cube
-    through t_m = prod_(i>=m) v_i with Jacobian prod_m v_m^m.  Returns
-    points of shape (P, k) and weights of shape (P,), cached and read-only;
-    the nodes are interior, so interpolated covariances stay positive
-    definite.
+    Every cell is the same point set up to a permutation of the edges:
+    the cell w_(pi[0]) <= ... <= w_(pi[k-1]) puts t[:, m] on edge pi[m].
+    It is mapped from the unit cube through t_m = prod_(i>=m) v_i with
+    Jacobian prod_m v_m^m.  Returns the k! permutations, the ascending
+    coordinates t of shape (Q, k) and the weights of shape (Q,), cached
+    and read-only.  Inside a cell every min() of coordinates is a single
+    coordinate, so min-over-path integrands are smooth there; the nodes
+    are interior, so interpolated covariances stay positive definite.
     """
     nodes, wts = gauss_legendre_01(order)
-    if k == 0:
-        return _read_only(np.zeros((1, 0)), np.ones(1))
-    v = np.stack([g.ravel() for g in np.meshgrid(*([nodes] * k), indexing="ij")], axis=1)  # (order^k, k)
-    wflat = np.ones(v.shape[0])
-    for g in np.meshgrid(*([wts] * k), indexing="ij"):
-        wflat *= g.ravel()
-    # ascending t values and the ordering Jacobian
-    t = np.empty_like(v)
-    t[:, k - 1] = v[:, k - 1]
-    for m in range(k - 2, -1, -1):
-        t[:, m] = v[:, m] * t[:, m + 1]
+    idx = np.indices((order,) * k).reshape(k, order**k).T
+    v, weights = nodes[idx], wts[idx].prod(axis=1)
     for m in range(1, k):
-        wflat *= v[:, m] ** m
-    cells = []
-    for perm in permutations(range(k)):
-        cell = np.empty_like(t)
-        cell[:, list(perm)] = t
-        cells.append(cell)
-    return _read_only(np.concatenate(cells), np.tile(wflat, len(cells)))
+        weights *= v[:, m] ** m
+    t = np.cumprod(v[:, ::-1], axis=1)[:, ::-1]
+    return tuple(permutations(range(k))), *_read_only(t, weights)
+
+
+@lru_cache(maxsize=None)
+def ordering_cell_points(k: int, order: int):
+    """The points of ``ordering_cells`` as one stack over the cells, in
+    permutation order: points of shape (k! Q, k) and weights of shape
+    (k! Q,), cached and read-only."""
+    perms, t, weights = ordering_cells(k, order)
+    points = np.concatenate([t[:, np.argsort(perm)] for perm in perms])
+    return _read_only(points, np.tile(weights, len(perms)))
 
 
 def _forest_cell_stack(forest: Forest, edges, order: int):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,8 +72,10 @@ class ModelParams:
             raise ValueError(f"j_min must be >= 1, got {self.j_min}")
         if self.j_max < self.j_min:
             raise ValueError(f"need j_min <= j_max, got [{self.j_min}, {self.j_max}]")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        # the kernels take the indices as floats; the first test refuses a
+        # window past 2^1025 without building M^j_max
+        if self.j_max > 1025 / math.log2(self.M) or self.cutoff > sys.float_info.max:
+            raise ValueError(f"cutoff M^j_max - 1 must be at most {sys.float_info.max:.6g}, the float range")
 
     @property
     def cutoff(self) -> int:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,7 @@ class TestCompare:
             ("compare", "lambda", [0.2, "a"]),
             ("compare", "lambda", [0.2, False]),
             ("compare", "lambda", float("nan")),
+            pytest.param("compare", "lambda", 10**309, id="compare-lambda-1e309"),
             ("oracle", "M", 2.7),
             ("oracle", "lambda", True),
             # a dict is a set of overrides that together make key bad: order
@@ -145,6 +147,32 @@ class TestCompare:
         wanted = "a finite number" if key == "lambda" else "an integer"
         assert capsys.readouterr().err.startswith(f"error: {key} must be {wanted}")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param("compare", '{"M": 1%s, "j_max": 1, "n_max": 1}' % ("0" * 309), id="compare-M-1e309"),
+            pytest.param("oracle", '{"M": 1%s, "j_max": 1, "n_max": 1}' % ("0" * 309), id="oracle-M-1e309"),
+            pytest.param("compare", '{"M": 2, "j_min": 1030, "j_max": 1030, "n_max": 1}', id="compare-j-1030"),
+            pytest.param("compare", '{"M": 1%s}' % ("0" * 4400), id="compare-M-4401-digits"),
+        ],
+    )
+    def test_huge_integer_exits_two(self, tmp_path, capsys, command, text):
+        # a cutoff past the float range and an integer past Python's digit
+        # limit are usage errors
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, "--config", str(path), "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_cutoff_inside_the_float_range_runs(self, tmp_path):
+        path = tmp_path / "large.json"
+        path.write_text('{"M": 1%s, "j_max": 1, "n_max": 1}' % ("0" * 308), encoding="utf-8")
+        assert run_cli(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_coupling_outside_the_domain_exits_two(self, tmp_path, capsys):
         # lambda = 0.2 + 0.5i has |lambda|^2 > cos(2 gamma): node doubling
@@ -191,6 +219,21 @@ class TestCompare:
         assert lines
         rec = json.loads(lines[0])
         assert set(rec) == {"n", "class", "stabilizer", "bosonic", "fermionic", "slices", "value"}
+
+    def test_each_order_of_classes_is_grown_once(self, tmp_path, monkeypatch):
+        # order m is grown from the classes of order m - 1, by a leaf of
+        # either kind at each of their m - 1 vertices, and then each of its
+        # classes gets its automorphisms: one canonical form apiece
+        from mlve import combinatorics
+
+        grown = Counter()
+        form = combinatorics._canonical_form
+        monkeypatch.setattr(combinatorics, "_canonical_form", lambda jungle: grown.update([jungle.n]) or form(jungle))
+        combinatorics.jungle_classes.cache_clear()
+        cfg = write_config(tmp_path, n_max=6)
+        assert run_cli(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        sizes = [0] + [len(combinatorics.jungle_classes(m)) for m in range(1, 7)]
+        assert grown == {m: sizes[m] + 2 * (m - 1) * sizes[m - 1] for m in range(1, 7)}
 
     def test_trace_rows_sum_to_the_orders(self, tmp_path):
         # each row is one term class: value / stabilizer summed over the rows

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spanning_jungle
-from mlve.combinatorics import Forest, Jungle, empty_forest
+from mlve.combinatorics import Forest, Jungle, _components_of, empty_forest
 from mlve.grassmann import (
     FermionicFactorInput,
     MinorSpec,
@@ -17,23 +17,27 @@ from mlve.grassmann import (
     lifted_y_matrix,
     slice_delta_violated,
 )
-from mlve.interpolation import layered_decomposition, min_over_paths
+from mlve.interpolation import min_over_paths
 
 
 def _layered_lifted_sum(jungle, slices, weights):
     """sum_i c_i sum_(f, j) 1_(f, j) 1_(f, j)^T: the layered decomposition of
     the block-level Fermionic forest, each block component f split by the
-    slice delta into its vertices of slice j."""
+    slice delta into its vertices of slice j.  With the edges sorted by
+    decreasing weight w_i, layer i has c_i = w_i - w_(i+1) (w_0 = 1, w_(k+1)
+    = 0) and the components f of the i heaviest edges."""
     block_of = jungle.partition().block_of()
     block_weights = {be: weights[e] for be, e in jungle.block_level_edges()}
+    order = sorted(block_weights, key=block_weights.get, reverse=True)
+    levels = [1.0] + [block_weights[e] for e in order] + [0.0]
     js = np.asarray(slices)
     out = np.zeros((jungle.n, jungle.n))
-    for coeff, comps in layered_decomposition(len(jungle.partition().blocks), list(block_weights), block_weights):
-        for comp in comps:
+    for i in range(len(order) + 1):
+        for comp in _components_of(len(jungle.partition().blocks), order[:i]):
             in_comp = np.array([block_of[v] in comp for v in range(jungle.n)])
             for j in set(slices):
                 vec = in_comp & (js == j)
-                out += coeff * np.outer(vec, vec)
+                out += (levels[i] - levels[i + 1]) * np.outer(vec, vec)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,22 +11,11 @@ from mlve.interpolation import (
     ExpEdgeFunction,
     forest_formula_eval,
     gaussian_expectation,
-    layered_decomposition,
     min_over_paths,
     replica_gaussian_eval,
     replica_gaussian_left,
     x_matrix,
 )
-
-
-def _sum_of_layers(n, terms):
-    """sum_i c_i sum_f 1_f 1_f^T for layers (c_i, components f)."""
-    out = np.zeros((n, n))
-    for coeff, comps in terms:
-        for comp in comps:
-            idx = np.array(sorted(comp))
-            out[np.ix_(idx, idx)] += coeff
-    return out
 
 
 class _Monomial:
@@ -86,8 +76,6 @@ class TestXMatrix:
                 w = {e: float(rng.uniform()) for e in f.edges}
                 X = x_matrix(f, w)
                 assert np.linalg.eigvalsh(X).min() >= -1e-12
-                layers = layered_decomposition(f.n, f.edges, w)
-                assert np.allclose(_sum_of_layers(f.n, layers), X, atol=1e-12)
 
     def test_block_matrix_is_w_to_one_limit(self, rng):
         from conftest import random_partition, random_block_tree
@@ -134,6 +122,18 @@ class TestYBlockMatrix:
 
 
 class TestOrderingSimplexQuadrature:
+    @pytest.mark.parametrize("k", range(5))
+    def test_points_are_the_cells_placed_by_permutation(self, k):
+        from mlve.interpolation import ordering_cell_points, ordering_cells
+
+        perms, t, weights = ordering_cells(k, 3)
+        pts, wts = ordering_cell_points(k, 3)
+        assert list(perms) == list(permutations(range(k)))
+        assert t.shape == (3**k, k) and np.all(np.diff(t, axis=1) > 0)
+        assert np.array_equal(wts, np.tile(weights, len(perms)))
+        for cell, perm in zip(np.split(pts, len(perms)), perms):
+            assert np.array_equal(cell[:, list(perm)], t)
+
     # closed forms for order statistics of independent uniforms
     # the cube routine at order 8 under the plain ids, and the vectorized
     # point set it is built on at order 10 under "points-k"

@@ -67,7 +67,9 @@ class TestPartitionFunction:
     def test_matches_mpmath_full_window(self, lam, M, j_max):
         # the same Gauss-Hermite sum, with -V over the whole window
         # [lo, hi] at 30 digits: z H + log Gamma(hi + 1) - log Gamma(lo)
-        # - log Gamma(hi + 1 + z) + log Gamma(lo + z), z = -i lam sigma
+        # - log Gamma(hi + 1 + z) + log Gamma(lo + z), z = -i lam sigma.
+        # Like the oracle it sums w (f - 1) and adds 1, so the distance
+        # does not measure 1 - sum w
         params = ModelParams(lam, M, 1, j_max)
         x, w = gauss_hermite_norm(400)
         lo, hi = params.p_lo, params.cutoff
@@ -77,8 +79,9 @@ class TestPartitionFunction:
             ref = mp.mpc(0)
             for xk, wk in zip(x, w):
                 z = -1j * mp.mpc(lam) * mp.mpf(xk)
-                ref += mp.mpf(wk) * mp.exp(z * h + const - mp.loggamma(hi + 1 + z) + mp.loggamma(lo + z))
-        assert abs(z_sigma_quadrature(params, 400) - complex(ref)) < 1e-15
+                ref += mp.mpf(wk) * (mp.exp(z * h + const - mp.loggamma(hi + 1 + z) + mp.loggamma(lo + z)) - 1)
+            ref += 1
+        assert abs(z_sigma_quadrature(params, 400) - complex(ref)) <= np.spacing(1.0)
 
     def test_node_doubling_stability(self):
         assert z_reliable(ModelParams(0.2, 2, 1, 3), 200)[1] < 1e-10
