@@ -115,7 +115,7 @@ def cmd_compare(args) -> int:
             f"n_max must be an integer in 1..{engine.BLOCK_BUDGET} over {len(params.slices)} slices, got {n_max}: "
             f"a higher order reaches Bosonic blocks of more than {engine.BLOCK_BUDGET} vertices"
         )
-    gl_nodes = _int_setting(cfg, "gl_nodes", 1)
+    gl_nodes = _int_setting(cfg, "gl_nodes", 1, engine.MAX_GL_NODES)
     nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES, oracle.MAX_NODES)
     try:
         ref = oracle.logz_oracle(params, nodes)

@@ -53,14 +53,20 @@ jungle's automorphisms that fixes the labeling.  The order sum walks
 with its automorphisms, and keeps the admissible labelings of each that
 are least in their orbit, so each term class is evaluated once: at
 n = 5 over three slices the 11,160 labeled terms are 105 classes, and at
-n = 6 the 233,820 are 369.  Two caches on the evaluator share the
-integrals between classes.  Block values are cached on the block alone:
+n = 6 the 233,820 are 369.
+
+Only the block integrals read the coupling.  The term classes and their
+stabilizers are planned over slice ranks, once per process for each
+order and slice count, by the cached ``_order_plan``; an evaluator maps
+the ranks to its window's slices.  The Fermionic integral sees the
+slices only through which of them are equal, so one process-wide memo
+holds it by jungle and equality pattern: the 105 and 369 classes need 21
+and 75 Fermionic integrals, and an evaluator at another coupling or
+window over as many slices computes none.  Block values are cached on
+the evaluator, on the block alone:
 the hardcore rule gives each block vertex its own slice, so naming every
 vertex by the rank of its slice puts the block in canonical form with no
-search.  The default config needs 9 block integrals through n = 6.  The
-Fermionic integral sees the slices only through which of them are equal,
-so it is cached on the jungle and that equality pattern: the 105 and 369
-classes need 21 and 75 Fermionic integrals.
+search.  The default config needs 9 block integrals through n = 6.
 """
 
 from __future__ import annotations
@@ -85,6 +91,10 @@ from .model_core import ModelParams, dw_grid
 
 ORDER_BUDGET = 6
 BLOCK_BUDGET = 4
+# The blocks are converged at the default 12 nodes; 24 is that rule doubled,
+# for a node-doubling error estimate.  numpy's leggauss holds an n x n
+# companion matrix, so an unbounded rule could ask for any amount of memory.
+MAX_GL_NODES = 24
 
 # Smoothing grid, odd and symmetric so that its middle point is sigma = 0,
 # where the blocks are read: 216 or 256 points read them 0.1 to 5 off.
@@ -138,12 +148,33 @@ def _grid_constants(n: int, step: float):
     return half_k2, phase
 
 
-def _cell_values(spectra, order, levels) -> np.ndarray:
+def _smoothing(levels) -> np.ndarray:
+    """The Fourier multipliers exp(-(w_i - w_(i+1)) k^2/2) of the layers
+    i = 0..k at each point of levels, shape (Q, k), w_1 >= ... >= w_k, with
+    w_0 := 1 and w_(k+1) := 0.  Returns shape (k + 1, Q, len(SIGMA_GRID))."""
+    half_k2, _ = _grid_constants(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
+    bounds = np.pad(levels, ((0, 0), (1, 1)), constant_values=(1.0, 0.0))
+    return np.exp(np.multiply.outer((bounds[:, :-1] - bounds[:, 1:]).T, half_k2))
+
+
+@lru_cache(maxsize=None)
+def _cell_smoothing(k: int, order: int) -> np.ndarray:
+    """``_smoothing`` at the points of ``ordering_cells(k, order)``.  Read
+    by decreasing weight, every cell has the levels t[:, ::-1], so one
+    stack serves every cell of every block with k tree edges.  Cached and
+    read-only: 13 MB at k = 3, a 4-vertex block, and the default 12
+    nodes, and 8 times that at ``MAX_GL_NODES``."""
+    smoothing = _smoothing(ordering_cells(k, order)[1][:, ::-1])
+    smoothing.setflags(write=False)
+    return smoothing
+
+
+def _cell_values(spectra, order, smoothing) -> np.ndarray:
     """E[prod_a f_a(sigma_a)] at each point of one ordering cell.
 
     spectra holds the spectrum of f_a on SIGMA_GRID in row a, order the
-    tree edges by decreasing weight and levels their weights, shape
-    (Q, k), w_1 >= ... >= w_k at every point.  With w_0 := 1 and
+    tree edges by decreasing weight and smoothing the ``_smoothing`` of
+    their weights, w_1 >= ... >= w_k at every point.  With w_0 := 1 and
     w_(k+1) := 0, sigma has covariance sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T
     over the components f of the i heaviest edges, so every component of
     layer i adds one Gaussian shift of variance w_i - w_(i+1) to all of
@@ -153,18 +184,16 @@ def _cell_values(spectra, order, levels) -> np.ndarray:
     points; the one function left is read at sigma = 0.  Returns shape
     (Q,).
     """
-    half_k2, phase = _grid_constants(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
-    bounds = np.pad(levels, ((0, 0), (1, 1)), constant_values=(1.0, 0.0))
+    _, phase = _grid_constants(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
     # a component is named by its least vertex, and a merge puts the lesser
     # name first: complex products are not bitwise commutative
     comp = list(range(len(spectra)))
     funcs = dict(enumerate(spectra))
-    for i, c in enumerate((bounds[:, :-1] - bounds[:, 1:]).T):
+    for i, smooth in enumerate(smoothing):
         if i:
             a, b = sorted(comp[v] for v in order[i - 1])
             funcs[a] = np.fft.fft(np.fft.ifft(np.stack([funcs[a], funcs.pop(b)])).prod(axis=0))
             comp = [a if x == b else x for x in comp]
-        smooth = np.exp(np.multiply.outer(c, half_k2))
         funcs = {x: f * smooth for x, f in funcs.items()}
     (spectrum,) = funcs.values()
     return spectrum @ phase
@@ -184,7 +213,7 @@ def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams)
     spectra = _kernel_tables(params, edges, [slices[v] for v in verts])
     cell = sorted(zip(edges, (weights[e] for e in tree_edges)), key=lambda ew: -ew[1])
     levels = np.array([[w for _, w in cell]], dtype=float)
-    return complex(_cell_values(spectra, [e for e, _ in cell], levels)[0])
+    return complex(_cell_values(spectra, [e for e, _ in cell], _smoothing(levels))[0])
 
 
 def fermionic_weight_integral(jungle: Jungle, slices) -> float:
@@ -203,6 +232,21 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
 
 
+@lru_cache(maxsize=None)
+def _fermionic_integral(jungle: Jungle, pattern: tuple) -> float:
+    """``fermionic_weight_integral`` at a slice-equality pattern, memoized
+    for the process: the lifted Y, the hardcore and slice-delta filters and
+    the node count read nothing of the slices but which of them are equal,
+    so the pattern stands for every labeling that has it."""
+    return fermionic_weight_integral(jungle, pattern)
+
+
+def _equality_pattern(slices) -> tuple:
+    """The slices relabeled 0, 1, ... by first occurrence."""
+    first = {}
+    return tuple(first.setdefault(j, len(first)) for j in slices)
+
+
 def _admissible_labelings(jungle: Jungle, slices):
     """Every admissible slice labeling, in lexicographic order: one slice
     per Fermionic component, different slices on components that meet in
@@ -218,15 +262,37 @@ def _admissible_labelings(jungle: Jungle, slices):
             yield tuple(choice[comp_of[v]] for v in range(jungle.n))
 
 
+@lru_cache(maxsize=None)
+def _order_plan(n: int, n_slices: int) -> tuple:
+    """The term classes of order n over a window of n_slices slices: one
+    row (class index, jungle, stabilizer, ranks) per class, by class index
+    and then by labeling.
+
+    ranks is the least admissible labeling of the class representative in
+    slice ranks 0..n_slices - 1.  A window's slices increase with their
+    rank, so mapping the ranks to them keeps the lexicographic order, the
+    least labeling of each orbit and its stabilizer.  None of it reads the
+    coupling, so it is cached: each (order, slice count) is planned once
+    per process and shared by every evaluator."""
+    if n > ORDER_BUDGET:
+        raise BudgetExceededError(f"order {n} > budget {ORDER_BUDGET}")
+    rows = []
+    for index, (jungle, automorphisms) in enumerate(jungle_classes(n)):
+        for ranks in _admissible_labelings(jungle, range(n_slices)):
+            images = [tuple(ranks[v] for v in order) for order in automorphisms]
+            if min(images) == ranks:
+                rows.append((index, jungle, images.count(ranks), ranks))
+    return tuple(rows)
+
+
 class TermEvaluator:
-    """Sums each order over term classes; caches block integrals by block
-    class and Fermionic integrals by jungle and slice-equality pattern."""
+    """Sums each order over the term classes of its order plan; caches
+    block integrals by block class."""
 
     def __init__(self, params: ModelParams, gl_nodes: int = 12):
         self.params = params
         self.gl_nodes = gl_nodes
         self._block_cache: dict = {}
-        self._fermionic_cache: dict = {}
 
     # -- bosonic side --------------------------------------------------------
 
@@ -253,23 +319,17 @@ class TermEvaluator:
         values are one vector in permutation order, against the tiled
         weights."""
         spectra = _kernel_tables(self.params, edges, js)
-        perms, t, weights = ordering_cells(len(edges), self.gl_nodes)
-        values = [_cell_values(spectra, [edges[m] for m in perm[::-1]], t[:, ::-1]) for perm in perms]
+        perms, _, weights = ordering_cells(len(edges), self.gl_nodes)
+        smoothing = _cell_smoothing(len(edges), self.gl_nodes)
+        values = [_cell_values(spectra, [edges[m] for m in perm[::-1]], smoothing) for perm in perms]
         return complex(np.dot(np.tile(weights, len(perms)), np.concatenate(values)))
 
     # -- fermionic side ------------------------------------------------------
 
     def fermionic_integral(self, jungle: Jungle, slices) -> float:
-        """``fermionic_weight_integral``, memoized on the jungle and the
-        slice-equality pattern of the labeling: the lifted Y, the hardcore
-        and slice-delta filters and the node count read nothing else.  The
-        pattern is the labeling relabeled by first occurrence."""
-        first = {}
-        key = jungle, tuple(first.setdefault(j, len(first)) for j in slices)
-        value = self._fermionic_cache.get(key)
-        if value is None:
-            value = self._fermionic_cache[key] = fermionic_weight_integral(jungle, slices)
-        return value
+        """``fermionic_weight_integral``, from the process-wide memo on the
+        jungle and the slice-equality pattern of the labeling."""
+        return _fermionic_integral(jungle, _equality_pattern(slices))
 
     # -- full terms ----------------------------------------------------------
 
@@ -296,14 +356,12 @@ class TermEvaluator:
         index, slices an admissible labeling of it that is least in its
         orbit under the automorphisms, and the stabilizer the number of
         automorphisms that fix slices.  Every other labeling is a
-        structural zero or a relabeled copy of a yielded one."""
-        if n > ORDER_BUDGET:
-            raise BudgetExceededError(f"order {n} > budget {ORDER_BUDGET}")
-        for index, (jungle, automorphisms) in enumerate(jungle_classes(n)):
-            for slices in _admissible_labelings(jungle, self.params.slices):
-                images = [tuple(slices[v] for v in order) for order in automorphisms]
-                if min(images) == slices:
-                    yield index, jungle, images.count(slices), slices, self.jungle_term(jungle, slices)
+        structural zero or a relabeled copy of a yielded one.  The classes
+        come from ``_order_plan``."""
+        window = self.params.slices
+        for index, jungle, stabilizer, ranks in _order_plan(n, len(window)):
+            slices = tuple(window[r] for r in ranks)
+            yield index, jungle, stabilizer, slices, self.jungle_term(jungle, slices)
 
     def order_contribution(self, n: int) -> complex:
         total = 0j

@@ -129,6 +129,7 @@ class TestCompare:
             ),
             ("compare", "oracle_nodes", 1601),
             ("oracle", "oracle_nodes", 10**6),
+            ("compare", "gl_nodes", 25),
         ],
     )
     def test_bad_setting_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch, command, key, value):
@@ -224,16 +225,39 @@ class TestCompare:
         # order m is grown from the classes of order m - 1, by a leaf of
         # either kind at each of their m - 1 vertices, and then each of its
         # classes gets its automorphisms: one canonical form apiece
-        from mlve import combinatorics
+        from mlve import combinatorics, engine
 
         grown = Counter()
         form = combinatorics._canonical_form
         monkeypatch.setattr(combinatorics, "_canonical_form", lambda jungle: grown.update([jungle.n]) or form(jungle))
         combinatorics.jungle_classes.cache_clear()
+        engine._order_plan.cache_clear()
         cfg = write_config(tmp_path, n_max=6)
         assert run_cli(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         sizes = [0] + [len(combinatorics.jungle_classes(m)) for m in range(1, 7)]
         assert grown == {m: sizes[m] + 2 * (m - 1) * sizes[m - 1] for m in range(1, 7)}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"lambda": 0.2, "j_max": 3, "n_max": 6, "gl_nodes": 12},
+            {"lambda": [0.3, 0.1], "j_max": 3, "n_max": 5, "gl_nodes": 12},
+        ],
+        ids=["default-n6", "complex-n5"],
+    )
+    def test_cold_and_warm_plans_write_the_same_bytes(self, tmp_path, overrides):
+        # the first compare builds the order plans, the second reads them
+        from mlve import engine
+
+        engine._order_plan.cache_clear()
+        engine._fermionic_integral.cache_clear()
+        cfg = write_config(tmp_path, **overrides)
+        written = []
+        for run in ("cold", "warm"):
+            out = tmp_path / run
+            assert run_cli(["compare", "--config", str(cfg), "--out", str(out), "--trace"]) == 0
+            written.append({name: (out / name).read_bytes() for name in ("orders.csv", "summary.json", "trace.jsonl")})
+        assert written[0] == written[1]
 
     def test_trace_rows_sum_to_the_orders(self, tmp_path):
         # each row is one term class: value / stabilizer summed over the rows

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from itertools import accumulate, count, permutations, product
 
 import numpy as np
@@ -474,7 +475,7 @@ class TestFermionicIntegral:
         assert terms == {1: 3, 2: 9, 3: 63, 4: 696}[n]
 
     @pytest.mark.parametrize("window, terms, classes", [((1, 2, 3), 11160, 105), ((1, 2), 1560, 16)])
-    def test_distinct_integrals_at_order_five(self, monkeypatch, window, terms, classes):
+    def test_distinct_integrals_at_order_five(self, stub_integrals, window, terms, classes):
         # one row per term class, the isomorphism class of the slice-labeled
         # jungle, and one Fermionic integral per distinct (class, slice
         # equality pattern): 21 over three slices and 8 over two; the
@@ -482,17 +483,17 @@ class TestFermionicIntegral:
         # n!/stabilizer per class, are the admissible ones (11,835 and
         # 1,850) less those of jungles with a vertex of Fermionic degree
         # >= 3 (675 and 290)
-        computed = stub_integrals(monkeypatch)
+        computed = stub_integrals
         rows = list(TermEvaluator(ModelParams(0.2, 2, 1, len(window))).order_terms(5))
         assert sum(math.factorial(5) // stabilizer for _, _, stabilizer, _, _ in rows) == terms
         assert len(rows) == classes
         patterns = {(jungle, equality_pattern(slices)) for _, jungle, _, slices, _ in rows}
         assert len(computed) == len(patterns) == {105: 21, 16: 8}[classes]
 
-    def test_distinct_integrals_at_order_six(self, monkeypatch):
+    def test_distinct_integrals_at_order_six(self, stub_integrals):
         # order 6 over three slices: 233,820 labeled terms in 369 classes,
         # which need 75 Fermionic integrals
-        computed = stub_integrals(monkeypatch)
+        computed = stub_integrals
         rows = list(TermEvaluator(ModelParams(0.2, 2, 1, 3)).order_terms(6))
         assert sum(math.factorial(6) // stabilizer for _, _, stabilizer, _, _ in rows) == 233820
         assert len(rows) == 369
@@ -509,18 +510,77 @@ class TestFermionicIntegral:
                     assert ev.fermionic_integral(jungle, slices) == fermionic_weight_integral(jungle, slices)
 
 
-def stub_integrals(monkeypatch) -> list:
-    """Stub the Fermionic and block integrals to 1; the returned list
-    collects (jungle, slices) for every Fermionic integral computed."""
+def clear_plans() -> None:
+    """Empty the process-wide order plans and Fermionic memo."""
+    mlve.engine._order_plan.cache_clear()
+    mlve.engine._fermionic_integral.cache_clear()
+
+
+@contextmanager
+def stubbed_integrals():
+    """Stub the Fermionic and block integrals to 1, between two clearings
+    of the process-wide plans, so that no stub value outlives the block;
+    the yielded list collects (jungle, slices) for every Fermionic integral
+    computed."""
     computed = []
 
     def counted(jungle, slices):
         computed.append((jungle, slices))
         return 1.0
 
-    monkeypatch.setattr(mlve.engine, "fermionic_weight_integral", counted)
-    monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 1.0)
-    return computed
+    clear_plans()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mlve.engine, "fermionic_weight_integral", counted)
+            patch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 1.0)
+            yield computed
+    finally:
+        clear_plans()
+
+
+@pytest.fixture
+def stub_integrals():
+    with stubbed_integrals() as computed:
+        yield computed
+
+
+class TestOrderPlan:
+    def test_a_stubbed_build_leaves_later_orders_unchanged(self):
+        # Fermionic integrals memoized under the stubs go with them, so the
+        # next evaluator computes them again
+        params = ModelParams(0.2, 2, 1, 2)
+        want = [TermEvaluator(params, GL).order_contribution(n) for n in range(1, 5)]
+        with stubbed_integrals() as computed:
+            TermEvaluator(params, GL).order_contribution(4)
+            assert computed
+        assert [TermEvaluator(params, GL).order_contribution(n) for n in range(1, 5)] == want
+
+    def test_another_coupling_reuses_the_plan(self, stub_integrals):
+        # another lambda, M and j_min over the same number of slices
+        # computes no Fermionic integral and yields the same rows, read in
+        # slice ranks
+        def rows(params):
+            ev = TermEvaluator(params)
+            return [
+                (index, stabilizer, tuple(j - params.j_min for j in slices))
+                for n in range(1, 6)
+                for index, _, stabilizer, slices, _ in ev.order_terms(n)
+            ]
+
+        first = rows(ModelParams(0.2, 2, 1, 3))
+        assert stub_integrals
+        stub_integrals.clear()
+        assert rows(ModelParams(0.3 + 0.1j, 16, 2, 4)) == first
+        assert stub_integrals == []
+
+    def test_orders_do_not_depend_on_which_coupling_plans_first(self):
+        # a coarse Bosonic rule: the two passes are compared with each other
+        configs = [ModelParams(0.2, 2, 1, 3), ModelParams(0.3 + 0.1j, 16, 2, 4)]
+        seen = []
+        for order in (configs, configs[::-1]):
+            clear_plans()
+            seen.append({params: orders_and_sums(params, 5, 4)[0] for params in order})
+        assert seen[0] == seen[1]
 
 
 def equality_pattern(slices) -> tuple:
