@@ -13,6 +13,11 @@ Subcommands:
 All file outputs are UTF-8 CSV with a header row, or JSON with a
 schema_version field; at fixed configuration the outputs are
 byte-identical across runs.
+
+The parser is built on the first ``main`` call and kept for the rest of
+the process; ``main`` looks each subcommand's ``cmd_*`` function up
+again on every call, so a caller that rebinds one of them in this module
+(a test stub, a tracer) is reached from then on.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 SCHEMA_VERSION = 2
@@ -95,9 +101,25 @@ def _int_setting(cfg, key: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
-def _out_dir(args) -> Path:
+def _out_path(args) -> Path:
+    """--out as a path; a usage error when it, or the nearest part of it
+    that exists, is not a directory.  Creates nothing."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    for part in (out, *out.parents):
+        if part.exists():
+            if not part.is_dir():
+                _fail_usage(f"--out {args.out}: {part} is not a directory")
+            break
+    return out
+
+
+def _out_dir(args) -> Path:
+    """The --out directory, created with its parents if absent."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail_usage(f"--out {args.out}: {exc.strerror or exc}")
     return out
 
 
@@ -117,6 +139,7 @@ def cmd_compare(args) -> int:
         )
     gl_nodes = _int_setting(cfg, "gl_nodes", 1, engine.MAX_GL_NODES)
     nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES, oracle.MAX_NODES)
+    _out_path(args)  # a bad --out costs no quadrature; the directory waits for a reference
     try:
         ref = oracle.logz_oracle(params, nodes)
     except (QuadratureUnreliableError, ValueError) as exc:
@@ -230,6 +253,7 @@ def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     params = _params(cfg)
     nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES, oracle.MAX_NODES)
+    out = _out_dir(args)
     z, delta, reliable = oracle.z_reliable(params, nodes)
     # the conditions under which oracle.logz_oracle answers rather than raises
     logz = cmath.log(z) if reliable and abs(z) >= oracle.MIN_ABS_Z else None
@@ -246,7 +270,6 @@ def cmd_oracle(args) -> int:
         "reliable": reliable,
         "logZ": None if logz is None else [logz.real, logz.imag],
     }
-    out = _out_dir(args)
     (out / "oracle.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record, indent=2))
     return 0 if reliable else 1
@@ -348,7 +371,10 @@ def cmd_mayer(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: argparse's set-up is
+    a large share of a small compare."""
     parser = argparse.ArgumentParser(prog="mlve", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -360,28 +386,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="expansion vs oracle")
     common(p)
     p.add_argument("--trace", action="store_true", help="emit per-term JSON lines")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="invariant suites")
     p.add_argument("--suite", action="append", help="run only this suite (repeatable)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="combinatorial counts")
     p.add_argument("--kind", choices=["trees", "forests", "jungles"], default="trees")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spanning", action="store_true")
     p.add_argument("--edges", action="store_true", help="print edge lists as JSON lines")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="quadrature Z and log Z")
     common(p)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify-bounds", help="inequality margin tables")
     common(p, config=False)
     p.add_argument("--q-max", type=int, default=1000)
     p.add_argument("--M", type=float, default=1e8)
-    p.set_defaults(func=cmd_verify_bounds)
 
     p = sub.add_parser("domain-map", help="analyticity domain grid")
     common(p, config=False)
@@ -390,20 +411,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-min", type=float, default=-1.0)
     p.add_argument("--im-max", type=float, default=1.0)
     p.add_argument("--resolution", type=int, default=41)
-    p.set_defaults(func=cmd_domain_map)
 
     p = sub.add_parser("mayer", help="polymer gas expansion")
     common(p, config=False)
     p.add_argument("--gas", required=True, help="gas spec JSON file")
     p.add_argument("--n-max", type=int, default=4)
-    p.set_defaults(func=cmd_mayer)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    commands = {
+        "compare": cmd_compare,
+        "verify": cmd_verify,
+        "enumerate": cmd_enumerate,
+        "oracle": cmd_oracle,
+        "verify-bounds": cmd_verify_bounds,
+        "domain-map": cmd_domain_map,
+        "mayer": cmd_mayer,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

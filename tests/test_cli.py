@@ -520,6 +520,49 @@ class TestMayerCommand:
         assert not out.exists()
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("shape", ["file", "under-file"])
+    @pytest.mark.parametrize("command", ["compare", "oracle", "verify-bounds", "domain-map", "mayer"])
+    def test_out_that_is_no_directory_exits_two(self, tmp_path, capsys, monkeypatch, command, shape):
+        from mlve import oracle
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before --out was checked")
+
+        monkeypatch.setattr(oracle, "logz_oracle", no_oracle)
+        monkeypatch.setattr(oracle, "z_reliable", no_oracle)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        out = taken if shape == "file" else taken / "sub"
+        inputs = {
+            "compare": ["--config", str(write_config(tmp_path))],
+            "oracle": ["--config", str(write_config(tmp_path))],
+            "verify-bounds": ["--q-max", "5"],
+            "domain-map": ["--resolution", "3"],
+            "mayer": ["--gas", str(TestMayerCommand.write_gas(tmp_path))],
+        }
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, *inputs[command], "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --out ")
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+class TestDispatch:
+    def test_main_follows_module_bindings(self, tmp_path, monkeypatch):
+        # the parser is built once per process, and main looks each command
+        # up in the module on every call: a stub bound after the first call
+        # is reached, as is a tracer's wrapper
+        cli.build_parser.cache_clear()
+        argv = ["compare", "--config", str(write_config(tmp_path, n_max=1)), "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 0
+        reached = []
+        monkeypatch.setattr(cli, "cmd_compare", lambda args: reached.append(args.out) or 7)
+        assert run_cli(argv) == 7
+        assert reached == [str(tmp_path / "out")]
+        assert cli.build_parser.cache_info().misses == 1
+
+
 def test_import_leaves_scipy_out():
     # scipy is a test oracle only; importing it costs most of the CLI's startup
     src = Path(__file__).resolve().parents[1] / "src"

@@ -83,6 +83,21 @@ class TestPartitionFunction:
             ref += 1
         assert abs(z_sigma_quadrature(params, 400) - complex(ref)) <= np.spacing(1.0)
 
+    @pytest.mark.parametrize(
+        "lam, M, j_max",
+        [(0.5, 10, 6), (0.3, 100, 3), (0.45 + 0.2j, 100, 2), (0.25 - 0.08j, 16, 2), (0.0, 2, 3)],
+        ids=["real-M10", "real-M100", "complex-M100", "complex-long-slice", "free"],
+    )
+    def test_doubling_shares_one_sweep(self, lam, M, j_max):
+        # both rules take one kernel sweep per slice; the doubled rule holds
+        # the largest node, so its long-window split and its Z are those of
+        # its own quadrature, while the smaller rule's Z moves at rounding
+        params = ModelParams(lam, M, 1, j_max)
+        z, delta, _ = z_reliable(params, 200)
+        a, b = z_sigma_quadrature(params, 200), z_sigma_quadrature(params, 400)
+        assert z == b
+        assert abs(delta - abs(a - b)) <= 1e-16
+
     def test_node_doubling_stability(self):
         assert z_reliable(ModelParams(0.2, 2, 1, 3), 200)[1] < 1e-10
         assert z_reliable(ModelParams(0.5, 10, 1, 3), 300)[1] < 1e-10

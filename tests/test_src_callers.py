@@ -30,6 +30,8 @@ REFERENCE_ROUTES = {
     "dv_derivative": "numerics.kernel_bundle, d^k(-V)",
     "dw_derivative": "model_core.dw_grid, d^q W by the Faa di Bruno sum",
     "cexpm1": "numerics.kernel_bundle, W = expm1(-V)",
+    # one Gauss-Hermite rule per sweep
+    "z_sigma_quadrature": "oracle.z_reliable, both rules in one sweep",
     # Berezin algebra
     "fermionic_factor_brute": "grassmann.fermionic_factor",
     # exact rational series of log Z in g
