@@ -138,9 +138,9 @@ class BlockPartition:
 class Jungle:
     """Ordered pair of a Bosonic forest and a detailed Fermionic edge set.
 
-    The union must itself be a forest; each Fermionic edge then
-    automatically joins two distinct Bosonic blocks (an edge inside a
-    block would close a cycle).
+    The union must itself be a forest, the union forest; each Fermionic
+    edge then automatically joins two distinct Bosonic blocks (an edge
+    inside a block would close a cycle).
     """
 
     n: int
@@ -166,18 +166,6 @@ class Jungle:
     def _partition(self) -> BlockPartition:
         # built once per instance; equality and hashing see only the fields
         return BlockPartition(self.n, self.bosonic.components())
-
-    def block_level_edges(self) -> tuple[tuple[Edge, Edge], ...]:
-        """(block-index pair, vertex pair) for each Fermionic edge.
-
-        Either endpoint ordering; block pairs are normalized and the list
-        is sorted on the underlying vertex pair for determinism.
-        """
-        block_of = self.partition().block_of()
-        out = []
-        for u, v in sorted(self.fermionic):
-            out.append((norm_edge(block_of[u], block_of[v]), (u, v)))
-        return tuple(out)
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> frozenset:

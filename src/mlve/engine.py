@@ -37,12 +37,15 @@ function left is read at sigma = 0.  Each kernel table is transformed
 once, and a component stays in Fourier space as a stack over the cell's
 points, returning to the grid only to merge.
 
-The Fermionic factor is evaluated at all of a term's weight points in
-one call: the lifted Y matrices form one stack and each of the 2^k
-exchange-pattern minors is one stacked determinant.  Its integrand is a
-polynomial of degree <= n - 1 in each cube coordinate of a cell, so
-(n + 1) // 2 Gauss-Legendre nodes integrate it exactly; ``gl_nodes``
-sets the rule of the Bosonic blocks only.
+The lifted Y of the Fermionic factor is the path-minimum matrix of the
+jungle's union forest, its Bosonic and Fermionic edges together, with
+every Bosonic edge at weight 1, times the slice delta.  The factor is
+evaluated at all of a term's weight points in one call: the lifted Y
+matrices form one stack and each of the 2^k exchange-pattern minors is
+one stacked determinant.  Its integrand is a polynomial of degree
+<= n - 1 in each cube coordinate of a cell, so (n + 1) // 2
+Gauss-Legendre nodes integrate it exactly; ``gl_nodes`` sets the rule
+of the Bosonic blocks only.
 
 A term depends only on the isomorphism class of its slice-labeled
 jungle, so by orbit-stabilizer order n is the sum over term classes of
@@ -80,12 +83,7 @@ import numpy as np
 # benchmark's layer trace wraps them on this module
 from .combinatorics import Jungle, _components_of, _degrees, enumerate_jungles, jungle_classes, norm_edge  # noqa: F401
 from .errors import BudgetExceededError
-from .grassmann import (
-    FermionicFactorInput,
-    fermionic_factor,
-    hardcore_violated,
-    slice_delta_violated,
-)
+from .grassmann import fermionic_factor, hardcore_violated, slice_delta_violated
 from .interpolation import min_over_paths, ordering_cell_points, ordering_cells  # noqa: F401
 from .model_core import ModelParams, dw_grid
 
@@ -158,11 +156,13 @@ def _smoothing(levels) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cell_smoothing(k: int, order: int) -> np.ndarray:
-    """``_smoothing`` at the points of ``ordering_cells(k, order)``.  Read
-    by decreasing weight, every cell has the levels t[:, ::-1], so one
-    stack serves every cell of every block with k tree edges.  Cached and
-    read-only: 13 MB at k = 3, a 4-vertex block, and the default 12
+def _cell_smoothing(k: int, order: int, n: int, step: float) -> np.ndarray:
+    """``_smoothing`` at the points of ``ordering_cells(k, order)`` on a
+    SIGMA_GRID of n points spaced by step, the only things of the grid
+    that the multipliers read, so a replaced grid gets its own entry.
+    Read by decreasing weight, every cell has the levels t[:, ::-1], so
+    one stack serves every cell of every block with k tree edges.  Cached
+    and read-only: 13 MB at k = 3, a 4-vertex block, and the default 12
     nodes, and 8 times that at ``MAX_GL_NODES``."""
     smoothing = _smoothing(ordering_cells(k, order)[1][:, ::-1])
     smoothing.setflags(write=False)
@@ -228,7 +228,7 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     """
     edges = sorted(jungle.fermionic)
     w_pts, w_weights = ordering_cell_points(len(edges), (jungle.n + 1) // 2)
-    values = fermionic_factor(FermionicFactorInput(jungle, tuple(slices), dict(zip(edges, w_pts.T))))
+    values = fermionic_factor(jungle, tuple(slices), dict(zip(edges, w_pts.T)))
     return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
 
 
@@ -320,7 +320,7 @@ class TermEvaluator:
         weights."""
         spectra = _kernel_tables(self.params, edges, js)
         perms, _, weights = ordering_cells(len(edges), self.gl_nodes)
-        smoothing = _cell_smoothing(len(edges), self.gl_nodes)
+        smoothing = _cell_smoothing(len(edges), self.gl_nodes, SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
         values = [_cell_values(spectra, [edges[m] for m in perm[::-1]], smoothing) for perm in perms]
         return complex(np.dot(np.tile(weights, len(perms)), np.concatenate(values)))
 

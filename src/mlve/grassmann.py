@@ -13,11 +13,12 @@ brute-force algebra (tested for every index choice at dimension <= 5):
 
 with 0-based indices and eps the parity of the permutation sorting the
 list.  The Fermionic factor of an expansion term assembles the 2^k
-exchange-pattern minors of the slice-delta-lifted block matrix Y.
-Minors act on the last two axes, so edge weights given as arrays of
-shape (P,) yield the factor at P weight points at once: a stack of P
-lifted matrices and one stacked determinant per exchange pattern.  Real
-stacks stay real.
+exchange-pattern minors of the lifted matrix Y: the path minima of the
+jungle's union forest, its Bosonic edges at weight 1 and its Fermionic
+edges at their weights, times the slice delta.  Minors act on the last
+two axes, so edge weights given as arrays of shape (P,) yield the factor
+at P weight points at once: a stack of P lifted matrices and one stacked
+determinant per exchange pattern.  Real stacks stay real.
 
 Monomials for the brute-force route are coefficient maps keyed by
 (psi bitmask, psibar bitmask) relative to the canonical word
@@ -26,15 +27,17 @@ psi_(i1)...psi_(ir) psibar_(j1)...psibar_(js) with ascending indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .combinatorics import Jungle
-from .interpolation import min_over_paths, weight_shape
+from .interpolation import min_over_paths
 
 BRUTE_FORCE_BUDGET = 8
+# rounding allowance of check_minor_bound's inequalities
+MINOR_BOUND_TOL = 1e-10
 
 
 def _merge_parity(mask_a: int, mask_b: int) -> int:
@@ -151,27 +154,6 @@ def brute_force_grassmann(dim: int, matrix, monomial) -> complex:
     return berezin_integral(dim, algebra_mul(exp_neg_bilinear(matrix), mono))
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    """A matrix, or a stack of matrices along the leading axes, with
-    ordered column and row deletion lists acting on the last two axes."""
-
-    matrix: object
-    removed_cols: tuple
-    removed_rows: tuple
-
-    def __post_init__(self):
-        a, b = self.removed_cols, self.removed_rows
-        if len(a) != len(b):
-            raise ValueError("need equally many removed columns and rows")
-        if len(set(a)) != len(a) or len(set(b)) != len(b):
-            raise ValueError("index collision in a removal list")
-        dim = np.shape(self.matrix)[-1]
-        for i in list(a) + list(b):
-            if not 0 <= i < dim:
-                raise ValueError(f"index {i} out of range for dimension {dim}")
-
-
 def _sort_parity(indices) -> int:
     """Parity (+-1) of the permutation sorting the list, by inversion count."""
     inv = 0
@@ -183,34 +165,33 @@ def _sort_parity(indices) -> int:
     return -1 if inv % 2 else 1
 
 
-def grassmann_minor(spec: MinorSpec):
-    """Value of the defining Grassmann integral, sign included.
+def grassmann_minor(matrix, cols, rows):
+    """Value of the defining Grassmann integral, sign included, for the
+    ordered deletion lists cols (the psi indices a) and rows (the psibar
+    indices b), acting on the last two axes.
 
-    A stack of matrices gives the stack of values, one per matrix.
+    A stack of matrices along the leading axes gives the stack of values,
+    one per matrix.
     """
-    a, b = spec.removed_cols, spec.removed_rows
-    arr = np.asarray(spec.matrix)
-    keep_rows = [i for i in range(arr.shape[-2]) if i not in set(b)]
-    keep_cols = [i for i in range(arr.shape[-1]) if i not in set(a)]
+    if len(cols) != len(rows):
+        raise ValueError("need equally many removed columns and rows")
+    if len(set(cols)) != len(cols) or len(set(rows)) != len(rows):
+        raise ValueError("index collision in a removal list")
+    arr = np.asarray(matrix)
+    dim = arr.shape[-1]
+    for i in (*cols, *rows):
+        if not 0 <= i < dim:
+            raise ValueError(f"index {i} out of range for dimension {dim}")
+    keep_rows = [i for i in range(arr.shape[-2]) if i not in set(rows)]
+    keep_cols = [i for i in range(dim) if i not in set(cols)]
     sub = arr[..., np.array(keep_rows, dtype=int)[:, None], np.array(keep_cols, dtype=int)]
-    sign = _sort_parity(a) * _sort_parity(b)
-    if (sum(a) + sum(b)) % 2:
+    sign = _sort_parity(cols) * _sort_parity(rows)
+    if (sum(cols) + sum(rows)) % 2:
         sign = -sign
     return sign * np.linalg.det(sub)
 
 
 # --- Fermionic factor of an expansion term ----------------------------------
-
-
-@dataclass(frozen=True)
-class FermionicFactorInput:
-    jungle: Jungle
-    slices: tuple
-    weights: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.slices) != self.jungle.n:
-            raise ValueError("need one slice per vertex")
 
 
 def hardcore_violated(jungle: Jungle, slices) -> bool:
@@ -228,35 +209,38 @@ def slice_delta_violated(jungle: Jungle, slices) -> bool:
 
 
 def lifted_y_matrix(jungle: Jungle, slices, weights: dict) -> np.ndarray:
-    """Vertex-level matrix Y_ab = Y_(B(a)B(b))(w) * delta(j_a, j_b).
+    """Vertex-level matrix Y_ab = delta(j_a, j_b) times the least Fermionic
+    weight on the path that joins the blocks of a and b, zero where no path
+    does.
+
+    The Bosonic and Fermionic edges together form a forest, the union
+    forest.  Its path from a to b crosses exactly the Fermionic edges of the
+    block path, and a Bosonic edge at weight 1 lowers no minimum, so Y is
+    the path-minimum matrix of the union forest times the slice delta.
 
     Scalar weights give one (n, n) matrix; weights of shape (P,) give the
     stack of shape (P, n, n), one matrix per weight point.
     """
-    part = jungle.partition()
-    block_of = part.block_of()
-    blk = np.array([block_of[v] for v in range(jungle.n)])
+    union = dict.fromkeys(jungle.bosonic.edges, 1.0) | {e: weights[e] for e in jungle.fermionic}
     js = np.asarray(slices)
-    block_edges = {be: weights[e] for be, e in jungle.block_level_edges()}
-    yblk = min_over_paths(len(part.blocks), list(block_edges), block_edges)
-    return yblk[..., blk[:, None], blk] * (js[:, None] == js)
+    return min_over_paths(jungle.n, list(union), union) * (js[:, None] == js)
 
 
-def fermionic_factor(inp: FermionicFactorInput):
-    """Fermionic weight of a term: hardcore and slice deltas, then the
-    sum over the 2^k exchange patterns of minors of the lifted Y.
+def fermionic_factor(jungle: Jungle, slices, weights: dict):
+    """Fermionic weight of a term: the sum over the 2^k exchange patterns of
+    minors of the lifted Y, and zero where the hardcore rule or the slice
+    delta fails.
 
     Scalar weights give a float; weights of shape (P,) give the factors at
-    all P weight points at once, an array of shape (P,).
+    all P weight points at once, an array of shape (P,), the shape of the
+    stack of Y.
     """
-    jungle, slices = inp.jungle, inp.slices
-    shape = weight_shape(inp.weights)
+    y = lifted_y_matrix(jungle, slices, weights)
+    total = np.zeros(y.shape[:-2])
     if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
-        return np.zeros(shape) if shape else 0.0
-    y = lifted_y_matrix(jungle, slices, inp.weights)
+        return total if total.ndim else 0.0
     edges = sorted(jungle.fermionic)
     k = len(edges)
-    total = np.zeros(shape)
     for pattern in range(1 << k):
         cols, rows = [], []
         for i, (u, v) in enumerate(edges):
@@ -268,19 +252,18 @@ def fermionic_factor(inp: FermionicFactorInput):
                 rows.append(v)
         if len(set(cols)) < k or len(set(rows)) < k:
             continue  # repeated generator: the exchange term vanishes
-        total = total + grassmann_minor(MinorSpec(y, tuple(cols), tuple(rows)))
-    return total if shape else float(total)
+        total = total + grassmann_minor(y, tuple(cols), tuple(rows))
+    return total if total.ndim else float(total)
 
 
-def fermionic_factor_brute(inp: FermionicFactorInput) -> float:
+def fermionic_factor_brute(jungle: Jungle, slices, weights: dict) -> float:
     """Independent route: Berezin integral of exp(-chibar Y chi) times
     prod over Fermionic edges of (chi_a chibar_b + chi_b chibar_a)."""
-    jungle, slices = inp.jungle, inp.slices
     if jungle.n > BRUTE_FORCE_BUDGET:
         raise ValueError("brute-force Fermionic factor budgeted to 8 vertices")
     if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
         return 0.0
-    y = lifted_y_matrix(jungle, slices, inp.weights)
+    y = lifted_y_matrix(jungle, slices, weights)
     elem = exp_neg_bilinear(y)
     for u, v in sorted(jungle.fermionic):
         pair = {}
@@ -306,7 +289,7 @@ class MinorBoundReport:
     ok: bool
 
 
-def check_minor_bound(matrix: np.ndarray, trials: int, rng=None, tol: float = 1e-10) -> MinorBoundReport:
+def check_minor_bound(matrix: np.ndarray, trials: int, rng=None) -> MinorBoundReport:
     """Sample index lists and check |minor| <= 1, the minor Cauchy-Schwarz
     inequality and the Hadamard bound for diagonal minors.
 
@@ -329,12 +312,12 @@ def check_minor_bound(matrix: np.ndarray, trials: int, rng=None, tol: float = 1e
         k = int(rng.integers(0, n + 1))
         a = tuple(rng.permutation(n)[:k])
         b = tuple(rng.permutation(n)[:k])
-        m_ab = grassmann_minor(MinorSpec(arr, a, b)).real
-        m_aa = grassmann_minor(MinorSpec(arr, a, a)).real
-        m_bb = grassmann_minor(MinorSpec(arr, b, b)).real
+        m_ab = grassmann_minor(arr, a, b).real
+        m_aa = grassmann_minor(arr, a, a).real
+        m_bb = grassmann_minor(arr, b, b).real
         worst_abs = max(worst_abs, abs(m_ab) - 1.0)
         worst_cs = max(worst_cs, m_ab**2 - m_aa * m_bb)
         worst_dlow = max(worst_dlow, -min(m_aa, m_bb))
         worst_dhigh = max(worst_dhigh, max(m_aa, m_bb) - 1.0)
-    ok = worst_abs <= tol and worst_cs <= tol and worst_dlow <= tol and worst_dhigh <= tol
+    ok = max(worst_abs, worst_cs, worst_dlow, worst_dhigh) <= MINOR_BOUND_TOL
     return MinorBoundReport(trials, worst_abs, worst_cs, worst_dlow, worst_dhigh, ok)

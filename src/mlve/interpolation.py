@@ -34,23 +34,18 @@ def _validate_weights(edges, weights) -> None:
             raise ValueError(f"weight {w} for edge {e} outside [0, 1]")
 
 
-def weight_shape(weights: dict) -> tuple:
-    """Shape shared by all weights of one call: () for scalars, (P,) for a
-    stack of P weight points."""
-    return np.shape(next(iter(weights.values()), 0.0))
-
-
 def min_over_paths(n: int, edges, weights) -> np.ndarray:
     """Unit-diagonal matrix of path minima for an arbitrary forest graph.
 
-    Weights are scalars, giving an (n, n) matrix, or arrays of one shape
-    (P,), giving the stack of the P matrices, shape (P, n, n).
+    Weights are scalars, giving an (n, n) matrix, or arrays of shape (P,),
+    alone or mixed with scalars, giving the stack of the P matrices, shape
+    (P, n, n).
     """
     adj: dict[int, list] = {v: [] for v in range(n)}
     for u, v in edges:
         adj[u].append((v, weights[(u, v)]))
         adj[v].append((u, weights[(u, v)]))
-    out = np.zeros(weight_shape(weights) + (n, n))
+    out = np.zeros(np.broadcast_shapes(*map(np.shape, weights.values())) + (n, n))
     for root in range(n):
         out[..., root, root] = 1.0
         stack = [(root, 1.0)]
@@ -230,12 +225,12 @@ def replica_gaussian_left(cov: np.ndarray, integrands: list[dict]) -> float:
     return gaussian_expectation(prod, cov)
 
 
-def replica_gaussian_eval(n: int, cov: np.ndarray, integrands: list[dict], quadrature_order: int | None = None) -> float:
+def replica_gaussian_eval(n: int, cov: np.ndarray, integrands: list[dict]) -> float:
     """Replica forest expansion of E[prod f_i]; returns the forest-sum side.
 
     integrands are polynomials as {exponent tuple over components: coeff}.
     The w-integrands are polynomials in w on every ordering cell, so
-    Gauss-Legendre of sufficient order makes the quadrature exact.
+    Gauss-Legendre with max(4, total degree + 1) nodes is exact.
     """
     for f in integrands:
         if not isinstance(f, dict):
@@ -248,8 +243,7 @@ def replica_gaussian_eval(n: int, cov: np.ndarray, integrands: list[dict], quadr
     if len(integrands) != n:
         raise ValueError("need one integrand per replica")
     total_degree = sum(max((sum(e) for e in f), default=0) for f in integrands)
-    if quadrature_order is None:
-        quadrature_order = max(4, total_degree + 1)
+    quadrature_order = max(4, total_degree + 1)
     nvars = n * ncomp
     base = poly_product(
         [_expand_to_replicas(f, i, n, ncomp) for i, f in enumerate(integrands)], nvars

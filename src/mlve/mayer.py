@@ -15,9 +15,10 @@ X_l(w) is the min-over-tree-path interpolation of the previous modules.
 Replica tuples may repeat a polymer; a polymer intersects itself, so
 repeated entries simply carry eta = -1.
 
-eps^T depends on the tuple only through the intersection pattern, so the
-w-integrals are cached per (tree, pattern); on every ordering cell the
-integrand is a polynomial, making moderate Gauss-Legendre exact.
+eps^T depends on the tuple only through the intersection pattern, so
+each order caches the w-integrals per (tree, pattern).  On every ordering
+cell the integrand is a polynomial, and Gauss-Legendre with the node
+count that makes it exact integrates it.
 """
 
 from __future__ import annotations
@@ -85,12 +86,15 @@ def convergence_condition(gas: PolymerGas, root) -> float:
     return sum(abs(a) * math.exp(len(p)) for p, a in gas.support() if root in p)
 
 
-def _epsilon_tree_factor(n: int, tree_edges, eta_minus: frozenset, gl_order: int) -> float:
+def _epsilon_tree_factor(n: int, tree_edges, eta_minus: frozenset) -> float:
     """eps^T for intersection pattern eta_minus (pairs with eta = -1).
 
     Zero unless every tree edge intersects; otherwise (-1)^(n-1) times the
-    w-integral of prod over non-tree intersecting pairs of (1 - X_l(w)).
-    The integrand is a per-cell polynomial, so the quadrature is exact.
+    w-integral of prod over the L non-tree intersecting pairs of
+    (1 - X_l(w)).  Inside an ordering cell every X_l is one sorted
+    coordinate t_m = prod_(i>=m) v_i, so with the cell Jacobian
+    prod_m v_m^m the integrand has degree <= L + n - 2 in each v_i, and
+    Gauss-Legendre with (L + n) // 2 nodes integrates it exactly.
     """
     for e in tree_edges:
         if e not in eta_minus:
@@ -100,14 +104,14 @@ def _epsilon_tree_factor(n: int, tree_edges, eta_minus: frozenset, gl_order: int
     nontree = [e for e in combinations(range(n), 2) if e not in tree_edges and e in eta_minus]
     sign = (-1.0) ** len(tree_edges)
     edges = sorted(tree_edges)
-    w_pts, val = ordering_cell_points(n - 1, gl_order)
+    w_pts, val = ordering_cell_points(n - 1, (len(nontree) + n) // 2)
     x = min_over_paths(n, edges, dict(zip(edges, w_pts.T)))
     for a, b in nontree:
         val = val * (1.0 - x[:, a, b])
     return sign * float(val.sum())
 
 
-def mayer_order_term(gas: PolymerGas, n: int, gl_order: int = 8, _cache=None) -> complex:
+def mayer_order_term(gas: PolymerGas, n: int) -> complex:
     """The order-n tree sum (1/n! included)."""
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -118,7 +122,7 @@ def mayer_order_term(gas: PolymerGas, n: int, gl_order: int = 8, _cache=None) ->
     support = gas.support()
     if not support:
         return 0.0
-    cache = _cache if _cache is not None else {}
+    cache: dict = {}
     intersects = {
         (i, j): bool(support[i][0] & support[j][0])
         for i in range(len(support))
@@ -143,13 +147,12 @@ def mayer_order_term(gas: PolymerGas, n: int, gl_order: int = 8, _cache=None) ->
         for tree in trees:
             key = (tree, eta_minus)
             if key not in cache:
-                cache[key] = _epsilon_tree_factor(n, tree, eta_minus, gl_order)
+                cache[key] = _epsilon_tree_factor(n, tree, eta_minus)
             tree_sum += cache[key]
         total += act * tree_sum
     return total / math.factorial(n)
 
 
-def mayer_logz(gas: PolymerGas, n_max: int, gl_order: int = 8) -> complex:
+def mayer_logz(gas: PolymerGas, n_max: int) -> complex:
     """Partial sum of the tree expansion of log Z through order n_max."""
-    cache: dict = {}
-    return sum(mayer_order_term(gas, n, gl_order, cache) for n in range(1, n_max + 1))
+    return sum(mayer_order_term(gas, n) for n in range(1, n_max + 1))

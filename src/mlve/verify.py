@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, combinatorics, grassmann, interpolation, mayer
+from . import bounds, combinatorics, engine, grassmann, interpolation, mayer
 from .model_core import ModelParams, partition_weight_sum
 
 
@@ -48,9 +48,9 @@ def suite_combinatorics() -> SuiteResult:
     return res
 
 
-def suite_forest_formula(rng=None) -> SuiteResult:
+def suite_forest_formula() -> SuiteResult:
     res = SuiteResult("forest-formula")
-    rng = np.random.default_rng(rng if rng is not None else 20240)
+    rng = np.random.default_rng(20240)
     for trial in range(5):
         coeffs = {e: float(rng.uniform(-1, 1)) for e in [(0, 1), (0, 2), (1, 2)]}
         fn = interpolation.ExpEdgeFunction(3, coeffs)
@@ -66,10 +66,10 @@ def suite_forest_formula(rng=None) -> SuiteResult:
     return res
 
 
-def suite_grassmann(rng=None) -> SuiteResult:
+def suite_grassmann() -> SuiteResult:
     """Oracle equivalence of the determinant-minor formula, small dims."""
     res = SuiteResult("grassmann")
-    rng = np.random.default_rng(rng if rng is not None else 20241)
+    rng = np.random.default_rng(20241)
     from itertools import combinations as comb
     from itertools import permutations as perm
 
@@ -85,7 +85,7 @@ def suite_grassmann(rng=None) -> SuiteResult:
                                 mono.append(("psi", a[i]))
                                 mono.append(("psibar", b[i]))
                             bf = grassmann.brute_force_grassmann(dim, mat, mono)
-                            mv = grassmann.grassmann_minor(grassmann.MinorSpec(mat, a, b))
+                            mv = grassmann.grassmann_minor(mat, a, b)
                             if abs(bf - mv) > 1e-10:
                                 res.failures.append(
                                     f"minor mismatch dim={dim} a={a} b={b}: oracle {bf}, formula {mv}"
@@ -94,11 +94,11 @@ def suite_grassmann(rng=None) -> SuiteResult:
     return res
 
 
-def suite_positivity(rng=None, trials: int = 100) -> SuiteResult:
+def suite_positivity() -> SuiteResult:
     res = SuiteResult("positivity")
-    rng = np.random.default_rng(rng if rng is not None else 20242)
+    rng = np.random.default_rng(20242)
     jungles = [j for j in combinatorics.enumerate_jungles(4, spanning=True)]
-    for _ in range(trials):
+    for _ in range(100):
         jungle = jungles[rng.integers(len(jungles))]
         slices = tuple(int(s) for s in rng.integers(1, 5, size=4))
         if grassmann.hardcore_violated(jungle, slices):
@@ -116,24 +116,19 @@ def suite_positivity(rng=None, trials: int = 100) -> SuiteResult:
 
 
 def suite_bound_domination() -> SuiteResult:
-    """Quick n <= 2 domination check; the exhaustive n <= 3 one is in the
+    """Quick n <= 2 domination check over the term classes; |term| and
+    the bound are both invariant under relabeling, so one row per class
+    checks every labeled term.  The exhaustive n <= 3 check is in the
     acceptance tests."""
-    from . import engine
-
     res = SuiteResult("bound-domination")
-    params = ModelParams(0.5, 10, 3, 4)
-    ev = engine.TermEvaluator(params, gl_nodes=8)
+    ev = engine.TermEvaluator(ModelParams(0.5, 10, 3, 4), gl_nodes=8)
     for n in (1, 2):
-        for jungle in combinatorics.enumerate_jungles(n, spanning=True):
-            from itertools import product
-
-            for slices in product(params.slices, repeat=n):
-                term = ev.jungle_term(jungle, slices)
-                bound = bounds.assemble_term_bound(jungle, slices, 0.5, 10)
-                if abs(term) > bound * (1 + 1e-9):
-                    res.failures.append(
-                        f"|term| {abs(term)} > bound {bound} at n={n}, slices={slices}"
-                    )
+        for _, jungle, _, slices, term in ev.order_terms(n):
+            bound = bounds.assemble_term_bound(jungle, slices, 0.5, 10)
+            if abs(term) > bound * (1 + 1e-9):
+                res.failures.append(
+                    f"|term| {abs(term)} > bound {bound} at n={n}, slices={slices}"
+                )
     return res
 
 

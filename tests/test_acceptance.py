@@ -122,7 +122,7 @@ def test_criterion_04_grassmann_oracle_exhaustive_exact():
                                     dim,
                                     grassmann.algebra_mul(expo, grassmann.monomial_element(mono)),
                                 )
-                                mv = grassmann.grassmann_minor(grassmann.MinorSpec(mfloat, a, b))
+                                mv = grassmann.grassmann_minor(mfloat, a, b)
                                 # integer entries make every minor an integer, which the
                                 # float determinant hits to far better than 1/2 at dim <= 5
                                 assert bf == round(mv) and abs(mv - bf) < 1e-9

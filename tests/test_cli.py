@@ -301,10 +301,11 @@ class TestCompare:
 
 class TestVerify:
     def test_selected_suites_pass(self, capsys):
-        code = run_cli(["verify", "--suite", "combinatorics", "--suite", "m-threshold"])
+        code = run_cli(["verify", "--suite", "combinatorics", "--suite", "bound-domination", "--suite", "m-threshold"])
         out = capsys.readouterr().out
         assert code == 0
         assert "[PASS] combinatorics" in out
+        assert "[PASS] bound-domination" in out
         assert "WARN" in out  # the documented q=1 threshold discrepancy
 
     def test_unknown_suite_exits_two(self):
@@ -318,8 +319,8 @@ class TestVerify:
 
         original = grassmann.grassmann_minor
 
-        def flipped(spec):
-            return -original(spec)
+        def flipped(matrix, cols, rows):
+            return -original(matrix, cols, rows)
 
         monkeypatch.setattr(grassmann, "grassmann_minor", flipped)
         code = run_cli(["verify", "--suite", "grassmann"])

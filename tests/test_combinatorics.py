@@ -138,7 +138,8 @@ class TestJungles:
     def test_block_contraction_is_tree(self):
         for jungle in enumerate_jungles(4, spanning=True):
             blocks = jungle.partition().blocks
-            block_edges = [be for be, _ in jungle.block_level_edges()]
+            block_of = jungle.partition().block_of()
+            block_edges = [norm_edge(block_of[u], block_of[v]) for u, v in jungle.fermionic]
             assert len(block_edges) == len(blocks) - 1
             assert _is_acyclic(len(blocks), block_edges)
 

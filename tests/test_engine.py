@@ -21,7 +21,6 @@ from mlve.combinatorics import (
 from mlve.engine import TermEvaluator, bosonic_block_value, fermionic_weight_integral
 from mlve.errors import BudgetExceededError
 from mlve.grassmann import (
-    FermionicFactorInput,
     fermionic_factor,
     fermionic_factor_brute,
     hardcore_violated,
@@ -111,6 +110,15 @@ class TestBosonicBlockValue:
         fine = [bosonic_block_value(*blk, params) for blk in BLOCKS]
         for a, b in zip(coarse, fine):
             assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_block_integral_follows_a_replaced_grid(self, monkeypatch):
+        # the smoothing multipliers cached for 243 points are not reused on
+        # a grid of 729
+        params = ModelParams(0.2, 2, 1, 3)
+        coarse = TermEvaluator(params).block_integral([0, 1], [(0, 1)], (1, 2))
+        monkeypatch.setattr(mlve.engine, "SIGMA_GRID", np.linspace(-12.0, 12.0, 729))
+        fine = TermEvaluator(params).block_integral([0, 1], [(0, 1)], (1, 2))
+        assert abs(coarse - fine) <= 1e-12 * abs(fine)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([0.2, 0.5, 0.3 + 0.1j]))
@@ -409,7 +417,7 @@ def integrate_factor(jungle, slices, nodes, chunk=50_000):
     total = 0.0
     for lo in range(0, len(wts), chunk):
         at = slice(lo, lo + chunk)
-        vals = fermionic_factor(FermionicFactorInput(jungle, slices, dict(zip(edges, pts[at].T))))
+        vals = fermionic_factor(jungle, slices, dict(zip(edges, pts[at].T)))
         total += float(np.dot(wts[at], np.broadcast_to(vals, wts[at].shape)))
     return total
 
@@ -437,7 +445,7 @@ class TestFermionicIntegral:
                 continue
             edges = sorted(jungle.fermionic)
             brute = sum(
-                w * fermionic_factor_brute(FermionicFactorInput(jungle, slices, dict(zip(edges, pt))))
+                w * fermionic_factor_brute(jungle, slices, dict(zip(edges, pt)))
                 for pt, w in zip(pts, wts)
             )
             assert abs(value - brute) <= 1e-13 * max(1.0, abs(value))

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spanning_jungle
-from mlve.combinatorics import Forest, Jungle, _components_of, empty_forest
+from mlve.combinatorics import Forest, Jungle, _components_of, empty_forest, enumerate_jungles, norm_edge
 from mlve.grassmann import (
-    FermionicFactorInput,
-    MinorSpec,
     brute_force_grassmann,
     check_minor_bound,
     fermionic_factor,
@@ -20,6 +18,24 @@ from mlve.grassmann import (
 from mlve.interpolation import min_over_paths
 
 
+def _block_weights(jungle, weights):
+    """The weights of the block graph: the Fermionic edges, each between
+    the Bosonic blocks of its endpoints."""
+    block_of = jungle.partition().block_of()
+    return {norm_edge(block_of[u], block_of[v]): weights[(u, v)] for u, v in sorted(jungle.fermionic)}
+
+
+def _block_level_y(jungle, slices, weights):
+    """The lifted Y by the block graph: its path minima, gathered back to
+    the vertices, times the slice delta."""
+    block_of = jungle.partition().block_of()
+    blk = np.array([block_of[v] for v in range(jungle.n)])
+    block_weights = _block_weights(jungle, weights)
+    yblk = min_over_paths(len(jungle.partition().blocks), list(block_weights), block_weights)
+    js = np.asarray(slices)
+    return yblk[..., blk[:, None], blk] * (js[:, None] == js)
+
+
 def _layered_lifted_sum(jungle, slices, weights):
     """sum_i c_i sum_(f, j) 1_(f, j) 1_(f, j)^T: the layered decomposition of
     the block-level Fermionic forest, each block component f split by the
@@ -27,7 +43,7 @@ def _layered_lifted_sum(jungle, slices, weights):
     decreasing weight w_i, layer i has c_i = w_i - w_(i+1) (w_0 = 1, w_(k+1)
     = 0) and the components f of the i heaviest edges."""
     block_of = jungle.partition().block_of()
-    block_weights = {be: weights[e] for be, e in jungle.block_level_edges()}
+    block_weights = _block_weights(jungle, weights)
     order = sorted(block_weights, key=block_weights.get, reverse=True)
     levels = [1.0] + [block_weights[e] for e in order] + [0.0]
     js = np.asarray(slices)
@@ -60,16 +76,16 @@ class TestBruteForce:
 class TestMinorFormula:
     def test_empty_removal_is_determinant(self, rng):
         m = rng.normal(size=(4, 4))
-        assert grassmann_minor(MinorSpec(m, (), ())) == pytest.approx(np.linalg.det(m), rel=1e-12)
+        assert grassmann_minor(m, (), ()) == pytest.approx(np.linalg.det(m), rel=1e-12)
 
     def test_identity_interior_minor(self):
-        assert grassmann_minor(MinorSpec(np.eye(3), (0,), (0,))) == pytest.approx(1.0)
+        assert grassmann_minor(np.eye(3), (0,), (0,)) == pytest.approx(1.0)
 
     def test_off_diagonal_sign_locked_by_oracle(self, rng):
         m = np.array([[1.0, 0.3], [0.3, 1.0]])
         mono = [("psi", 0), ("psibar", 1)]
         bf = brute_force_grassmann(2, m, mono)
-        assert grassmann_minor(MinorSpec(m, (0,), (1,))) == pytest.approx(bf, rel=1e-12)
+        assert grassmann_minor(m, (0,), (1,)) == pytest.approx(bf, rel=1e-12)
         assert bf == pytest.approx(-0.3, rel=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -85,7 +101,7 @@ class TestMinorFormula:
                                 mono.append(("psi", a[i]))
                                 mono.append(("psibar", b[i]))
                             bf = brute_force_grassmann(dim, m, mono)
-                            mv = grassmann_minor(MinorSpec(m, a, b))
+                            mv = grassmann_minor(m, a, b)
                             assert mv == pytest.approx(bf, abs=1e-11, rel=1e-9)
 
     def test_random_dim_six(self, rng):
@@ -103,53 +119,50 @@ class TestMinorFormula:
                 mono.append(("psi", a[i]))
                 mono.append(("psibar", b[i]))
             bf = berezin_integral(dim, algebra_mul(expo, monomial_element(mono)))
-            assert grassmann_minor(MinorSpec(m, a, b)) == pytest.approx(bf, abs=1e-10, rel=1e-8)
+            assert grassmann_minor(m, a, b) == pytest.approx(bf, abs=1e-10, rel=1e-8)
 
     def test_antisymmetry_in_columns(self, rng):
         m = rng.normal(size=(4, 4))
         a, b = (0, 2), (1, 3)
         swapped = (2, 0)
-        v1 = grassmann_minor(MinorSpec(m, a, b))
-        v2 = grassmann_minor(MinorSpec(m, swapped, b))
+        v1 = grassmann_minor(m, a, b)
+        v2 = grassmann_minor(m, swapped, b)
         assert v1 == pytest.approx(-v2, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MinorSpec(np.eye(3), (0, 0), (1, 2))
+            grassmann_minor(np.eye(3), (0, 0), (1, 2))
         with pytest.raises(ValueError):
-            MinorSpec(np.eye(3), (0,), (1, 2))
+            grassmann_minor(np.eye(3), (0,), (1, 2))
         with pytest.raises(ValueError):
-            MinorSpec(np.eye(3), (5,), (0,))
+            grassmann_minor(np.eye(3), (5,), (0,))
 
 
 class TestFermionicFactor:
     def test_single_block_no_edges(self):
         jungle = Jungle(3, Forest(3, frozenset({(0, 1), (1, 2)})), frozenset())
-        inp = FermionicFactorInput(jungle, (1, 2, 3), {})
-        assert fermionic_factor(inp) == 1.0
+        assert fermionic_factor(jungle, (1, 2, 3), {}) == 1.0
 
     def test_hardcore_zero(self):
         jungle = Jungle(2, Forest(2, frozenset({(0, 1)})), frozenset())
-        inp = FermionicFactorInput(jungle, (2, 2), {})
         assert hardcore_violated(jungle, (2, 2))
-        assert fermionic_factor(inp) == 0.0
+        assert fermionic_factor(jungle, (2, 2), {}) == 0.0
 
     def test_slice_delta_zero(self):
         jungle = Jungle(2, empty_forest(2), frozenset({(0, 1)}))
         assert slice_delta_violated(jungle, (1, 2))
-        assert fermionic_factor(FermionicFactorInput(jungle, (1, 2), {(0, 1): 0.5})) == 0.0
+        assert fermionic_factor(jungle, (1, 2), {(0, 1): 0.5}) == 0.0
 
     def test_two_singletons_full_weight(self):
         jungle = Jungle(2, empty_forest(2), frozenset({(0, 1)}))
-        inp = FermionicFactorInput(jungle, (1, 1), {(0, 1): 1.0})
-        val = fermionic_factor(inp)
+        val = fermionic_factor(jungle, (1, 1), {(0, 1): 1.0})
         assert abs(val) <= 2.0 + 1e-12
         y = lifted_y_matrix(jungle, (1, 1), {(0, 1): 1.0})
         for pattern in ((0,), (1,)):
             cols = (0,) if pattern == (0,) else (1,)
             rows = (1,) if pattern == (0,) else (0,)
-            assert abs(grassmann_minor(MinorSpec(y, cols, rows))) <= 1.0 + 1e-12
-        assert val == pytest.approx(fermionic_factor_brute(inp), abs=1e-12)
+            assert abs(grassmann_minor(y, cols, rows)) <= 1.0 + 1e-12
+        assert val == pytest.approx(fermionic_factor_brute(jungle, (1, 1), {(0, 1): 1.0}), abs=1e-12)
 
     def test_routes_agree_on_random_jungles(self, rng):
         for n in range(2, 6):
@@ -157,10 +170,20 @@ class TestFermionicFactor:
                 jungle = random_spanning_jungle(rng, n)
                 slices = tuple(int(s) for s in rng.integers(1, 4, size=n))
                 weights = {e: float(rng.uniform()) for e in jungle.fermionic}
-                inp = FermionicFactorInput(jungle, slices, weights)
-                assert fermionic_factor(inp) == pytest.approx(
-                    fermionic_factor_brute(inp), abs=1e-11
+                assert fermionic_factor(jungle, slices, weights) == pytest.approx(
+                    fermionic_factor_brute(jungle, slices, weights), abs=1e-11
                 )
+
+    def test_lifted_y_is_union_forest_path_minima(self, rng):
+        # every jungle with n <= 5, spanning or not, at random slices 1 and
+        # 2, with scalar weights and with weights at 7 points: the union
+        # forest's path minima equal the block graph's, bit for bit
+        for n in range(1, 6):
+            for jungle in enumerate_jungles(n):
+                slices = tuple(int(s) for s in rng.integers(1, 3, size=n))
+                for points in (None, 7):
+                    weights = {e: rng.uniform(size=points) for e in sorted(jungle.fermionic)}
+                    assert np.array_equal(lifted_y_matrix(jungle, slices, weights), _block_level_y(jungle, slices, weights))
 
     def test_lifted_matrix_psd_and_layered(self, rng):
         for _ in range(100):
@@ -216,21 +239,21 @@ class TestStackedRoute:
             k = int(rng.integers(0, n + 1))
             cols = tuple(int(i) for i in rng.permutation(n)[:k])
             rows = tuple(int(i) for i in rng.permutation(n)[:k])
-            got = grassmann_minor(MinorSpec(y, cols, rows))
+            got = grassmann_minor(y, cols, rows)
             assert got.shape == (self.P,) and got.dtype == np.float64
-            want = [grassmann_minor(MinorSpec(y[p], cols, rows)) for p in range(self.P)]
+            want = [grassmann_minor(y[p], cols, rows) for p in range(self.P)]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
     def test_fermionic_factor_pointwise_and_brute(self, rng):
         kinds = set()
         for jungle, slices, stack in self.cases(rng):
-            got = fermionic_factor(FermionicFactorInput(jungle, slices, stack))
+            got = fermionic_factor(jungle, slices, stack)
             assert got.shape == (self.P,)
             kinds.add(bool(np.any(got)))
             for p in range(self.P):
-                inp = FermionicFactorInput(jungle, slices, self.point(stack, p))
-                assert got[p] == pytest.approx(fermionic_factor(inp), rel=1e-13, abs=1e-15)
-                assert got[p] == pytest.approx(fermionic_factor_brute(inp), abs=1e-12)
+                w = self.point(stack, p)
+                assert got[p] == pytest.approx(fermionic_factor(jungle, slices, w), rel=1e-13, abs=1e-15)
+                assert got[p] == pytest.approx(fermionic_factor_brute(jungle, slices, w), abs=1e-12)
         assert kinds == {False, True}  # structural zeros and live terms both drawn
 
 
@@ -242,7 +265,7 @@ class TestMinorBounds:
 
     def test_all_ones_diagonal_minor(self):
         ones = np.ones((3, 3))
-        assert grassmann_minor(MinorSpec(ones, (0,), (0,))) == pytest.approx(0.0, abs=1e-14)
+        assert grassmann_minor(ones, (0,), (0,)) == pytest.approx(0.0, abs=1e-14)
         report = check_minor_bound(ones, trials=50, rng=1)
         assert report.ok
 

@@ -100,7 +100,8 @@ class TestXMatrix:
 
 
 class TestYBlockMatrix:
-    """Block-level Y of the Fermionic forest, as lifted_y_matrix builds it."""
+    """Path-minimum matrices of small forests: lifted_y_matrix's Y of the
+    union forest before the slice delta."""
 
     def test_single_block(self):
         Y = min_over_paths(1, [], {})
@@ -115,8 +116,16 @@ class TestYBlockMatrix:
         assert Y[0, 2] == 0.2
         assert np.linalg.eigvalsh(Y).min() >= -1e-12
 
+    def test_scalar_and_stacked_weights_broadcast(self):
+        # a scalar weight listed before a stacked one still gives the stack,
+        # as a Bosonic edge at weight 1 does in the union forest
+        w = np.array([0.3, 0.7])
+        Y = min_over_paths(3, [(0, 1), (1, 2)], {(0, 1): 1.0, (1, 2): w})
+        assert Y.shape == (2, 3, 3)
+        assert np.array_equal(Y[:, 0, 2], w)
+
     def test_non_forest_rejected(self):
-        # the block-level edges come from a jungle, which refuses a cycle
+        # the union forest comes from a jungle, which refuses a cycle
         with pytest.raises(ValueError):
             Jungle(3, empty_forest(3), frozenset({(0, 1), (1, 2), (0, 2)}))
 

@@ -48,9 +48,10 @@ class TestTreeExpansion:
         gas = PolymerGas(frozenset({0, 1}), {frozenset({0}): 0.0})
         assert mayer_logz(gas, 3) == 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_single_polymer_log_series(self, n):
-        # hardcore self-pairs reproduce log(1 + a) term by term
+        # hardcore self-pairs reproduce log(1 + a) term by term; every pair
+        # intersects, so each tree factor takes the most nodes of its order
         a = 0.3
         gas = PolymerGas(frozenset({0}), {frozenset({0}): a})
         term = mayer_order_term(gas, n)
@@ -104,11 +105,11 @@ class TestEpsilonFactor:
             for _ in range(20):
                 pattern = frozenset(p for p in pairs if rng.random() < 0.7)
                 for tree in trees:
-                    val = _epsilon_tree_factor(n, tree, pattern, gl_order=8)
+                    val = _epsilon_tree_factor(n, tree, pattern)
                     assert abs(val) <= 1.0 + 1e-12
 
     def test_nonintersecting_tree_edge_kills_term(self):
-        assert _epsilon_tree_factor(2, ((0, 1),), frozenset(), 8) == 0.0
+        assert _epsilon_tree_factor(2, ((0, 1),), frozenset()) == 0.0
 
 
 class TestConvergenceCondition:

@@ -1,12 +1,16 @@
 """Every top-level function and class in src/mlve has a caller in src/mlve,
-and every module-level constant there a reader.
+every module-level constant there a reader, and every defaulted parameter
+of a called function a call that sets it.
 
 A name is called when module-level code, or a function or class that is
 itself called, refers to it.  Import statements at module level do not
 count: a name only imported is not run.  ``cli.main`` is reached from the
 ``__main__`` guard of ``cli``, and the ``verify`` suites from its suite
 table.  A constant is read when module-level code or a called function or
-class loads it; assigning it does not count.
+class loads it; assigning it does not count.  A defaulted parameter of a
+called function or method is set by a call in src/mlve or the tests that
+passes it, by keyword or by position; one that no call sets is a constant
+in disguise.
 
 The one exemption is REFERENCE_ROUTES: second implementations that tests
 compare a production route against, and bounds of the paper that the
@@ -96,6 +100,47 @@ def _called(defs, roots) -> set:
     return called
 
 
+def _calls() -> dict:
+    """{callee: [positional argument count, keywords]}, the most positional
+    arguments and every keyword of any call in src/mlve or the tests, the
+    callee named by its name or attribute.  A call with *args or **kwargs
+    adds the keyword None, which sets everything."""
+    calls = {}
+    for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            entry = calls.setdefault(name, [0, set()])
+            entry[0] = max(entry[0], len(node.args))
+            entry[1] |= {k.arg for k in node.keywords}  # None for **kwargs
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                entry[1].add(None)
+    return calls
+
+
+def _defaulted(definition):
+    """(callee, parameter, position) for each defaulted parameter of a
+    top-level function, or of a method of a top-level class, where a call
+    by callee passes the parameter as its argument at position; a
+    keyword-only parameter has no position.  A class is called by its own
+    name for __init__, a method by its name, without self."""
+    if isinstance(definition, ast.ClassDef):
+        methods = [f for f in definition.body if isinstance(f, ast.FunctionDef)]
+        funcs = [(definition.name if f.name == "__init__" else f.name, 1, f) for f in methods]
+    else:
+        funcs = [(definition.name, 0, definition)]
+    for callee, offset, func in funcs:
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], start=first):
+            yield callee, a.arg, i - offset
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, a.arg, None
+
+
 def test_every_definition_has_a_caller():
     defs, _, roots = _source_graph()
     assert set(REFERENCE_ROUTES) <= set(defs), sorted(set(REFERENCE_ROUTES) - set(defs))
@@ -122,3 +167,18 @@ def test_reference_routes_are_used_by_tests():
         if path.name != Path(__file__).name:
             used |= _names(ast.parse(path.read_text(encoding="utf-8")))
     assert not set(REFERENCE_ROUTES) - used, sorted(set(REFERENCE_ROUTES) - used)
+
+
+def test_every_defaulted_parameter_is_set():
+    defs, _, roots = _source_graph()
+    reached = _called(defs, roots) - set(REFERENCE_ROUTES)
+    calls = _calls()
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, _DEFS) and node.name in reached:
+                for callee, param, position in _defaulted(node):
+                    count, keywords = calls.get(callee, (0, set()))
+                    if not keywords & {param, None} and (position is None or position >= count):
+                        unset.append(f"{path.stem}.{callee}({param})")
+    assert not unset, f"defaulted, and set by no call: {sorted(unset)}"
