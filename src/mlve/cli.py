@@ -73,18 +73,19 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def _coupling(value) -> complex:
+def _coupling(value, key: str) -> complex:
+    """A JSON setting that is a finite number or [re, im], as a complex."""
     if _is_real(value):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
-    _fail_usage(f"lambda must be a finite number or [re, im], got {value!r}")
+    _fail_usage(f"{key} must be a finite number or [re, im], got {value!r}")
 
 
 def _params(cfg):
     from .model_core import ModelParams
 
-    lam = _coupling(cfg["lambda"])
+    lam = _coupling(cfg["lambda"], "lambda")
     M, j_min, j_max = (_int_setting(cfg, key, lo) for key, lo in (("M", 2), ("j_min", 1), ("j_max", 1)))
     try:
         return ModelParams(lam, M, j_min, j_max)
@@ -325,6 +326,16 @@ def cmd_domain_map(args) -> int:
     return 0
 
 
+def _monomer_set(value, key: str) -> frozenset:
+    """A JSON list of distinct monomers, as a set."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON list, got {value!r}")
+    monomers = frozenset(value)
+    if len(monomers) != len(value):
+        raise ValueError(f"{key} {value!r} lists a monomer twice")
+    return monomers
+
+
 def cmd_mayer(args) -> int:
     from . import mayer
 
@@ -335,25 +346,25 @@ def cmd_mayer(args) -> int:
         _fail_usage(f"gas file not found: {args.gas}")
     try:
         spec = json.loads(path.read_text(encoding="utf-8"))
-        monomers = frozenset(spec["monomers"])
+        monomers = _monomer_set(spec["monomers"], "monomers")
         acts = {}
         for entry in spec["activities"]:
-            poly = frozenset(entry["polymer"])
+            poly = _monomer_set(entry["polymer"], "polymer")
             if poly in acts:
                 raise ValueError(f"polymer {entry['polymer']!r} listed twice")
-            acts[poly] = complex(entry["activity"])
+            acts[poly] = _coupling(entry["activity"], f"the activity of polymer {entry['polymer']!r}")
         gas = mayer.PolymerGas(monomers, acts)
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _fail_usage(f"malformed gas file {args.gas}: {exc!r}")
     try:
-        direct = mayer.polymer_z_direct(gas)
-        orders = [mayer.mayer_order_term(gas, n) for n in range(1, args.n_max + 1)]
-    except ValueError as exc:  # a gas or order past the enumeration budgets
+        z = mayer.partition_polynomial(gas)
+        orders = mayer.log_coefficients(z, args.n_max)
+    except ValueError as exc:  # a gas or order past the budgets
         _fail_usage(str(exc))
-    total = sum(orders)
+    direct, total = sum(z), sum(orders)
     # the record compares logarithms: both need a finite, nonzero partition function
     if direct == 0 or not cmath.isfinite(direct):
-        _fail_usage(f"Z by direct enumeration is {direct}, which has no finite logarithm")
+        _fail_usage(f"Z = {direct}, which has no finite logarithm")
     if not total.real < _LOG_FLOAT_MAX:  # also refuses NaN
         _fail_usage(f"the tree sum {total} through n = {args.n_max} has no finite exponential")
     record = {

@@ -1,24 +1,25 @@
 """Polymer-gas Mayer expansion on a finite monomer set.
 
 A gas is a finite monomer set plus an activity A(P) for each polymer
-(nonempty monomer subset; unlisted polymers have activity zero).  The
-partition function sums over unordered collections of pairwise-disjoint
-polymers; its logarithm has the tree expansion
+(nonempty monomer subset; unlisted polymers have activity zero).  Weight
+each polymer by s: the partition function
 
-    log Z = sum_n 1/n! sum_(trees T) sum_(ordered tuples P_1..P_n)
-            prod A(P_i) * eps^T,
+    Z(s) = sum over collections of pairwise-disjoint polymers of
+           prod A(P) * s^(number of polymers)
 
-    eps^T = (prod_(l in T) eta_l) * int dw prod_(l not in T) (1 + eta_l X_l(w)),
+is a polynomial of degree at most the monomer count, and Z(1) is the
+partition function.  Order n of the tree expansion of log Z sums the
+forest formula's tree weights over ordered n-tuples of polymers, so it
+is homogeneous of degree n in the activities: it is the coefficient
+b_n = [s^n] log Z(s).  With Z(0) = 1 the log series follows from
+Z' = Z (log Z)':
 
-where eta_l is -1 when the two polymers intersect and 0 otherwise, and
-X_l(w) is the min-over-tree-path interpolation of the previous modules.
-Replica tuples may repeat a polymer; a polymer intersects itself, so
-repeated entries simply carry eta = -1.
+    n b_n = n z_n - sum_(k<n) k b_k z_(n-k).
 
-eps^T depends on the tuple only through the intersection pattern, so
-each order caches the w-integrals per (tree, pattern).  On every ordering
-cell the integrand is a polynomial, and Gauss-Legendre with the node
-count that makes it exact integrates it.
+The coefficients z_n come from a subset sum over monomer masks: the
+lowest monomer of a mask is either empty or lies in exactly one polymer
+inside the mask.  The cost is flat in the number of polymers; the tests
+check the orders against the tree walk itself.
 """
 
 from __future__ import annotations
@@ -26,14 +27,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
-
-from .combinatorics import enumerate_trees
-from .interpolation import min_over_paths, ordering_cell_points
 
 DIRECT_BUDGET = 8
-ORDER_BUDGET = 5
-MONOMER_BUDGET = 6
+ORDER_BUDGET = 8
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class PolymerGas:
 
     def __post_init__(self):
         try:
-            sorted(self.monomers)  # support() orders polymers by their monomers
+            sorted(self.monomers)  # support() and the masks order the monomers
         except TypeError as exc:
             raise ValueError(f"monomers must be mutually comparable: {exc}") from None
         for poly, act in self.activities.items():
@@ -60,22 +56,37 @@ class PolymerGas:
         return sorted(items, key=lambda t: (len(t[0]), sorted(t[0])))
 
 
-def polymer_z_direct(gas: PolymerGas) -> complex:
-    """Partition function by enumeration of disjoint polymer collections."""
-    if len(gas.monomers) > DIRECT_BUDGET:
-        raise ValueError(f"direct enumeration budgeted to {DIRECT_BUDGET} monomers")
-    support = gas.support()
+def partition_polynomial(gas: PolymerGas) -> list[complex]:
+    """Coefficients z_0..z_m of Z(s) on the m monomers of the gas."""
+    m = len(gas.monomers)
+    if m > DIRECT_BUDGET:
+        raise ValueError(f"partition function budgeted to {DIRECT_BUDGET} monomers")
+    bit = {x: 1 << i for i, x in enumerate(sorted(gas.monomers))}
+    by_lowest: dict[int, list] = {}
+    for poly, act in gas.support():
+        mask = sum(bit[x] for x in poly)
+        by_lowest.setdefault(mask & -mask, []).append((mask, act))
+    z = [[1.0 + 0.0j] + [0.0j] * m]  # z[mask]: Z(s) of the monomers in mask
+    for mask in range(1, 1 << m):
+        lowest = mask & -mask
+        coeffs = list(z[mask ^ lowest])
+        for poly, act in by_lowest.get(lowest, ()):
+            if poly & mask == poly:
+                for k, c in enumerate(z[mask ^ poly][:m]):
+                    coeffs[k + 1] += act * c
+        z.append(coeffs)
+    return z[-1]
 
-    def rec(idx: int, used: frozenset) -> complex:
-        if idx == len(support):
-            return 1.0
-        total = rec(idx + 1, used)  # skip polymer idx
-        poly, act = support[idx]
-        if not (poly & used):
-            total += act * rec(idx + 1, used | poly)
-        return total
 
-    return rec(0, frozenset())
+def log_coefficients(z, n_max: int) -> list[complex]:
+    """b_1..b_n_max of log Z(s) for the coefficients z of Z(s), z_0 = 1."""
+    if not 1 <= n_max <= ORDER_BUDGET:
+        raise ValueError(f"order must be in 1..{ORDER_BUDGET}, got {n_max}")
+    z = list(z) + [0.0j] * n_max
+    b: list[complex] = []
+    for n in range(1, n_max + 1):
+        b.append(z[n] - sum(k * b[k - 1] * z[n - k] for k in range(1, n)) / n)
+    return b
 
 
 def convergence_condition(gas: PolymerGas, root) -> float:
@@ -84,75 +95,3 @@ def convergence_condition(gas: PolymerGas, root) -> float:
     if root not in gas.monomers:
         raise ValueError(f"root monomer {root!r} not in the gas")
     return sum(abs(a) * math.exp(len(p)) for p, a in gas.support() if root in p)
-
-
-def _epsilon_tree_factor(n: int, tree_edges, eta_minus: frozenset) -> float:
-    """eps^T for intersection pattern eta_minus (pairs with eta = -1).
-
-    Zero unless every tree edge intersects; otherwise (-1)^(n-1) times the
-    w-integral of prod over the L non-tree intersecting pairs of
-    (1 - X_l(w)).  Inside an ordering cell every X_l is one sorted
-    coordinate t_m = prod_(i>=m) v_i, so with the cell Jacobian
-    prod_m v_m^m the integrand has degree <= L + n - 2 in each v_i, and
-    Gauss-Legendre with (L + n) // 2 nodes integrates it exactly.
-    """
-    for e in tree_edges:
-        if e not in eta_minus:
-            return 0.0
-    if n == 1:
-        return 1.0
-    nontree = [e for e in combinations(range(n), 2) if e not in tree_edges and e in eta_minus]
-    sign = (-1.0) ** len(tree_edges)
-    edges = sorted(tree_edges)
-    w_pts, val = ordering_cell_points(n - 1, (len(nontree) + n) // 2)
-    x = min_over_paths(n, edges, dict(zip(edges, w_pts.T)))
-    for a, b in nontree:
-        val = val * (1.0 - x[:, a, b])
-    return sign * float(val.sum())
-
-
-def mayer_order_term(gas: PolymerGas, n: int) -> complex:
-    """The order-n tree sum (1/n! included)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if n > ORDER_BUDGET:
-        raise ValueError(f"order budgeted to {ORDER_BUDGET}")
-    if len(gas.monomers) > MONOMER_BUDGET:
-        raise ValueError(f"tree expansion budgeted to {MONOMER_BUDGET} monomers")
-    support = gas.support()
-    if not support:
-        return 0.0
-    cache: dict = {}
-    intersects = {
-        (i, j): bool(support[i][0] & support[j][0])
-        for i in range(len(support))
-        for j in range(i, len(support))
-    }
-    trees = [tuple(sorted(t.edges)) for t in enumerate_trees(n)]
-    total = 0.0 + 0.0j
-    from itertools import product as iproduct
-
-    for tuple_idx in iproduct(range(len(support)), repeat=n):
-        act = 1.0 + 0.0j
-        for i in tuple_idx:
-            act *= support[i][1]
-        if act == 0:
-            continue
-        eta_minus = frozenset(
-            (a, b)
-            for a, b in combinations(range(n), 2)
-            if intersects[tuple(sorted((tuple_idx[a], tuple_idx[b])))]
-        )
-        tree_sum = 0.0
-        for tree in trees:
-            key = (tree, eta_minus)
-            if key not in cache:
-                cache[key] = _epsilon_tree_factor(n, tree, eta_minus)
-            tree_sum += cache[key]
-        total += act * tree_sum
-    return total / math.factorial(n)
-
-
-def mayer_logz(gas: PolymerGas, n_max: int) -> complex:
-    """Partial sum of the tree expansion of log Z through order n_max."""
-    return sum(mayer_order_term(gas, n) for n in range(1, n_max + 1))

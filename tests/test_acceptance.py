@@ -13,7 +13,7 @@ from itertools import accumulate, combinations, permutations, product
 import numpy as np
 import pytest
 
-from conftest import count_trees_with_degrees, random_spanning_jungle
+from conftest import count_trees_with_degrees, random_spanning_jungle, tree_walk_order, z_by_collections
 from mlve import bounds, grassmann, interpolation, mayer, oracle
 from mlve.combinatorics import (
     count_two_level_trees,
@@ -213,8 +213,9 @@ def test_criterion_09_mayer_expansion():
             frozenset({0, 1}),
             {frozenset({0}): 0.1, frozenset({1}): 0.1, frozenset({0, 1}): 0.05},
         )
-        direct = mayer.polymer_z_direct(gas).real
-        assert abs(math.exp(mayer.mayer_logz(gas, 4).real) - direct) < 1e-3
+        direct = sum(z_by_collections(gas)).real
+        orders = mayer.log_coefficients(mayer.partition_polynomial(gas), 4)
+        assert abs(math.exp(sum(orders).real) - direct) < 1e-3
 
         rng = np.random.default_rng(9001)
         done = 0
@@ -229,8 +230,13 @@ def test_criterion_09_mayer_expansion():
             }
             g = mayer.PolymerGas(frozenset(range(m)), acts)
             assert max(mayer.convergence_condition(g, p0) for p0 in g.monomers) < 1.0
-            z = mayer.polymer_z_direct(g).real
-            assert abs(math.exp(mayer.mayer_logz(g, 4).real) - z) < 1e-3
+            z = sum(z_by_collections(g)).real
+            orders = mayer.log_coefficients(mayer.partition_polynomial(g), 4)
+            assert abs(math.exp(sum(orders).real) - z) < 1e-3
+            # the forest formula's tree weights, summed over ordered tuples
+            for n, order in enumerate(orders[:3], start=1):
+                walked = tree_walk_order(g, n)
+                assert abs(order - walked) <= 1e-13 * abs(walked)
             done += 1
         elapsed = time.time() - t0
         assert elapsed < 120.0, f"criterion 9 took {elapsed:.0f} s"

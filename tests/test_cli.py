@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from conftest import z_by_collections
 from mlve import cli
+from mlve.mayer import PolymerGas
 
 
 def run_cli(args):
@@ -460,11 +464,60 @@ class TestMayerCommand:
         assert rec["abs_error"] < 1e-3
         assert len(rec["orders"]) == 4
 
+    def test_complex_activity(self, tmp_path):
+        gas = {"monomers": [0], "activities": [{"polymer": [0], "activity": [0.1, -0.2]}]}
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps(gas), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["mayer", "--gas", str(path), "--out", str(out), "--n-max", "3"]) == 0
+        rec = json.loads((out / "mayer.json").read_text())
+        a = complex(0.1, -0.2)
+        assert rec["z_direct"] == [1.1, -0.2]
+        for n, (re, im) in enumerate(rec["orders"], start=1):
+            assert abs(complex(re, im) - (-1) ** (n + 1) * a**n / n) < 1e-15
+
+    @staticmethod
+    def write_full_gas(tmp_path, m):
+        """Every nonempty subset of m monomers is a polymer of activity 0.01."""
+        polys = [list(c) for size in range(1, m + 1) for c in combinations(range(m), size)]
+        gas = {"monomers": list(range(m)), "activities": [{"polymer": p, "activity": 0.01} for p in polys]}
+        path = tmp_path / f"full{m}.json"
+        path.write_text(json.dumps(gas), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("m, n_max", [(6, 5), (8, 8)])
+    def test_full_gas_in_budget(self, tmp_path, m, n_max):
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        assert run_cli(["mayer", "--gas", str(self.write_full_gas(tmp_path, m)), "--out", str(out), "--n-max", str(n_max)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        rec = json.loads((out / "mayer.json").read_text())
+        assert len(rec["orders"]) == n_max
+        assert complex(*rec["orders"][0]) == pytest.approx(0.01 * (2**m - 1), rel=1e-14)
+
+    def test_full_gas_z_against_collections(self, tmp_path):
+        m = 7
+        out = tmp_path / "out"
+        assert run_cli(["mayer", "--gas", str(self.write_full_gas(tmp_path, m)), "--out", str(out), "--n-max", "2"]) == 0
+        rec = json.loads((out / "mayer.json").read_text())
+        polys = [frozenset(c) for size in range(1, m + 1) for c in combinations(range(m), size)]
+        want = sum(z_by_collections(PolymerGas(frozenset(range(m)), dict.fromkeys(polys, 0.01))))
+        assert abs(complex(*rec["z_direct"]) - want) <= 1e-14 * abs(want)
+
     @pytest.mark.parametrize("n_max", ["0", "-2"])
     def test_n_max_below_one_exits_two(self, tmp_path, capsys, n_max):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:
             run_cli(["mayer", "--gas", str(self.write_gas(tmp_path)), "--out", str(out), "--n-max", n_max])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m, n_max", [(2, 9), (9, 1)])
+    def test_past_the_budgets_exits_two(self, tmp_path, capsys, m, n_max):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["mayer", "--gas", str(self.write_full_gas(tmp_path, m)), "--out", str(out), "--n-max", str(n_max)])
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
@@ -492,6 +545,12 @@ class TestMayerCommand:
             '{"monomers": [0], "activities": [{"polymer": [0], "activity": 1000}]}',
             '{"monomers": [0], "activities": [{"polymer": [0], "activity": 1e200}]}',
             '{"monomers": [0], "activities": [{"polymer": [0], "activity": -1}]}',
+            '{"monomers": [0], "activities": [{"polymer": [0], "activity": true}]}',
+            '{"monomers": [0], "activities": [{"polymer": [0], "activity": [0.1, "a"]}]}',
+            '{"monomers": "01", "activities": [{"polymer": ["0"], "activity": 0.1}]}',
+            '{"monomers": ["0"], "activities": [{"polymer": "0", "activity": 0.1}]}',
+            '{"monomers": [0, 0, 1], "activities": [{"polymer": [0], "activity": 0.1}]}',
+            '{"monomers": [0, 1], "activities": [{"polymer": [0, 0], "activity": 0.1}]}',
         ],
         ids=[
             "json",
@@ -508,6 +567,12 @@ class TestMayerCommand:
             "tree-sum-overflows",
             "tree-sum-not-finite",
             "z-direct-zero",
+            "bool-activity",
+            "bad-complex-activity",
+            "string-monomers",
+            "string-polymer",
+            "duplicate-monomer",
+            "duplicate-in-polymer",
         ],
     )
     def test_malformed_gas_file_exits_two(self, tmp_path, capsys, text):
