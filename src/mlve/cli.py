@@ -374,7 +374,7 @@ def cmd_mayer(args) -> int:
         "log_z_direct": math.log(abs(direct)),
         "orders": [[o.real, o.imag] for o in orders],
         "tree_sum": [total.real, total.imag],
-        "abs_error": abs(math.e ** total.real - abs(direct)),
+        "abs_error": abs(cmath.rect(math.e**total.real, total.imag) - direct),
     }
     out = _out_dir(args)
     (out / "mayer.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -33,9 +33,17 @@ layer and component.  A block integral walks each cell's edges by
 decreasing weight.  Each edge merges the two components it joins, a
 product on one fixed uniform grid; then every component is smoothed by
 the exact Fourier multiplier exp(-(w_i - w_(i+1)) k^2/2), and the one
-function left is read at sigma = 0.  Each kernel table is transformed
-once, and a component stays in Fourier space as a stack over the cell's
-points, returning to the grid only to merge.
+function left is read at sigma = 0.  A component stays in Fourier space
+as a stack over the cell's points, returning to the grid only to merge.
+
+The blocks read the kernels only through d^q W_j on the grid, and a
+block has at most one vertex per slice, so no tree degree passes
+q = min(slice count, BLOCK_BUDGET) - 1.  ``dw_grid`` returns the whole
+stack d^0 W_j .. d^q W_j from one kernel sweep, each row equal to a
+single-order call, and the evaluator keeps its spectra per slice: the
+first block that reaches a slice sweeps it, and every later block only
+picks rows.  A compare makes one sweep per slice of its window: 3 at
+the default config and 8 at j = 1..8.
 
 The lifted Y of the Fermionic factor is the path-minimum matrix of the
 jungle's union forest, its Bosonic and Fermionic edges together, with
@@ -116,23 +124,6 @@ MAX_GL_NODES = 24
 SIGMA_GRID = np.linspace(-12.0, 12.0, 243)
 
 
-def _local_edges(verts, tree_edges) -> tuple:
-    """The tree edges relabelled by position in the sorted block vertices."""
-    local = {v: i for i, v in enumerate(verts)}
-    return tuple(norm_edge(local[u], local[v]) for u, v in tree_edges)
-
-
-def _kernel_tables(params: ModelParams, edges, js) -> np.ndarray:
-    """The spectra of d^(d_a) W_(j_a) on SIGMA_GRID, one row per local
-    vertex a of degree d_a.
-
-    Every block evaluation starts here, so this is where a block past
-    BLOCK_BUDGET is refused."""
-    if len(js) > BLOCK_BUDGET:
-        raise BudgetExceededError(f"block size {len(js)} > {BLOCK_BUDGET}")
-    return np.fft.fft([dw_grid(params, j, d, SIGMA_GRID) for j, d in zip(js, _degrees(len(js), edges))], axis=-1)
-
-
 @lru_cache(maxsize=None)
 def _grid_constants(n: int, step: float):
     """-k^2/2 on a grid of n points spaced by step, and the phases that read
@@ -197,23 +188,6 @@ def _cell_values(spectra, order, smoothing) -> np.ndarray:
         funcs = {x: f * smooth for x, f in funcs.items()}
     (spectrum,) = funcs.values()
     return spectrum @ phase
-
-
-def bosonic_block_value(block, tree_edges, slices, weights, params: ModelParams) -> complex:
-    """E[prod_a (d^(d_a) W_(j_a))(sigma_a)] at a fixed interpolation point.
-
-    block lists global vertex ids; tree_edges must span it; d_a is the
-    tree degree (0 for a singleton).  sigma has the centered Gaussian law
-    with covariance X restricted to the block.
-    """
-    verts = sorted(block)
-    if len(tree_edges) != len(verts) - 1:
-        raise ValueError("tree must span the block")
-    edges = _local_edges(verts, tree_edges)
-    spectra = _kernel_tables(params, edges, [slices[v] for v in verts])
-    cell = sorted(zip(edges, (weights[e] for e in tree_edges)), key=lambda ew: -ew[1])
-    levels = np.array([[w for _, w in cell]], dtype=float)
-    return complex(_cell_values(spectra, [e for e, _ in cell], _smoothing(levels))[0])
 
 
 def fermionic_weight_integral(jungle: Jungle, slices) -> float:
@@ -287,12 +261,13 @@ def _order_plan(n: int, n_slices: int) -> tuple:
 
 class TermEvaluator:
     """Sums each order over the term classes of its order plan; caches
-    block integrals by block class."""
+    block integrals by block class and kernel spectra by slice."""
 
     def __init__(self, params: ModelParams, gl_nodes: int = 12):
         self.params = params
         self.gl_nodes = gl_nodes
         self._block_cache: dict = {}
+        self._spectra: dict = {}
 
     # -- bosonic side --------------------------------------------------------
 
@@ -313,12 +288,29 @@ class TermEvaluator:
             value = self._block_cache[js, local] = self._integrate_block(local, js)
         return value
 
+    def _kernel_tables(self, edges, js) -> np.ndarray:
+        """The spectra of d^(d_a) W_(j_a) on SIGMA_GRID, one row per local
+        vertex a of degree d_a.
+
+        A slice's first block sweeps d^0 W_j .. d^q W_j in one ``dw_grid``
+        call and keeps their spectra, with q the largest tree degree of a
+        block in the window: the hardcore rule gives a block at most one
+        vertex per slice.  Every block evaluation starts here, so this is
+        where a block past BLOCK_BUDGET is refused."""
+        if len(js) > BLOCK_BUDGET:
+            raise BudgetExceededError(f"block size {len(js)} > {BLOCK_BUDGET}")
+        top = min(len(self.params.slices), BLOCK_BUDGET) - 1
+        for j in js:
+            if j not in self._spectra:
+                self._spectra[j] = np.fft.fft(dw_grid(self.params, j, top, SIGMA_GRID), axis=-1)
+        return np.stack([self._spectra[j][d] for j, d in zip(js, _degrees(len(js), edges))])
+
     def _integrate_block(self, edges, js) -> complex:
         """Cell pi puts t[:, m] on edge pi[m], so its edges by decreasing
         weight are pi read backwards, at levels t[:, ::-1].  The cells'
         values are one vector in permutation order, against the tiled
         weights."""
-        spectra = _kernel_tables(self.params, edges, js)
+        spectra = self._kernel_tables(edges, js)
         perms, _, weights = ordering_cells(len(edges), self.gl_nodes)
         smoothing = _cell_smoothing(len(edges), self.gl_nodes, SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
         values = [_cell_values(spectra, [edges[m] for m in perm[::-1]], smoothing) for perm in perms]

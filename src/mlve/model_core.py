@@ -12,9 +12,10 @@ any small order; they are assembled from the closed forms for the
 derivatives of -V_j through the Faa di Bruno partition sum.
 
 Scalar operations here are the defining route (compensated direct sums)
-and the test oracle for ``dw_grid``, which evaluates d^q W_j on numpy
-arrays from ``numerics.kernel_bundle`` (past the head of a long slice,
-one power series for -V, differentiated termwise).
+and the test oracle for ``dw_grid``, which evaluates the stack
+d^0 W_j .. d^q W_j on numpy arrays from one ``numerics.kernel_bundle``
+sweep (past the head of a long slice, one power series for -V,
+differentiated termwise).
 """
 
 from __future__ import annotations
@@ -251,16 +252,20 @@ def dw_derivative(params: ModelParams, j: int, q: int, sigma) -> complex:
 
 
 def dw_grid(params: ModelParams, j: int, q: int, sigma: np.ndarray) -> np.ndarray:
-    """Vectorized q-th derivative of W_j on a grid of sigma values."""
+    """d^0 W_j, ..., d^q W_j on a grid of sigma values, shape
+    (q + 1, *sigma.shape), from one ``kernel_bundle`` sweep.  Every
+    derivative order of the sweep accumulates on its own, so row k is
+    the same for every q >= k."""
     sl = params.slice_set(j)
     w, dv_cache = numerics.kernel_bundle(complex(params.lam), sl.lo, sl.hi, q, sigma)
-    if q == 0:
-        return w
     expv = 1.0 + w
-    total = np.zeros_like(expv)
-    for mult in partition_multiplicities(q):
-        term = np.full_like(expv, float(faa_di_bruno_weight(mult)))
-        for k, m in mult.items():
-            term = term * dv_cache[k] ** m
-        total = total + term
-    return expv * total
+    rows = [w]
+    for order in range(1, q + 1):
+        total = np.zeros_like(expv)
+        for mult in partition_multiplicities(order):
+            term = np.full_like(expv, float(faa_di_bruno_weight(mult)))
+            for k, m in mult.items():
+                term = term * dv_cache[k] ** m
+            total = total + term
+        rows.append(expv * total)
+    return np.stack(rows)

@@ -1,6 +1,6 @@
 """Shared helpers: random spanning jungles, finite-difference oracles,
-the degree count of labeled trees and the enumeration oracles of the
-polymer-gas Mayer expansion."""
+the degree count of labeled trees, the pointwise block oracle and the
+enumeration oracles of the polymer-gas Mayer expansion."""
 
 import math
 from itertools import combinations, product
@@ -8,8 +8,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from mlve.combinatorics import BlockPartition, Forest, Jungle, enumerate_trees, norm_edge, prufer_decode
+import mlve.engine
+from mlve.combinatorics import BlockPartition, Forest, Jungle, _degrees, enumerate_trees, norm_edge, prufer_decode
 from mlve.interpolation import min_over_paths, ordering_cell_points
+from mlve.model_core import dw_grid
 
 
 def random_block_tree(rng, verts):
@@ -57,6 +59,29 @@ def random_partition(rng, n):
 def count_trees_with_degrees(degrees) -> int:
     """Labeled trees with the given degree sequence: (q-2)! / prod (d_i - 1)!."""
     return math.factorial(len(degrees) - 2) // math.prod(math.factorial(d - 1) for d in degrees)
+
+
+def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
+    """E[prod_a (d^(d_a) W_(j_a))(sigma_a)] at one interpolation point: the
+    pointwise oracle of the engine's batched block integrals.
+
+    block lists global vertex ids; tree_edges must span it; d_a is the
+    tree degree (0 for a singleton).  sigma has the centered Gaussian law
+    with covariance X restricted to the block.  Each vertex's kernel row
+    comes from its own single-order ``dw_grid`` call on the engine's
+    current SIGMA_GRID, and the layers are walked at the one point.
+    """
+    verts = sorted(block)
+    if len(tree_edges) != len(verts) - 1:
+        raise ValueError("tree must span the block")
+    local = {v: i for i, v in enumerate(verts)}
+    edges = [norm_edge(local[u], local[v]) for u, v in tree_edges]
+    grid = mlve.engine.SIGMA_GRID
+    rows = [dw_grid(params, slices[v], d, grid)[d] for v, d in zip(verts, _degrees(len(verts), edges))]
+    cell = sorted(zip(edges, (weights[e] for e in tree_edges)), key=lambda ew: -ew[1])
+    levels = np.array([[w for _, w in cell]], dtype=float)
+    spectra = np.fft.fft(rows, axis=-1)
+    return complex(mlve.engine._cell_values(spectra, [e for e, _ in cell], mlve.engine._smoothing(levels))[0])
 
 
 def z_by_collections(gas) -> list[complex]:

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import json
 import os
@@ -475,6 +476,18 @@ class TestMayerCommand:
         assert rec["z_direct"] == [1.1, -0.2]
         for n, (re, im) in enumerate(rec["orders"], start=1):
             assert abs(complex(re, im) - (-1) ** (n + 1) * a**n / n) < 1e-15
+
+    def test_abs_error_keeps_the_phase(self, tmp_path):
+        # Z = 1 + 0.3i and the tree sum through n = 2 is 0.3i + 0.045:
+        # |e^(tree sum) - Z| = 0.0091, where the moduli alone differ by 0.0020
+        gas = {"monomers": [0], "activities": [{"polymer": [0], "activity": [0, 0.3]}]}
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps(gas), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["mayer", "--gas", str(path), "--out", str(out), "--n-max", "2"]) == 0
+        rec = json.loads((out / "mayer.json").read_text())
+        assert rec["abs_error"] == pytest.approx(abs(cmath.exp(0.045 + 0.3j) - (1 + 0.3j)), rel=1e-12)
+        assert rec["abs_error"] == pytest.approx(0.0091, abs=5e-5)
 
     @staticmethod
     def write_full_gas(tmp_path, m):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlve.engine
-from conftest import random_spanning_jungle
+from conftest import bosonic_block_value, random_spanning_jungle
 from mlve.combinatorics import (
     Forest,
     Jungle,
@@ -18,7 +18,7 @@ from mlve.combinatorics import (
     jungle_classes,
     norm_edge,
 )
-from mlve.engine import TermEvaluator, bosonic_block_value, fermionic_weight_integral
+from mlve.engine import TermEvaluator, fermionic_weight_integral
 from mlve.errors import BudgetExceededError
 from mlve.grassmann import (
     fermionic_factor,
@@ -45,7 +45,7 @@ def orders_and_sums(params, n_max, gl_nodes=12):
 def gh_expectation(params, j, q, nodes=200):
     """Independent 1-D quadrature of E[d^q W_j]."""
     x, w = gauss_hermite_norm(nodes)
-    return complex(np.sum(w * dw_grid(params, j, q, x)))
+    return complex(np.sum(w * dw_grid(params, j, q, x)[q]))
 
 
 def gh_block_expectation(X, edges, js, params, nodes=80):
@@ -72,7 +72,7 @@ def gh_block_expectation(X, edges, js, params, nodes=80):
     sigma = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ pts
     integrand = np.ones(pts.shape[1], dtype=complex)
     for a in range(b):
-        integrand = integrand * dw_grid(params, js[a], degrees[a], sigma[a])
+        integrand = integrand * dw_grid(params, js[a], degrees[a], sigma[a])[degrees[a]]
     return complex(integrand @ gh_w)
 
 
@@ -150,7 +150,7 @@ class TestBosonicBlockValue:
         # the product of derivatives
         val = bosonic_block_value([0, 1], [(0, 1)], (1, 2), {(0, 1): 1.0}, self.params)
         x, w = gauss_hermite_norm(200)
-        direct = complex(np.sum(w * dw_grid(self.params, 1, 1, x) * dw_grid(self.params, 2, 1, x)))
+        direct = complex(np.sum(w * dw_grid(self.params, 1, 1, x)[1] * dw_grid(self.params, 2, 1, x)[1]))
         assert abs(val - direct) < 1e-9
 
     def test_four_block_factorizes_at_w_zero(self):
@@ -214,14 +214,10 @@ class TestBosonicBlockValue:
             assert abs(val - ref) <= 1e-9 * abs(ref)
 
     def test_block_budget(self):
+        ev = TermEvaluator(ModelParams(0.1, 2, 1, 5), GL)
         with pytest.raises(BudgetExceededError):
-            bosonic_block_value(
-                [0, 1, 2, 3, 4],
-                [(0, 1), (1, 2), (2, 3), (3, 4)],
-                (1, 2, 3, 4, 5),
-                {(0, 1): 0.5, (1, 2): 0.5, (2, 3): 0.5, (3, 4): 0.5},
-                ModelParams(0.1, 2, 1, 5),
-            )
+            ev.block_integral([0, 1, 2, 3, 4], [(0, 1), (1, 2), (2, 3), (3, 4)], (1, 2, 3, 4, 5))
+        assert ev._spectra == {}
 
     def test_block_budget_on_evaluation_only(self):
         # a five-vertex block is refused when a term reaches it, and not
@@ -287,6 +283,33 @@ class TestBlockCache:
         assert rows == 162
         assert len(lookups) == 456
         assert len(ev._block_cache) == 9
+
+    def test_nine_blocks_through_order_three(self):
+        # the default compare integrates 3 distinct blocks of each size
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
+        for n in range(1, 4):
+            ev.order_contribution(n)
+        assert sorted(len(js) for js, _ in ev._block_cache) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+
+
+class TestKernelTables:
+    @pytest.mark.parametrize("j_max", [3, 8])
+    def test_one_sweep_per_slice(self, monkeypatch, j_max):
+        # every block reads its kernel rows from one dw_grid sweep per slice
+        # of the window: through order 3 the 9 blocks of the default config
+        # make 3 sweeps, and the 204 blocks at j = 1..8 make 8
+        sweeps = []
+        sweep = mlve.engine.dw_grid
+
+        def counted(params, j, q, sigma):
+            sweeps.append((j, q))
+            return sweep(params, j, q, sigma)
+
+        monkeypatch.setattr(mlve.engine, "dw_grid", counted)
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, j_max))
+        for n in range(1, 4):
+            ev.order_contribution(n)
+        assert sorted(sweeps) == [(j, min(j_max, mlve.engine.BLOCK_BUDGET) - 1) for j in range(1, j_max + 1)]
 
 
 class TestStructuralZeros:
@@ -383,7 +406,7 @@ class TestOrders:
         # sum_{j<k}(E[W_j W_k] - E[W_j]E[W_k]) - 1/2 sum_j E[W_j]^2
         params = ModelParams(0.35, 2, 1, 2)
         x, w = gauss_hermite_norm(300)
-        W = {j: dw_grid(params, j, 0, x) for j in params.slices}
+        W = {j: dw_grid(params, j, 0, x)[0] for j in params.slices}
         ew = {j: complex(np.sum(w * W[j])) for j in params.slices}
         expect = 0j
         slices = list(params.slices)

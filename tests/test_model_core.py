@@ -328,8 +328,22 @@ class TestGridRoutes:
                 assert np.abs(got_e - ref_e).max() < 1e-13
                 for q in (0, 1, 2, 3):
                     ref = np.array([dw_derivative(params, j, q, s) for s in sigma])
-                    got = dw_grid(params, j, q, sigma)
+                    got = dw_grid(params, j, q, sigma)[q]
                     assert np.abs(got - ref).max() < 5e-13
+
+    @pytest.mark.parametrize("lam", [0.2, 0.3 + 0.1j])
+    @pytest.mark.parametrize("M, j", [(2, 2), (16, 2)], ids=["short", "long"])
+    def test_rows_equal_single_order_calls(self, lam, M, j):
+        # row k of the stack through q is the single-order call at k, bit
+        # for bit; 5 x SIGMA_GRID reaches past the tail of [16, 255] into
+        # its swept head
+        params = ModelParams(lam, M, j, j)
+        sigma = np.concatenate([SIGMA_GRID, 5.0 * SIGMA_GRID])
+        for q in range(4):
+            stack = dw_grid(params, j, q, sigma)
+            assert stack.shape == (q + 1, sigma.size)
+            for k in range(q + 1):
+                assert np.array_equal(stack[k], dw_grid(params, j, k, sigma)[k])
 
     @pytest.mark.parametrize("lam", [0.25, 0.2 + 0.1j])
     def test_closed_form_route_matches_scalar(self, lam, rng):
@@ -376,7 +390,7 @@ class TestGridRoutes:
         sigma = SIGMA_GRID[::12]
         for q in range(4):
             ref = _mp_dw_product(lam, 1, 99, q, sigma)
-            got = dw_grid(params, 1, q, sigma)
+            got = dw_grid(params, 1, q, sigma)[q]
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("lam, M, j", [(0.3, 16, 2), (0.2 + 0.1j, 16, 2), (0.25, 2, 8)])
@@ -389,7 +403,7 @@ class TestGridRoutes:
         sigma = SIGMA_GRID[::12]
         for q in range(4):
             ref = _mp_dw_product(lam, sl.lo, sl.hi, q, sigma)
-            got = dw_grid(ModelParams(lam, M, j, j), j, q, sigma)
+            got = dw_grid(ModelParams(lam, M, j, j), j, q, sigma)[q]
             assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
@@ -402,7 +416,7 @@ class TestGridRoutes:
 
         sl = slice_range(M, j)
         sigma = np.array([0.3, 1.0, 3.0, 6.0, 12.0])
-        got = dw_grid(ModelParams(lam, M, j, j), j, 0, sigma)
+        got = dw_grid(ModelParams(lam, M, j, j), j, 0, sigma)[0]
         with mp.workdps(40):
             u = {k: mp.zeta(k, sl.lo) - mp.zeta(k, sl.hi + 1) for k in range(2, 122)}
             for s, value in zip(sigma, got):
@@ -419,7 +433,7 @@ class TestGridRoutes:
 
         sl = slice_range(M, j)
         sigma = np.array([0.05, 0.1, 0.3, 1.0, 3.0, 6.0, 12.0])
-        got = dw_grid(ModelParams(lam, M, j, j), j, 1, sigma)
+        got = dw_grid(ModelParams(lam, M, j, j), j, 1, sigma)[1]
         with mp.workdps(40):
             u = {k: mp.zeta(k, sl.lo) - mp.zeta(k, sl.hi + 1) for k in range(2, 122)}
             for s, value in zip(sigma, got):

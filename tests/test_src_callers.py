@@ -41,8 +41,6 @@ REFERENCE_ROUTES = {
     # exact rational series of log Z in g
     "logz_series_g": "oracle.logz_oracle at small coupling",
     "perturbative_coefficients": "oracle.logz_oracle at small coupling",
-    # one weight point at a time
-    "bosonic_block_value": "engine.TermEvaluator's batched block integrals",
     # paper bounds verified by acceptance criteria 7-9
     "block_bound_complex": "the block bound on the domain |lam|^2 < cos(2 gamma)",
     "summed_series_bound": "geometric convergence of the summed series for large M",
