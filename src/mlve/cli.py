@@ -254,8 +254,12 @@ def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     params = _params(cfg)
     nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES, oracle.MAX_NODES)
+    _out_path(args)
+    try:
+        z, delta, reliable = oracle.z_reliable(params, nodes)
+    except ValueError as exc:
+        _fail_usage(f"no quadrature Z at this coupling: {exc}")
     out = _out_dir(args)
-    z, delta, reliable = oracle.z_reliable(params, nodes)
     # the conditions under which oracle.logz_oracle answers rather than raises
     logz = cmath.log(z) if reliable and abs(z) >= oracle.MIN_ABS_Z else None
     record = {

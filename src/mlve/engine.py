@@ -23,9 +23,9 @@ repeated slice, or a Fermionic edge joining different slices, never
 reaches quadrature.
 
 A Bosonic block expectation is a Gaussian expectation under the
-interpolated covariance X(w), and both weight integrals run over the
-Gauss-Legendre points of ``interpolation.ordering_cells``, on which the
-min() interpolation is smooth.  Inside one ordering cell the tree edges
+interpolated covariance X(w), and both weight integrals run one
+ordering cell at a time, on the rule of ``interpolation.ordering_cell``:
+the min() interpolation is smooth there.  Inside a cell the tree edges
 have one order by weight, w_1 >= ... >= w_k, and X is the layer sum
 sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T over the components f of the i
 heaviest edges: sigma is a sum of independent Gaussian shifts, one per
@@ -33,8 +33,9 @@ layer and component.  A block integral walks each cell's edges by
 decreasing weight.  Each edge merges the two components it joins, a
 product on one fixed uniform grid; then every component is smoothed by
 the exact Fourier multiplier exp(-(w_i - w_(i+1)) k^2/2), and the one
-function left is read at sigma = 0.  A component stays in Fourier space
-as a stack over the cell's points, returning to the grid only to merge.
+function left is read at sigma = 0.  Layer i reads the first i + 1 cell
+coordinates only, so a component stays in Fourier space as a stack over
+that prefix grid, returning to the grid only to merge.
 
 The blocks read the kernels only through d^q W_j on the grid, and a
 block has at most one vertex per slice, so no tree degree passes
@@ -83,17 +84,18 @@ search.  The default config needs 9 block integrals through n = 6.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-# enumerate_jungles and min_over_paths are unused here but stay bound: the
-# benchmark's layer trace wraps them on this module
-from .combinatorics import Jungle, _components_of, _degrees, enumerate_jungles, jungle_classes, norm_edge  # noqa: F401
+from .combinatorics import Jungle, _components_of, _degrees, jungle_classes, norm_edge
 from .errors import BudgetExceededError
 from .grassmann import fermionic_factor, hardcore_violated, slice_delta_violated
-from .interpolation import min_over_paths, ordering_cell_points, ordering_cells  # noqa: F401
+from .interpolation import _read_only, ordering_cell, ordering_cell_points
 from .model_core import ModelParams, dw_grid
+# unused here but bound: the benchmark's layer trace wraps them on this module
+from .combinatorics import enumerate_jungles  # noqa: F401
+from .interpolation import min_over_paths  # noqa: F401
 
 ORDER_BUDGET = 6
 BLOCK_BUDGET = 4
@@ -132,55 +134,44 @@ def _grid_constants(n: int, step: float):
     the FFT's own exactly reduced twiddles.  Cached, so read-only."""
     half_k2 = -0.5 * (2.0 * np.pi * np.fft.fftfreq(n, step)) ** 2
     phase = np.fft.ifft(np.arange(n) == n // 2)
-    for a in (half_k2, phase):
-        a.setflags(write=False)
-    return half_k2, phase
-
-
-def _smoothing(levels) -> np.ndarray:
-    """The Fourier multipliers exp(-(w_i - w_(i+1)) k^2/2) of the layers
-    i = 0..k at each point of levels, shape (Q, k), w_1 >= ... >= w_k, with
-    w_0 := 1 and w_(k+1) := 0.  Returns shape (k + 1, Q, len(SIGMA_GRID))."""
-    half_k2, _ = _grid_constants(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
-    bounds = np.pad(levels, ((0, 0), (1, 1)), constant_values=(1.0, 0.0))
-    return np.exp(np.multiply.outer((bounds[:, :-1] - bounds[:, 1:]).T, half_k2))
+    return _read_only(half_k2, phase)
 
 
 @lru_cache(maxsize=None)
-def _cell_smoothing(k: int, order: int, n: int, step: float) -> np.ndarray:
-    """``_smoothing`` at the points of ``ordering_cells(k, order)`` on a
-    SIGMA_GRID of n points spaced by step, the only things of the grid
-    that the multipliers read, so a replaced grid gets its own entry.
-    Read by decreasing weight, every cell has the levels t[:, ::-1], so
-    one stack serves every cell of every block with k tree edges.  Cached
-    and read-only: 13 MB at k = 3, a 4-vertex block, and the default 12
-    nodes, and 8 times that at ``MAX_GL_NODES``."""
-    smoothing = _smoothing(ordering_cells(k, order)[1][:, ::-1])
-    smoothing.setflags(write=False)
-    return smoothing
+def _layer_multipliers(k: int, order: int, n: int, step: float) -> tuple:
+    """The Fourier multipliers exp(-(w_i - w_(i+1)) k^2/2) of the layers
+    i = 0..k at the levels of ``ordering_cell(k, order)``, w_0 := 1 and
+    w_(k+1) := 0, on a SIGMA_GRID of n points spaced by step, the only
+    things of the grid that they read.  Layer i holds order^(i+1) points
+    and the last order^k, with the grid on a trailing axis; they serve
+    every cell of every block with k tree edges.  Cached and read-only:
+    7.0 MB at k = 3, a 4-vertex block, and the default 12 nodes."""
+    half_k2, _ = _grid_constants(n, step)
+    bounds = (1.0, *ordering_cell(k, order)[0], 0.0)
+    return _read_only(*(np.exp(np.multiply.outer(hi - lo, half_k2)) for hi, lo in zip(bounds, bounds[1:])))
 
 
-def _cell_values(spectra, order, smoothing) -> np.ndarray:
+def _cell_values(spectra, order, layers) -> np.ndarray:
     """E[prod_a f_a(sigma_a)] at each point of one ordering cell.
 
     spectra holds the spectrum of f_a on SIGMA_GRID in row a, order the
-    tree edges by decreasing weight and smoothing the ``_smoothing`` of
-    their weights, w_1 >= ... >= w_k at every point.  With w_0 := 1 and
+    tree edges by decreasing weight, w_1 >= ... >= w_k, and layers their
+    multipliers, as ``_layer_multipliers`` gives them.  With w_0 := 1 and
     w_(k+1) := 0, sigma has covariance sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T
     over the components f of the i heaviest edges, so every component of
     layer i adds one Gaussian shift of variance w_i - w_(i+1) to all of
     its vertices.  Edge i merges the two components it joins: the product
     of their functions, on the grid.  Then every component is smoothed,
-    in Fourier space, by exp(-(w_i - w_(i+1)) k^2/2), a stack over the
-    points; the one function left is read at sigma = 0.  Returns shape
-    (Q,).
+    in Fourier space, by exp(-(w_i - w_(i+1)) k^2/2), on the prefix grid
+    of the first i + 1 cell coordinates; the one function left is read at
+    sigma = 0, at the points of the last layer.
     """
     _, phase = _grid_constants(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
     # a component is named by its least vertex, and a merge puts the lesser
     # name first: complex products are not bitwise commutative
     comp = list(range(len(spectra)))
     funcs = dict(enumerate(spectra))
-    for i, smooth in enumerate(smoothing):
+    for i, smooth in enumerate(layers):
         if i:
             a, b = sorted(comp[v] for v in order[i - 1])
             funcs[a] = np.fft.fft(np.fft.ifft(np.stack([funcs[a], funcs.pop(b)])).prod(axis=0))
@@ -306,15 +297,16 @@ class TermEvaluator:
         return np.stack([self._spectra[j][d] for j, d in zip(js, _degrees(len(js), edges))])
 
     def _integrate_block(self, edges, js) -> complex:
-        """Cell pi puts t[:, m] on edge pi[m], so its edges by decreasing
-        weight are pi read backwards, at levels t[:, ::-1].  The cells'
-        values are one vector in permutation order, against the tiled
-        weights."""
+        """One ordering cell per order of the tree edges by decreasing
+        weight: every cell walks the same layers of ``ordering_cell`` and
+        is contracted with its weights on its own."""
         spectra = self._kernel_tables(edges, js)
-        perms, _, weights = ordering_cells(len(edges), self.gl_nodes)
-        smoothing = _cell_smoothing(len(edges), self.gl_nodes, SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
-        values = [_cell_values(spectra, [edges[m] for m in perm[::-1]], smoothing) for perm in perms]
-        return complex(np.dot(np.tile(weights, len(perms)), np.concatenate(values)))
+        weights = ordering_cell(len(edges), self.gl_nodes)[1].ravel()
+        layers = _layer_multipliers(len(edges), self.gl_nodes, SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
+        total = 0j
+        for order in permutations(edges):
+            total += np.dot(weights, _cell_values(spectra, order, layers).ravel())
+        return complex(total)
 
     # -- fermionic side ------------------------------------------------------
 

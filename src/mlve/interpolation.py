@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -86,35 +86,34 @@ def gauss_legendre_01(order: int):
 
 
 @lru_cache(maxsize=None)
-def ordering_cells(k: int, order: int):
-    """Gauss-Legendre points of the ordering cells of [0,1]^k.
-
-    Every cell is the same point set up to a permutation of the edges:
-    the cell w_(pi[0]) <= ... <= w_(pi[k-1]) puts t[:, m] on edge pi[m].
-    It is mapped from the unit cube through t_m = prod_(i>=m) v_i with
-    Jacobian prod_m v_m^m.  Returns the k! permutations, the ascending
-    coordinates t of shape (Q, k) and the weights of shape (Q,), cached
-    and read-only.  Inside a cell every min() of coordinates is a single
-    coordinate, so min-over-path integrands are smooth there; the nodes
-    are interior, so interpolated covariances stay positive definite.
+def ordering_cell(k: int, order: int):
+    """The Gauss-Legendre rule of one ordering cell of [0,1]^k, which both
+    weight integrals use.  Read by decreasing weight, a cell has the levels
+    w_1 >= ... >= w_k, w_(i+1) = u_0 ... u_i with u_l on the nodes on axis
+    -1-l, so w_(i+1) has i + 1 axes, and the weights, Jacobian included,
+    prod_l wt(u_l) u_l^(k-1-l) have k.  Returns (levels, weights), cached
+    and read-only.  Inside a cell every min() of weights is one level, so
+    min-over-path integrands are smooth there; the nodes are interior, so
+    interpolated covariances stay positive definite.
     """
     nodes, wts = gauss_legendre_01(order)
-    idx = np.indices((order,) * k).reshape(k, order**k).T
-    v, weights = nodes[idx], wts[idx].prod(axis=1)
-    for m in range(1, k):
-        weights *= v[:, m] ** m
-    t = np.cumprod(v[:, ::-1], axis=1)[:, ::-1]
-    return tuple(permutations(range(k))), *_read_only(t, weights)
+    u = [nodes.reshape((order,) + (1,) * l) for l in range(k)]
+    # every product runs from the outermost axis in
+    weights = math.prod([wts.reshape(x.shape) for x in u[::-1]], start=np.ones(()))
+    weights = math.prod([u[l] ** (k - 1 - l) for l in reversed(range(k - 1))], start=weights)
+    return _read_only(*accumulate(u, np.multiply)), *_read_only(weights)
 
 
 @lru_cache(maxsize=None)
 def ordering_cell_points(k: int, order: int):
-    """The points of ``ordering_cells`` as one stack over the cells, in
-    permutation order: points of shape (k! Q, k) and weights of shape
-    (k! Q,), cached and read-only."""
-    perms, t, weights = ordering_cells(k, order)
-    points = np.concatenate([t[:, np.argsort(perm)] for perm in perms])
-    return _read_only(points, np.tile(weights, len(perms)))
+    """Every ordering cell's points as one stack, in permutation order: cell
+    pi puts the m-th smallest level of ``ordering_cell`` on edge pi[m].
+    Points of shape (k! Q, k), weights (k! Q,), cached and read-only."""
+    levels, weights = ordering_cell(k, order)
+    ascending = np.array([np.broadcast_to(w, weights.shape).ravel() for w in levels[::-1]]).reshape(k, weights.size).T
+    perms = list(permutations(range(k)))
+    points = np.concatenate([ascending[:, np.argsort(perm)] for perm in perms])
+    return _read_only(points, np.tile(weights.ravel(), len(perms)))
 
 
 def _forest_cell_stack(forest: Forest, edges, order: int):

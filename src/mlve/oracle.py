@@ -104,7 +104,8 @@ def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, b
     The doubled rule holds the largest node, so a long window splits where
     it would for that rule alone and its Z equals
     z_sigma_quadrature(params, 2 * nodes); the smaller rule's Z, which only
-    enters the delta, may move at rounding level.
+    enters the delta, may move at rounding level.  A Z that overflows is
+    a ValueError, with no floating-point warning on the way.
     """
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
@@ -112,9 +113,12 @@ def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, b
         return 1.0 + 0.0j, 0.0, True
     x_a, w_a = gauss_hermite_norm(nodes)
     x_b, w_b = gauss_hermite_norm(2 * nodes)
-    acc = _slice_product_m1(params, np.concatenate((x_a, x_b)))
-    a = 1.0 + complex(np.sum(w_a * acc[:nodes]))
-    b = 1.0 + complex(np.sum(w_b * acc[nodes:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = _slice_product_m1(params, np.concatenate((x_a, x_b)))
+        a = 1.0 + complex(np.sum(w_a * acc[:nodes]))
+        b = 1.0 + complex(np.sum(w_b * acc[nodes:]))
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise ValueError(f"Z is not finite at {nodes} or {2 * nodes} nodes: the integrand overflows")
     delta = abs(a - b)
     return b, delta, delta < DOUBLING_TOL
 

@@ -69,7 +69,8 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     tree degree (0 for a singleton).  sigma has the centered Gaussian law
     with covariance X restricted to the block.  Each vertex's kernel row
     comes from its own single-order ``dw_grid`` call on the engine's
-    current SIGMA_GRID, and the layers are walked at the one point.
+    current SIGMA_GRID, and the layers are walked at the one point, with
+    their multipliers computed here from its levels.
     """
     verts = sorted(block)
     if len(tree_edges) != len(verts) - 1:
@@ -79,9 +80,11 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     grid = mlve.engine.SIGMA_GRID
     rows = [dw_grid(params, slices[v], d, grid)[d] for v, d in zip(verts, _degrees(len(verts), edges))]
     cell = sorted(zip(edges, (weights[e] for e in tree_edges)), key=lambda ew: -ew[1])
-    levels = np.array([[w for _, w in cell]], dtype=float)
+    half_k2, _ = mlve.engine._grid_constants(grid.size, grid[1] - grid[0])
+    bounds = [1.0, *(float(w) for _, w in cell), 0.0]
+    layers = [np.exp((hi - lo) * half_k2) for hi, lo in zip(bounds, bounds[1:])]
     spectra = np.fft.fft(rows, axis=-1)
-    return complex(mlve.engine._cell_values(spectra, [e for e, _ in cell], mlve.engine._smoothing(levels))[0])
+    return complex(mlve.engine._cell_values(spectra, [e for e, _ in cell], layers))
 
 
 def z_by_collections(gas) -> list[complex]:

@@ -191,6 +191,22 @@ class TestCompare:
         assert "node doubling moved Z" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["compare", "oracle"])
+    def test_huge_coupling_exits_two(self, tmp_path, capsys, command):
+        # lambda = 1e308 is finite, but lambda * sigma overflows on the
+        # quadrature nodes: no Z, so one usage error, with no warning on
+        # the way and no oracle.json holding NaN
+        cfg = write_config(tmp_path, **{"lambda": 1e308})
+        out = tmp_path / "o"
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as err:
+            warnings.simplefilter("error")
+            run_cli([command, "--config", str(cfg), "--out", str(out)])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "not finite" in stderr
+        assert not out.exists()
+
     def test_head_past_the_window_exits_two_on_z(self, tmp_path, capsys):
         # at lambda = 1e5 the swept head of slice 2 = [16, 255] covers the
         # whole window; the quadrature is finite and Z is what fails

@@ -199,6 +199,15 @@ class TestBosonicBlockValue:
         batched = TermEvaluator(params, gl_nodes=4)._integrate_block(edges, js)
         assert abs(batched - pointwise) <= 1e-12 * abs(pointwise)
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_layers_live_on_prefix_grids(self, k):
+        # layer i reads the first i + 1 cell coordinates only: a flat
+        # multiplier stack over all 12^k points of a cell would show here
+        grid = mlve.engine.SIGMA_GRID
+        layers = mlve.engine._layer_multipliers(k, 12, grid.size, grid[1] - grid[0])
+        assert [layer.size // grid.size for layer in layers] == [12 ** (i + 1) for i in range(k)] + [12**k]
+        assert all(layer.shape[-1] == grid.size for layer in layers)
+
     @pytest.mark.parametrize("lam", [0.2, 0.3 + 0.1j])
     def test_batch_with_ties_and_boundary_weights(self, lam):
         # points of both ordering cells, holding tied weights and the

@@ -133,15 +133,25 @@ class TestYBlockMatrix:
 class TestOrderingSimplexQuadrature:
     @pytest.mark.parametrize("k", range(5))
     def test_points_are_the_cells_placed_by_permutation(self, k):
-        from mlve.interpolation import ordering_cell_points, ordering_cells
+        # every cell of the point stack holds the levels of the one cell
+        # rule, bit for bit: sorted decreasingly, its coordinates are the
+        # broadcast levels w_1 > ... > w_k, and its weights the rule's
+        from mlve.interpolation import ordering_cell, ordering_cell_points
 
-        perms, t, weights = ordering_cells(k, 3)
+        levels, weights = ordering_cell(k, 3)
         pts, wts = ordering_cell_points(k, 3)
-        assert list(perms) == list(permutations(range(k)))
-        assert t.shape == (3**k, k) and np.all(np.diff(t, axis=1) > 0)
-        assert np.array_equal(wts, np.tile(weights, len(perms)))
-        for cell, perm in zip(np.split(pts, len(perms)), perms):
-            assert np.array_equal(cell[:, list(perm)], t)
+        assert [w.shape for w in levels] == [(3,) * (i + 1) for i in range(k)]
+        assert weights.shape == (3,) * k
+        flat = np.zeros((3**k, k))
+        for i, w in enumerate(levels):
+            flat[:, i] = np.broadcast_to(w, weights.shape).ravel()
+        assert np.all(np.diff(flat, axis=1) < 0)
+        cells = math.factorial(k)
+        assert pts.shape == (cells * 3**k, k)
+        for cell, cell_wts, perm in zip(np.split(pts, cells), np.split(wts, cells), permutations(range(k))):
+            assert np.array_equal(-np.sort(-cell, axis=1), flat)
+            assert np.array_equal(cell[:, list(perm)], flat[:, ::-1])
+            assert np.array_equal(cell_wts, weights.ravel())
 
     # closed forms for order statistics of independent uniforms
     # the cube routine at order 8 under the plain ids, and the vectorized

@@ -17,6 +17,10 @@ compare a production route against, and bounds of the paper that the
 acceptance criteria verify.  Every exempt name must still be used by a
 test, and none may be reached from src/mlve without the exemption: an
 exemption goes as soon as its route gains a caller.
+
+Every name a module imports is also loaded in that module, except the
+package's re-exports in ``__all__`` and BENCH_BINDINGS, which stay bound
+unused, and only while unused.
 """
 
 import ast
@@ -48,6 +52,9 @@ REFERENCE_ROUTES = {
     "borel_domain": "the three descriptions of the analyticity domain agree",
     "convergence_condition": "the Kotecky-Preiss condition of the Mayer expansion",
 }
+
+# names imported unused, as module.name: bench/layertrace.py wraps them there
+BENCH_BINDINGS = {"engine.enumerate_jungles", "engine.min_over_paths"}
 
 # package metadata that only importers read
 MODULE_DUNDERS = {"__version__", "__all__"}
@@ -180,3 +187,18 @@ def test_every_defaulted_parameter_is_set():
                     if not keywords & {param, None} and (position is None or position >= count):
                         unset.append(f"{path.stem}.{callee}({param})")
     assert not unset, f"defaulted, and set by no call: {sorted(unset)}"
+
+
+def test_every_import_is_used():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    (exports,) = [node.value for node in init.body if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"]
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+                unused |= {f"{path.stem}.{name}" for name in bound - loaded}
+    unused -= {f"__init__.{name}" for name in ast.literal_eval(exports)}
+    assert unused == BENCH_BINDINGS, f"imported and never loaded: {sorted(unused - BENCH_BINDINGS)}; exempt but loaded or gone: {sorted(BENCH_BINDINGS - unused)}"
