@@ -49,12 +49,12 @@ the default config and 8 at j = 1..8.
 The lifted Y of the Fermionic factor is the path-minimum matrix of the
 jungle's union forest, its Bosonic and Fermionic edges together, with
 every Bosonic edge at weight 1, times the slice delta.  The factor is
-evaluated at all of a term's weight points in one call: the lifted Y
-matrices form one stack and each of the 2^k exchange-pattern minors is
-one stacked determinant.  Its integrand is a polynomial of degree
-<= n - 1 in each cube coordinate of a cell, so (n + 1) // 2
-Gauss-Legendre nodes integrate it exactly; ``gl_nodes`` sets the rule
-of the Bosonic blocks only.
+evaluated one ordering cell at a time, as a block is: the cell's levels
+broadcast to one stack of lifted Y matrices, and each of the 2^k
+exchange-pattern minors is one stacked determinant over it.  Its
+integrand is a polynomial of degree <= n - 1 in each cube coordinate of
+a cell, so (n + 1) // 2 Gauss-Legendre nodes integrate it exactly;
+``gl_nodes`` sets the rule of the Bosonic blocks only.
 
 A term depends only on the isomorphism class of its slice-labeled
 jungle, so by orbit-stabilizer order n is the sum over term classes of
@@ -91,13 +91,13 @@ import numpy as np
 from .combinatorics import Jungle, _components_of, _degrees, jungle_classes, norm_edge
 from .errors import BudgetExceededError
 from .grassmann import fermionic_factor, hardcore_violated, slice_delta_violated
-from .interpolation import _read_only, ordering_cell, ordering_cell_points
+from .interpolation import _read_only, ordering_cell
 from .model_core import ModelParams, dw_grid
 # unused here but bound: the benchmark's layer trace wraps them on this module
 from .combinatorics import enumerate_jungles  # noqa: F401
 from .interpolation import min_over_paths  # noqa: F401
 
-ORDER_BUDGET = 6
+ORDER_BUDGET = 7
 BLOCK_BUDGET = 4
 # The blocks are converged at the default 12 nodes; 24 is that rule doubled,
 # for a node-doubling error estimate.  numpy's leggauss holds an n x n
@@ -188,13 +188,15 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     sorted coordinate t_m = prod_(i>=m) v_i, so every exchange-pattern
     minor is a polynomial of degree <= n - k in t, and with the cell
     Jacobian prod_m v_m^m of degree <= n - 1 in each v_i.  Gauss-Legendre
-    with (n + 1) // 2 nodes integrates that exactly.  All quadrature points
-    go in one stacked call (k = 0 gives a scalar).
+    with (n + 1) // 2 nodes integrates that exactly.  One factor call per
+    cell, on the levels of ``ordering_cell`` (k = 0 gives a scalar).
     """
-    edges = sorted(jungle.fermionic)
-    w_pts, w_weights = ordering_cell_points(len(edges), (jungle.n + 1) // 2)
-    values = fermionic_factor(jungle, tuple(slices), dict(zip(edges, w_pts.T)))
-    return float(np.dot(w_weights, np.broadcast_to(values, w_weights.shape)))
+    levels, weights = ordering_cell(len(jungle.fermionic), (jungle.n + 1) // 2)
+    total = 0.0
+    for order in permutations(sorted(jungle.fermionic)):
+        values = fermionic_factor(jungle, tuple(slices), dict(zip(order, levels)))
+        total += np.dot(weights.ravel(), np.ravel(values))
+    return float(total)
 
 
 @lru_cache(maxsize=None)

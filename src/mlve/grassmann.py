@@ -16,9 +16,10 @@ list.  The Fermionic factor of an expansion term assembles the 2^k
 exchange-pattern minors of the lifted matrix Y: the path minima of the
 jungle's union forest, its Bosonic edges at weight 1 and its Fermionic
 edges at their weights, times the slice delta.  Minors act on the last
-two axes, so edge weights given as arrays of shape (P,) yield the factor
-at P weight points at once: a stack of P lifted matrices and one stacked
-determinant per exchange pattern.  Real stacks stay real.
+two axes, so edge weights given as broadcastable arrays, such as one
+ordering cell's levels, yield the factor at all their points at once: a
+stack of lifted matrices and one stacked determinant per exchange
+pattern.  Real stacks stay real.
 
 Monomials for the brute-force route are coefficient maps keyed by
 (psi bitmask, psibar bitmask) relative to the canonical word
@@ -218,8 +219,8 @@ def lifted_y_matrix(jungle: Jungle, slices, weights: dict) -> np.ndarray:
     block path, and a Bosonic edge at weight 1 lowers no minimum, so Y is
     the path-minimum matrix of the union forest times the slice delta.
 
-    Scalar weights give one (n, n) matrix; weights of shape (P,) give the
-    stack of shape (P, n, n), one matrix per weight point.
+    Scalar weights give one (n, n) matrix; broadcastable array weights give
+    one matrix per point of their broadcast shape S, shape S + (n, n).
     """
     union = dict.fromkeys(jungle.bosonic.edges, 1.0) | {e: weights[e] for e in jungle.fermionic}
     js = np.asarray(slices)
@@ -231,9 +232,8 @@ def fermionic_factor(jungle: Jungle, slices, weights: dict):
     minors of the lifted Y, and zero where the hardcore rule or the slice
     delta fails.
 
-    Scalar weights give a float; weights of shape (P,) give the factors at
-    all P weight points at once, an array of shape (P,), the shape of the
-    stack of Y.
+    Scalar weights give a float; broadcastable array weights give the
+    factors at every point of their broadcast shape, an array of it.
     """
     y = lifted_y_matrix(jungle, slices, weights)
     total = np.zeros(y.shape[:-2])

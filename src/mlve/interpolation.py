@@ -6,8 +6,9 @@ smallest weakening parameter along the unique forest path from i to j
 weights sorted decreasingly, w_1 >= ... >= w_k, w_0 := 1, w_(k+1) := 0,
 X = sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T over the components f of the i
 heaviest edges, and every w_i - w_(i+1) is >= 0.  On one ordering cell
-of the weight cube that edge order is fixed, which is how
-``engine`` integrates the Bosonic blocks.
+of the weight cube that edge order is fixed, so every weight integral
+here and in ``engine`` walks the cells of ``ordering_cell`` one at a
+time.
 
 ``forest_formula_eval`` checks the Taylor-with-remainder identity
 f(all-ones) = sum over forests of the w-integrated forest derivative,
@@ -37,9 +38,9 @@ def _validate_weights(edges, weights) -> None:
 def min_over_paths(n: int, edges, weights) -> np.ndarray:
     """Unit-diagonal matrix of path minima for an arbitrary forest graph.
 
-    Weights are scalars, giving an (n, n) matrix, or arrays of shape (P,),
-    alone or mixed with scalars, giving the stack of the P matrices, shape
-    (P, n, n).
+    Weights are scalars, giving an (n, n) matrix, or broadcastable arrays,
+    alone or mixed with scalars, giving one matrix per point of their
+    broadcast shape S, shape S + (n, n).
     """
     adj: dict[int, list] = {v: [] for v in range(n)}
     for u, v in edges:
@@ -63,7 +64,7 @@ def min_over_paths(n: int, edges, weights) -> np.ndarray:
 
 def x_matrix(forest: Forest, weights: dict) -> np.ndarray:
     """Interpolated covariance X^F(w) on the forest's vertices; weights of
-    shape (P,) give the stack of the P matrices."""
+    broadcastable shapes give the stack over their broadcast shape."""
     _validate_weights(forest.edges, weights)
     return min_over_paths(forest.n, forest.edges, weights)
 
@@ -87,8 +88,8 @@ def gauss_legendre_01(order: int):
 
 @lru_cache(maxsize=None)
 def ordering_cell(k: int, order: int):
-    """The Gauss-Legendre rule of one ordering cell of [0,1]^k, which both
-    weight integrals use.  Read by decreasing weight, a cell has the levels
+    """The Gauss-Legendre rule of one ordering cell of [0,1]^k, which every
+    weight integral uses.  Read by decreasing weight, a cell has the levels
     w_1 >= ... >= w_k, w_(i+1) = u_0 ... u_i with u_l on the nodes on axis
     -1-l, so w_(i+1) has i + 1 axes, and the weights, Jacobian included,
     prod_l wt(u_l) u_l^(k-1-l) have k.  Returns (levels, weights), cached
@@ -102,25 +103,6 @@ def ordering_cell(k: int, order: int):
     weights = math.prod([wts.reshape(x.shape) for x in u[::-1]], start=np.ones(()))
     weights = math.prod([u[l] ** (k - 1 - l) for l in reversed(range(k - 1))], start=weights)
     return _read_only(*accumulate(u, np.multiply)), *_read_only(weights)
-
-
-@lru_cache(maxsize=None)
-def ordering_cell_points(k: int, order: int):
-    """Every ordering cell's points as one stack, in permutation order: cell
-    pi puts the m-th smallest level of ``ordering_cell`` on edge pi[m].
-    Points of shape (k! Q, k), weights (k! Q,), cached and read-only."""
-    levels, weights = ordering_cell(k, order)
-    ascending = np.array([np.broadcast_to(w, weights.shape).ravel() for w in levels[::-1]]).reshape(k, weights.size).T
-    perms = list(permutations(range(k)))
-    points = np.concatenate([ascending[:, np.argsort(perm)] for perm in perms])
-    return _read_only(points, np.tile(weights.ravel(), len(perms)))
-
-
-def _forest_cell_stack(forest: Forest, edges, order: int):
-    """X^F(w) at every ordering-cell point, shape (P, n, n), and the weights."""
-    pts, wts = ordering_cell_points(len(edges), order)
-    xs = x_matrix(forest, dict(zip(edges, pts.T)))
-    return np.broadcast_to(xs, (len(wts), forest.n, forest.n)), wts
 
 
 # --- interpolation identities ------------------------------------------------
@@ -151,8 +133,10 @@ def forest_formula_eval(n: int, func, quadrature_order: int = 16) -> float:
     total = 0.0
     for forest in enumerate_forests(n):
         edges = sorted(forest.edges)
-        xs, wts = _forest_cell_stack(forest, edges, quadrature_order)
-        total += sum(w * func.forest_derivative(edges, X) for X, w in zip(xs, wts))
+        levels, weights = ordering_cell(len(edges), quadrature_order)
+        for order in permutations(edges):
+            xs = x_matrix(forest, dict(zip(order, levels))).reshape(-1, n, n)
+            total += sum(w * func.forest_derivative(edges, X) for X, w in zip(xs, weights.ravel()))
     return total
 
 
@@ -263,6 +247,8 @@ def replica_gaussian_eval(n: int, cov: np.ndarray, integrands: list[dict]) -> fl
                         acc[e] = acc.get(e, 0.0) + c * v
             poly = acc
 
-        xs, wts = _forest_cell_stack(forest, edges, quadrature_order)
-        total += sum(w * gaussian_expectation(poly, np.kron(X, cov)) for X, w in zip(xs, wts))
+        levels, weights = ordering_cell(len(edges), quadrature_order)
+        for order in permutations(edges):
+            xs = x_matrix(forest, dict(zip(order, levels))).reshape(-1, n, n)
+            total += sum(w * gaussian_expectation(poly, np.kron(X, cov)) for X, w in zip(xs, weights.ravel()))
     return total

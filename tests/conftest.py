@@ -3,14 +3,14 @@ the degree count of labeled trees, the pointwise block oracle and the
 enumeration oracles of the polymer-gas Mayer expansion."""
 
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 import mlve.engine
 from mlve.combinatorics import BlockPartition, Forest, Jungle, _degrees, enumerate_trees, norm_edge, prufer_decode
-from mlve.interpolation import min_over_paths, ordering_cell_points
+from mlve.interpolation import min_over_paths, ordering_cell
 from mlve.model_core import dw_grid
 
 
@@ -124,12 +124,15 @@ def _epsilon_tree_factor(n: int, tree_edges, eta_minus: frozenset) -> float:
         return 1.0
     nontree = [e for e in combinations(range(n), 2) if e not in tree_edges and e in eta_minus]
     sign = (-1.0) ** len(tree_edges)
-    edges = sorted(tree_edges)
-    w_pts, val = ordering_cell_points(n - 1, (len(nontree) + n) // 2)
-    x = min_over_paths(n, edges, dict(zip(edges, w_pts.T)))
-    for a, b in nontree:
-        val = val * (1.0 - x[:, a, b])
-    return sign * float(val.sum())
+    levels, weights = ordering_cell(n - 1, (len(nontree) + n) // 2)
+    total = 0.0
+    for order in permutations(sorted(tree_edges)):
+        x = min_over_paths(n, order, dict(zip(order, levels)))
+        val = weights
+        for a, b in nontree:
+            val = val * (1.0 - x[..., a, b])
+        total += float(val.sum())
+    return sign * total
 
 
 def tree_walk_order(gas, n: int) -> complex:

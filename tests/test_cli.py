@@ -107,7 +107,7 @@ class TestCompare:
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            ("compare", "n_max", 7),
+            ("compare", "n_max", 8),
             ("compare", "n_max", 0),
             ("compare", "n_max", 2.7),
             ("compare", "n_max", "x"),

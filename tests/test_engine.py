@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 from contextlib import contextmanager
 from itertools import accumulate, count, permutations, product
 
@@ -26,7 +28,7 @@ from mlve.grassmann import (
     hardcore_violated,
     slice_delta_violated,
 )
-from mlve.interpolation import min_over_paths, ordering_cell_points
+from mlve.interpolation import min_over_paths, ordering_cell
 from mlve.model_core import ModelParams, dw_grid
 from mlve.oracle import gauss_hermite_norm
 
@@ -191,10 +193,8 @@ class TestBosonicBlockValue:
         params = ModelParams(lam, 2, 1, 4)
         b = len(edges) + 1
         js = (1, 2, 3, 4)[:b]
-        w_pts, w_weights = ordering_cell_points(len(edges), 4)
         pointwise = sum(
-            w * bosonic_block_value(list(range(b)), edges, js, dict(zip(edges, pt)), params)
-            for pt, w in zip(w_pts, w_weights)
+            w * bosonic_block_value(list(range(b)), edges, js, point, params) for point, w in cell_points(edges, 4)
         )
         batched = TermEvaluator(params, gl_nodes=4)._integrate_block(edges, js)
         assert abs(batched - pointwise) <= 1e-12 * abs(pointwise)
@@ -361,7 +361,7 @@ class TestOrders:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            TermEvaluator(ModelParams(0.2, 2, 1, 3), GL).order_contribution(7)
+            TermEvaluator(ModelParams(0.2, 2, 1, 3), GL).order_contribution(8)
 
     def test_order_four_two_slices(self):
         # orders 1-4 as evaluated one weight point at a time (one
@@ -441,16 +441,24 @@ def fermionic_vanishes(jungle) -> bool:
     return max(Forest(jungle.n, jungle.fermionic).degrees()) >= 3
 
 
-def integrate_factor(jungle, slices, nodes, chunk=50_000):
-    """The stacked Fermionic factor summed over the ordering-cell rule with
-    the given node count, in chunks of points to bound the memory."""
-    edges = sorted(jungle.fermionic)
-    pts, wts = ordering_cell_points(len(edges), nodes)
+def cell_points(edges, nodes):
+    """(edge weights, quadrature weight) at every point of the ordering-cell
+    rule with the given node count, one cell after another: the edges, by
+    decreasing weight, take the cell's levels."""
+    levels, weights = ordering_cell(len(edges), nodes)
+    for order in permutations(edges):
+        for *point, w in zip(*(a.ravel() for a in np.broadcast_arrays(*levels, weights))):
+            yield dict(zip(order, point)), w
+
+
+def integrate_factor(jungle, slices, nodes):
+    """The Fermionic factor summed over the ordering-cell rule with the
+    given node count, one broadcast cell per call."""
+    levels, weights = ordering_cell(len(jungle.fermionic), nodes)
     total = 0.0
-    for lo in range(0, len(wts), chunk):
-        at = slice(lo, lo + chunk)
-        vals = fermionic_factor(jungle, slices, dict(zip(edges, pts[at].T)))
-        total += float(np.dot(wts[at], np.broadcast_to(vals, wts[at].shape)))
+    for order in permutations(sorted(jungle.fermionic)):
+        vals = fermionic_factor(jungle, slices, dict(zip(order, levels)))
+        total += float(np.dot(weights.ravel(), np.ravel(vals)))
     return total
 
 
@@ -472,22 +480,29 @@ class TestFermionicIntegral:
         for k, (jungle, slices) in firsts.items():
             value = fermionic_weight_integral(jungle, slices)
             assert abs(value - integrate_factor(jungle, slices, 12)) <= 1e-13 * max(1.0, abs(value))
-            pts, wts = ordering_cell_points(k, (n + 1) // 2)
-            if len(wts) > 100:
+            if math.factorial(k) * ((n + 1) // 2) ** k > 100:
                 continue
-            edges = sorted(jungle.fermionic)
             brute = sum(
-                w * fermionic_factor_brute(jungle, slices, dict(zip(edges, pt)))
-                for pt, w in zip(pts, wts)
+                w * fermionic_factor_brute(jungle, slices, point)
+                for point, w in cell_points(sorted(jungle.fermionic), (n + 1) // 2)
             )
             assert abs(value - brute) <= 1e-13 * max(1.0, abs(value))
 
     def test_all_singleton_paths_are_rational(self):
         # slice-constant Fermionic paths on n singleton blocks integrate
-        # to 2/3, -1/2 and 2/5 at k = 2, 3, 4
-        for n, want in ((3, 2 / 3), (4, -1 / 2), (5, 2 / 5)):
+        # to 2/3, -1/2, 2/5, -1/3 and 2/7 at k = 2..6.  The k = 6 integral
+        # of order 7 has 6! x 4^6 = 2.9M points, 1.2 GB of lifted Y if held
+        # at once; one cell at a time it stays within a few MB
+        for n, want in ((3, 2 / 3), (4, -1 / 2), (5, 2 / 5), (6, -1 / 3), (7, 2 / 7)):
             jungle = Jungle(n, empty_forest(n), frozenset((i, i + 1) for i in range(n - 1)))
-            assert fermionic_weight_integral(jungle, (1,) * n) == pytest.approx(want, rel=1e-14)
+            tracemalloc.start()
+            try:
+                value = fermionic_weight_integral(jungle, (1,) * n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == pytest.approx(want, rel=1e-14)
+            assert peak <= 20e6
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cached_values_equal_uncached(self, n):
@@ -548,6 +563,53 @@ class TestFermionicIntegral:
             for slices in product(range(1, n + 1), repeat=n):
                 if admissible(jungle, slices):
                     assert ev.fermionic_integral(jungle, slices) == fermionic_weight_integral(jungle, slices)
+
+
+def hardcore_gas_series(ev) -> list[complex]:
+    """Coefficients z_0..z_J of Z_J(t), the partition polynomial of the
+    hardcore gas of Bosonic blocks on the J slices of the evaluator's
+    window, graded by vertex count.
+
+    A polymer is a nonempty set of slices, with activity the sum over the
+    trees on it of ``block_integral``, and the polymers of a collection are
+    disjoint, so a collection covering m slices carries t^m.  Z of a slice
+    mask is a subset sum: its lowest slice lies in exactly one polymer
+    inside the mask."""
+    window = ev.params.slices
+    activity = {}
+    for mask in range(1, 1 << len(window)):
+        js = tuple(j for i, j in enumerate(window) if mask >> i & 1)
+        activity[mask] = sum(ev.block_integral(range(len(js)), sorted(t.edges), js) for t in enumerate_trees(len(js)))
+    cover = [1.0 + 0.0j]
+    for mask in range(1, 1 << len(window)):
+        lowest = mask & -mask
+        cover.append(sum(a * cover[mask ^ p] for p, a in activity.items() if p & lowest and p & mask == p))
+    z = [0.0j] * (len(window) + 1)
+    for mask, c in enumerate(cover):
+        z[bin(mask).count("1")] += c
+    return z
+
+
+class TestMayerIdentity:
+    """At a fixed window the order sum is the Mayer expansion of the
+    hardcore gas of Bosonic blocks: A_n = [t^n] log Z_J(t) and Z_J(1) = Z.
+    This checks every Fermionic integral, the jungle classes, their
+    labelings and their stabilizers against block integrals alone, with no
+    weight quadrature of its own."""
+
+    @pytest.mark.parametrize("lam", [0.2, 0.3 + 0.1j, 0.5 * cmath.exp(0.7j)], ids=["real", "complex", "outside"])
+    def test_orders_are_the_log_series(self, lam):
+        from mlve.mayer import log_coefficients
+        from mlve.oracle import logz_oracle
+
+        params = ModelParams(lam, 2, 1, 3)
+        ev = TermEvaluator(params)
+        z = hardcore_gas_series(ev)
+        for n, want in enumerate(log_coefficients(z, 6), start=1):
+            rows = [(value, stabilizer) for _, _, stabilizer, _, value in ev.order_terms(n)]
+            got = sum(value / stabilizer for value, stabilizer in rows)
+            assert abs(got - want) <= 1e-14 * sum(abs(value) / stabilizer for value, stabilizer in rows)
+        assert abs(cmath.log(sum(z)) - logz_oracle(params)) <= 1e-14
 
 
 def clear_plans() -> None:

@@ -15,7 +15,7 @@ from mlve.grassmann import (
     lifted_y_matrix,
     slice_delta_violated,
 )
-from mlve.interpolation import min_over_paths
+from mlve.interpolation import min_over_paths, ordering_cell
 
 
 def _block_weights(jungle, weights):
@@ -199,14 +199,18 @@ class TestFermionicFactor:
 
 
 class TestStackedRoute:
-    """Weights of shape (P,) give, point by point, the scalar results."""
+    """Weights of broadcastable shapes give, point by point, the scalar
+    results: random stacks of shape (P,), and the levels of one ordering
+    cell on their prefix grids, of shapes (Q,), (Q, Q), ..."""
 
     P = 16
+    Q = 3
 
     def cases(self, rng, count=24):
         """Random spanning jungles with at least one Fermionic edge (with
         none there is nothing to stack); every other case is redrawn until
-        it passes the structural filter."""
+        it passes the structural filter, and every third takes the levels
+        of one ordering cell on a random order of its edges."""
         drawn = 0
         while drawn < count:
             jungle = random_spanning_jungle(rng, int(rng.integers(2, 5)))
@@ -215,45 +219,58 @@ class TestStackedRoute:
             if not jungle.fermionic or (zero and drawn % 2 == 0):
                 continue
             drawn += 1
-            yield jungle, slices, {e: rng.uniform(size=self.P) for e in sorted(jungle.fermionic)}
+            edges = sorted(jungle.fermionic)
+            if drawn % 3 == 0:
+                order = [edges[i] for i in rng.permutation(len(edges))]
+                yield jungle, slices, dict(zip(order, ordering_cell(len(edges), self.Q)[0]))
+            else:
+                yield jungle, slices, {e: rng.uniform(size=self.P) for e in edges}
 
     @staticmethod
-    def point(stack, p):
-        return {e: float(w[p]) for e, w in stack.items()}
+    def points(stack):
+        """The broadcast shape of the stack, and (index, scalar weights) at
+        each of its points, in C order."""
+        shape = np.broadcast_shapes(*map(np.shape, stack.values()))
+        full = {e: np.broadcast_to(w, shape) for e, w in stack.items()}
+        return shape, [(i, {e: float(w[i]) for e, w in full.items()}) for i in np.ndindex(shape)]
 
     def test_min_over_paths_and_lifted_y(self, rng):
+        ndims = set()
         for jungle, slices, stack in self.cases(rng):
             edges = sorted(jungle.fermionic)
+            shape, points = self.points(stack)
+            ndims.add(len(shape))
             paths = min_over_paths(jungle.n, edges, stack)
             y = lifted_y_matrix(jungle, slices, stack)
-            assert paths.shape == y.shape == (self.P, jungle.n, jungle.n)
-            for p in range(self.P):
-                w = self.point(stack, p)
-                assert np.array_equal(paths[p], min_over_paths(jungle.n, edges, w))
-                assert np.array_equal(y[p], lifted_y_matrix(jungle, slices, w))
+            assert paths.shape == y.shape == shape + (jungle.n, jungle.n)
+            for i, w in points:
+                assert np.array_equal(paths[i], min_over_paths(jungle.n, edges, w))
+                assert np.array_equal(y[i], lifted_y_matrix(jungle, slices, w))
+        assert max(ndims) >= 2  # a cell of two or more edges was drawn
 
     def test_grassmann_minor(self, rng):
         for jungle, slices, stack in self.cases(rng):
             n = jungle.n
+            shape, points = self.points(stack)
             y = lifted_y_matrix(jungle, slices, stack)
             k = int(rng.integers(0, n + 1))
             cols = tuple(int(i) for i in rng.permutation(n)[:k])
             rows = tuple(int(i) for i in rng.permutation(n)[:k])
             got = grassmann_minor(y, cols, rows)
-            assert got.shape == (self.P,) and got.dtype == np.float64
-            want = [grassmann_minor(y[p], cols, rows) for p in range(self.P)]
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+            assert got.shape == shape and got.dtype == np.float64
+            want = [grassmann_minor(y[i], cols, rows) for i, _ in points]
+            np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=1e-15)
 
     def test_fermionic_factor_pointwise_and_brute(self, rng):
         kinds = set()
         for jungle, slices, stack in self.cases(rng):
+            shape, points = self.points(stack)
             got = fermionic_factor(jungle, slices, stack)
-            assert got.shape == (self.P,)
+            assert got.shape == shape
             kinds.add(bool(np.any(got)))
-            for p in range(self.P):
-                w = self.point(stack, p)
-                assert got[p] == pytest.approx(fermionic_factor(jungle, slices, w), rel=1e-13, abs=1e-15)
-                assert got[p] == pytest.approx(fermionic_factor_brute(jungle, slices, w), abs=1e-12)
+            for i, w in points:
+                assert got[i] == pytest.approx(fermionic_factor(jungle, slices, w), rel=1e-13, abs=1e-15)
+                assert got[i] == pytest.approx(fermionic_factor_brute(jungle, slices, w), abs=1e-12)
         assert kinds == {False, True}  # structural zeros and live terms both drawn
 
 

@@ -12,6 +12,7 @@ from mlve.interpolation import (
     forest_formula_eval,
     gaussian_expectation,
     min_over_paths,
+    ordering_cell,
     replica_gaussian_eval,
     replica_gaussian_left,
     x_matrix,
@@ -130,62 +131,70 @@ class TestYBlockMatrix:
             Jungle(3, empty_forest(3), frozenset({(0, 1), (1, 2), (0, 2)}))
 
 
+def cell_arrays(k, order):
+    """The points and weights of each ordering cell, one cell at a time, in
+    permutation order: cell pi puts level m + 1 of ``ordering_cell`` on
+    coordinate pi[m].  Points of shape (Q^k, k), weights (Q^k,)."""
+    levels, weights = ordering_cell(k, order)
+    flat = np.array([np.broadcast_to(w, weights.shape).ravel() for w in levels]).reshape(k, weights.size)
+    for perm in permutations(range(k)):
+        yield flat[np.argsort(perm)].T, weights.ravel()
+
+
 class TestOrderingSimplexQuadrature:
     @pytest.mark.parametrize("k", range(5))
     def test_points_are_the_cells_placed_by_permutation(self, k):
-        # every cell of the point stack holds the levels of the one cell
-        # rule, bit for bit: sorted decreasingly, its coordinates are the
-        # broadcast levels w_1 > ... > w_k, and its weights the rule's
-        from mlve.interpolation import ordering_cell, ordering_cell_points
-
+        # the levels of the one cell rule live on prefix grids and, broadcast,
+        # fall strictly, w_1 > ... > w_k; every cell holds them, placed by
+        # its permutation, with the rule's weights, which sum to 1 over the
+        # k! cells
         levels, weights = ordering_cell(k, 3)
-        pts, wts = ordering_cell_points(k, 3)
         assert [w.shape for w in levels] == [(3,) * (i + 1) for i in range(k)]
         assert weights.shape == (3,) * k
-        flat = np.zeros((3**k, k))
-        for i, w in enumerate(levels):
-            flat[:, i] = np.broadcast_to(w, weights.shape).ravel()
+        cells = list(cell_arrays(k, 3))
+        assert len(cells) == math.factorial(k)
+        flat = cells[0][0]
         assert np.all(np.diff(flat, axis=1) < 0)
-        cells = math.factorial(k)
-        assert pts.shape == (cells * 3**k, k)
-        for cell, cell_wts, perm in zip(np.split(pts, cells), np.split(wts, cells), permutations(range(k))):
-            assert np.array_equal(-np.sort(-cell, axis=1), flat)
-            assert np.array_equal(cell[:, list(perm)], flat[:, ::-1])
-            assert np.array_equal(cell_wts, weights.ravel())
+        for (pts, wts), perm in zip(cells, permutations(range(k))):
+            assert np.array_equal(-np.sort(-pts, axis=1), flat)
+            assert np.array_equal(pts[:, list(perm)], flat)
+            assert np.array_equal(wts, weights.ravel())
+        assert sum(wts.sum() for _, wts in cells) == pytest.approx(1.0, abs=1e-12)
 
-    # closed forms for order statistics of independent uniforms
-    # the cube routine at order 8 under the plain ids, and the vectorized
-    # point set it is built on at order 10 under "points-k"
+    # closed forms for order statistics of independent uniforms: one point
+    # at a time at order 8 under the plain ids, a cell at a time at order 10
+    # under "points-k"
     @pytest.mark.parametrize(
         "k, points",
         [pytest.param(k, False, id=str(k)) for k in (1, 2, 3, 4)]
         + [pytest.param(k, True, id=f"points-{k}") for k in (1, 2, 3)],
     )
     def test_minimum_moments(self, k, points):
-        from mlve.interpolation import ordering_cell_points
-
         if points:
-            pts, wts = ordering_cell_points(k, 10)
-            assert pts.shape == (math.factorial(k) * 10**k, k)
-            assert wts.sum() == pytest.approx(1.0, abs=1e-12)
-            assert float(wts @ pts.prod(axis=1)) == pytest.approx(0.5**k, abs=1e-12)
-            mins = pts.min(axis=1)
-            val1, val2 = float(wts @ mins), float(wts @ mins**2)
+            total, prod, val1, val2 = 0.0, 0.0, 0.0, 0.0
+            for pts, wts in cell_arrays(k, 10):
+                mins = pts.min(axis=1)
+                total += wts.sum()
+                prod += float(wts @ pts.prod(axis=1))
+                val1 += float(wts @ mins)
+                val2 += float(wts @ mins**2)
+            assert total == pytest.approx(1.0, abs=1e-12)
+            assert prod == pytest.approx(0.5**k, abs=1e-12)
         else:
-            pts, wts = ordering_cell_points(k, 8)
-            val1 = sum(w * min(x) for x, w in zip(pts, wts))
-            val2 = sum(w * min(x) ** 2 for x, w in zip(pts, wts))
+            pairs = [(x, w) for pts, wts in cell_arrays(k, 8) for x, w in zip(pts, wts)]
+            val1 = sum(w * min(x) for x, w in pairs)
+            val2 = sum(w * min(x) ** 2 for x, w in pairs)
         assert val1 == pytest.approx(1.0 / (k + 1), abs=1e-12)
         assert val2 == pytest.approx(2.0 / ((k + 1) * (k + 2)), abs=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_maximum_and_product(self, k):
-        from mlve.interpolation import ordering_cell_points
-
-        pts, wts = ordering_cell_points(k, 8)
-        assert sum(w * max(x) for x, w in zip(pts, wts)) == pytest.approx(k / (k + 1.0), abs=1e-12)
-        prod = sum(w * math.prod(x) for x, w in zip(pts, wts))
-        assert prod == pytest.approx(0.5**k, abs=1e-12)
+        # and E prod_c x_c^c = prod_c 1/(c + 1), which tells the cells apart
+        pairs = [(x, w) for pts, wts in cell_arrays(k, 8) for x, w in zip(pts, wts)]
+        assert sum(w * max(x) for x, w in pairs) == pytest.approx(k / (k + 1.0), abs=1e-12)
+        assert sum(w * math.prod(x) for x, w in pairs) == pytest.approx(0.5**k, abs=1e-12)
+        graded = sum(w * math.prod(xc**c for c, xc in enumerate(x)) for x, w in pairs)
+        assert graded == pytest.approx(1.0 / math.factorial(k), abs=1e-12)
 
 
 class TestForestFormula:
