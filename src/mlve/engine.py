@@ -49,8 +49,10 @@ the default config and 8 at j = 1..8.
 The lifted Y of the Fermionic factor is the path-minimum matrix of the
 jungle's union forest, its Bosonic and Fermionic edges together, with
 every Bosonic edge at weight 1, times the slice delta.  The factor is
-evaluated one ordering cell at a time, as a block is: the cell's levels
-broadcast to one stack of lifted Y matrices, and each of the 2^k
+evaluated one ordering cell at a time, as a block is.  Inside a cell a
+path minimum is the level of the path's last Fermionic edge in the
+cell's order, so the cell's Y is one gather of its broadcast levels
+through an index table fixed per integral, and each of the 2^k
 exchange-pattern minors is one stacked determinant over it.  Its
 integrand is a polynomial of degree <= n - 1 in each cube coordinate of
 a cell, so (n + 1) // 2 Gauss-Legendre nodes integrate it exactly;
@@ -90,12 +92,12 @@ import numpy as np
 
 from .combinatorics import Jungle, _components_of, _degrees, jungle_classes, norm_edge
 from .errors import BudgetExceededError
-from .grassmann import fermionic_factor, hardcore_violated, slice_delta_violated
-from .interpolation import _read_only, ordering_cell
+from .grassmann import exchange_sum, hardcore_violated, slice_delta_violated
+from .interpolation import _read_only, min_over_paths, ordering_cell
 from .model_core import ModelParams, dw_grid
 # unused here but bound: the benchmark's layer trace wraps them on this module
 from .combinatorics import enumerate_jungles  # noqa: F401
-from .interpolation import min_over_paths  # noqa: F401
+from .grassmann import fermionic_factor  # noqa: F401
 
 ORDER_BUDGET = 7
 BLOCK_BUDGET = 4
@@ -181,6 +183,21 @@ def _cell_values(spectra, order, layers) -> np.ndarray:
     return spectrum @ phase
 
 
+def _union_paths(jungle: Jungle):
+    """The paths of the union forest, its Bosonic and Fermionic edges
+    together: on_path[e, a, b] is True where the path from a to b crosses
+    the e-th Fermionic edge in sorted order, and linked[a, b] where a path
+    joins a and b.  One path-minimum walk finds both: Fermionic edge e
+    weighs 0 on axis e and 1 on the others, and a Bosonic edge 1 on all k
+    + 1 axes, so the minimum is 0 on axis e exactly where the path crosses
+    e, and 1 on the last axis exactly where there is a path."""
+    k = len(jungle.fermionic)
+    weights = dict.fromkeys(jungle.bosonic.edges, np.ones(k + 1))
+    weights |= dict(zip(sorted(jungle.fermionic), 1.0 - np.eye(k + 1)[:k]))
+    paths = np.broadcast_to(min_over_paths(jungle.n, list(weights), weights), (k + 1, jungle.n, jungle.n))
+    return paths[:k] == 0.0, paths[k] == 1.0
+
+
 def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     """The Fermionic factor integrated over its edge weights, exactly.
 
@@ -188,13 +205,30 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     sorted coordinate t_m = prod_(i>=m) v_i, so every exchange-pattern
     minor is a polynomial of degree <= n - k in t, and with the cell
     Jacobian prod_m v_m^m of degree <= n - 1 in each v_i.  Gauss-Legendre
-    with (n + 1) // 2 nodes integrates that exactly.  One factor call per
-    cell, on the levels of ``ordering_cell`` (k = 0 gives a scalar).
+    with (n + 1) // 2 nodes integrates that exactly, on the levels of
+    ``ordering_cell`` (k = 0 gives a scalar).
+
+    The levels fall in the cell's edge order, so the path minimum of a
+    vertex pair is the level of the path's Fermionic edge that comes last
+    in that order, 1 on an all-Bosonic path and 0 where no path joins the
+    pair.  With the union-forest paths fixed once, each cell's Y is one
+    gather of its broadcast levels, which reads the slice delta's zeros
+    from a slot of their own.
     """
-    levels, weights = ordering_cell(len(jungle.fermionic), (jungle.n + 1) // 2)
+    if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
+        return 0.0
+    k = len(jungle.fermionic)
+    levels, weights = ordering_cell(k, (jungle.n + 1) // 2)
+    on_path, linked = _union_paths(jungle)
+    js = np.asarray(slices)
+    # slot 0 holds the 1 of an all-Bosonic path, slot i + 1 level i and the
+    # last slot the 0 of a pair with no path or two slices
+    slots = np.stack(np.broadcast_arrays(1.0, *levels, 0.0), axis=-1)
+    zero = np.where(linked & (js[:, None] == js), 0, k + 1)
     total = 0.0
-    for order in permutations(sorted(jungle.fermionic)):
-        values = fermionic_factor(jungle, tuple(slices), dict(zip(order, levels)))
+    for order in permutations(range(k)):
+        last = (on_path * (np.argsort(order) + 1)[:, None, None]).max(axis=0, initial=0)
+        values = exchange_sum(jungle, slots[..., np.maximum(last, zero)])
         total += np.dot(weights.ravel(), np.ravel(values))
     return float(total)
 

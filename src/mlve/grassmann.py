@@ -16,10 +16,11 @@ list.  The Fermionic factor of an expansion term assembles the 2^k
 exchange-pattern minors of the lifted matrix Y: the path minima of the
 jungle's union forest, its Bosonic edges at weight 1 and its Fermionic
 edges at their weights, times the slice delta.  Minors act on the last
-two axes, so edge weights given as broadcastable arrays, such as one
-ordering cell's levels, yield the factor at all their points at once: a
-stack of lifted matrices and one stacked determinant per exchange
-pattern.  Real stacks stay real.
+two axes, so ``exchange_sum`` takes a stack of lifted matrices, with one
+stacked determinant per exchange pattern, and edge weights given as
+broadcastable arrays yield the factor at all their points at once.  The
+engine gathers its stacks one ordering cell at a time; the path-minimum
+``lifted_y_matrix`` serves any point.  Real stacks stay real.
 
 Monomials for the brute-force route are coefficient maps keyed by
 (psi bitmask, psibar bitmask) relative to the canonical word
@@ -227,33 +228,44 @@ def lifted_y_matrix(jungle: Jungle, slices, weights: dict) -> np.ndarray:
     return min_over_paths(jungle.n, list(union), union) * (js[:, None] == js)
 
 
+@lru_cache(maxsize=None)
+def _exchange_patterns(jungle: Jungle) -> tuple:
+    """The (cols, rows) deletion lists of the 2^k exchange patterns of the
+    jungle's Fermionic edges, in pattern order, without those that repeat
+    a generator: their exchange term vanishes."""
+    edges = sorted(jungle.fermionic)
+    out = []
+    for pattern in range(1 << len(edges)):
+        cols = tuple(v if pattern >> i & 1 else u for i, (u, v) in enumerate(edges))
+        rows = tuple(u if pattern >> i & 1 else v for i, (u, v) in enumerate(edges))
+        if len(set(cols)) == len(edges) and len(set(rows)) == len(edges):
+            out.append((cols, rows))
+    return tuple(out)
+
+
+def exchange_sum(jungle: Jungle, y):
+    """The sum over the exchange patterns of the jungle's Fermionic edges
+    of the minors of the lifted Y: a float for one matrix, an array for a
+    stack of them."""
+    total = np.zeros(y.shape[:-2])
+    for cols, rows in _exchange_patterns(jungle):
+        total = total + grassmann_minor(y, cols, rows)
+    return total if total.ndim else float(total)
+
+
 def fermionic_factor(jungle: Jungle, slices, weights: dict):
-    """Fermionic weight of a term: the sum over the 2^k exchange patterns of
-    minors of the lifted Y, and zero where the hardcore rule or the slice
-    delta fails.
+    """Fermionic weight of a term at one point of its edge weights: the
+    exchange sum of the lifted Y, and zero where the hardcore rule or the
+    slice delta fails.
 
     Scalar weights give a float; broadcastable array weights give the
     factors at every point of their broadcast shape, an array of it.
     """
     y = lifted_y_matrix(jungle, slices, weights)
-    total = np.zeros(y.shape[:-2])
     if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
+        total = np.zeros(y.shape[:-2])
         return total if total.ndim else 0.0
-    edges = sorted(jungle.fermionic)
-    k = len(edges)
-    for pattern in range(1 << k):
-        cols, rows = [], []
-        for i, (u, v) in enumerate(edges):
-            if pattern >> i & 1:
-                cols.append(v)
-                rows.append(u)
-            else:
-                cols.append(u)
-                rows.append(v)
-        if len(set(cols)) < k or len(set(rows)) < k:
-            continue  # repeated generator: the exchange term vanishes
-        total = total + grassmann_minor(y, tuple(cols), tuple(rows))
-    return total if total.ndim else float(total)
+    return exchange_sum(jungle, y)
 
 
 def fermionic_factor_brute(jungle: Jungle, slices, weights: dict) -> float:

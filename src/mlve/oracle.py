@@ -101,9 +101,9 @@ def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, b
     """Value at 2*nodes, the doubling delta, and the reliability verdict.
 
     Both rules take one kernel sweep per slice over their joined nodes.
-    The doubled rule holds the largest node, so a long window splits where
-    it would for that rule alone and its Z equals
-    z_sigma_quadrature(params, 2 * nodes); the smaller rule's Z, which only
+    The doubled rule holds the largest node, so a long window splits, and
+    sizes its tail series, where it would for that rule alone and its Z
+    equals z_sigma_quadrature(params, 2 * nodes); the smaller rule's Z, which only
     enters the delta, may move at rounding level.  A Z that overflows is
     a ValueError, with no floating-point warning on the way.
     """

@@ -488,6 +488,15 @@ class TestFermionicIntegral:
             )
             assert abs(value - brute) <= 1e-13 * max(1.0, abs(value))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gathered_y_equals_path_minima(self, n):
+        # the cell gather against the path-minimum walk of lifted_y_matrix
+        # on the same rule, bit for bit, on every jungle, spanning or not,
+        # at its first admissible labeling over n slices
+        for jungle in enumerate_jungles(n, spanning=False):
+            slices = first_admissible(jungle, range(1, n + 1))
+            assert fermionic_weight_integral(jungle, slices) == integrate_factor(jungle, slices, (n + 1) // 2)
+
     def test_all_singleton_paths_are_rational(self):
         # slice-constant Fermionic paths on n singleton blocks integrate
         # to 2/3, -1/2, 2/5, -1/3 and 2/7 at k = 2..6.  The k = 6 integral

@@ -307,13 +307,30 @@ class TestInversePowerSums:
                 assert err <= (1e-15 if k <= 20 else 2e-13), k
 
     def test_series_terms_bound(self):
-        # with |x| <= s/2, term m of the k-th x-derivative of the tail series
-        # is at most C(m-1, k-1) 2^(m0-m) of the leading term m0 = max(k, 2)
-        for k in range(1, 41):
-            top = numerics._SERIES_TOP + numerics._POWERS_PER_ORDER * (k - 1)
+        # with |x| <= rho s, term m of the k-th x-derivative of the tail
+        # series is at most c_k(m)/c_k(m0) rho^(m-m0) of the leading term
+        # m0 = max(k, 2), c_0(m) = 1/m, c_k(m) = (m-1)!/(m-k)!; each row
+        # stops at the least power past which these sum to the tolerance
+        def rest(k, rho, top):
             m0 = max(k, 2)
-            terms = (math.comb(m - 1, k - 1) / (math.comb(m0 - 1, k - 1) * 2 ** (m - m0)) for m in range(top + 1, top + 500))
-            assert math.fsum(terms) <= 2.0**-55, k
+            ratio = (lambda m: m0 / m) if k == 0 else (lambda m: math.comb(m - 1, k - 1) / math.comb(m0 - 1, k - 1))
+            return math.fsum(ratio(m) * rho ** (m - m0) for m in range(top + 1, top + 600))
+
+        tol = numerics._SERIES_TOL
+        for rho in (0.5, 0.25, 0.125, 0.075):
+            for k in range(41):
+                top = numerics._series_top(k, rho)
+                assert rest(k, rho, top) <= tol < rest(k, rho, top - 1), (rho, k)
+
+    def test_series_length_follows_the_grid(self, monkeypatch):
+        # on [16, 255] at lambda = 0.3, |x| <= 3.6 on SIGMA_GRID: rho =
+        # 0.225, and rows 0 and 1 take at most 30 Horner steps each
+        tops = {}
+        series_top = numerics._series_top.__wrapped__
+        monkeypatch.setattr(numerics, "_series_top", lambda k, rho: tops.setdefault(k, series_top(k, rho)))
+        dw_grid(ModelParams(0.3, 16, 2, 2), 2, 1, SIGMA_GRID)
+        assert sorted(tops) == [0, 1]
+        assert all(top - k + 1 <= 30 for k, top in tops.items()), tops
 
 
 class TestGridRoutes:
@@ -405,6 +422,17 @@ class TestGridRoutes:
             ref = _mp_dw_product(lam, sl.lo, sl.hi, q, sigma)
             got = dw_grid(ModelParams(lam, M, j, j), j, q, sigma)[q]
             assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
+
+    def test_tail_at_half_its_first_index_against_mpmath(self):
+        # at lambda = 0.3 and sigma = 26, 2 |lam sigma| = 15.6 is just under
+        # the first index of [16, 255]: the window is all tail, at rho =
+        # 0.4875, where the series runs longest
+        sigma = np.array([-26.0, -9.0, 0.7, 26.0])
+        params = ModelParams(0.3, 16, 2, 2)
+        for q in range(4):
+            ref = _mp_dw_product(0.3, 16, 255, q, sigma)
+            got = dw_grid(params, 2, q, sigma)[q]
+            assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max(), q
 
     @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
     @pytest.mark.parametrize("M, j", [(10, 5), (10, 3), (16, 2)])

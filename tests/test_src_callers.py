@@ -40,6 +40,8 @@ REFERENCE_ROUTES = {
     "cexpm1": "numerics.kernel_bundle, W = expm1(-V)",
     # one Gauss-Hermite rule per sweep
     "z_sigma_quadrature": "oracle.z_reliable, both rules in one sweep",
+    # the lifted Y as path minima at any point of the weights
+    "fermionic_factor": "engine.fermionic_weight_integral, Y gathered one ordering cell at a time",
     # Berezin algebra
     "fermionic_factor_brute": "grassmann.fermionic_factor",
     # exact rational series of log Z in g
@@ -54,7 +56,7 @@ REFERENCE_ROUTES = {
 }
 
 # names imported unused, as module.name: bench/layertrace.py wraps them there
-BENCH_BINDINGS = {"engine.enumerate_jungles", "engine.min_over_paths"}
+BENCH_BINDINGS = {"engine.enumerate_jungles", "engine.fermionic_factor"}
 
 # package metadata that only importers read
 MODULE_DUNDERS = {"__version__", "__all__"}
