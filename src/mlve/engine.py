@@ -176,7 +176,9 @@ def _cell_values(spectra, order, layers) -> np.ndarray:
     for i, smooth in enumerate(layers):
         if i:
             a, b = sorted(comp[v] for v in order[i - 1])
-            funcs[a] = np.fft.fft(np.fft.ifft(np.stack([funcs[a], funcs.pop(b)])).prod(axis=0))
+            merged = np.fft.ifft(funcs[a])
+            merged *= np.fft.ifft(funcs.pop(b))
+            funcs[a] = np.fft.fft(merged)
             comp = [a if x == b else x for x in comp]
         funcs = {x: f * smooth for x, f in funcs.items()}
     (spectrum,) = funcs.values()
