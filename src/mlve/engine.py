@@ -32,10 +32,12 @@ heaviest edges: sigma is a sum of independent Gaussian shifts, one per
 layer and component.  A block integral walks each cell's edges by
 decreasing weight.  Each edge merges the two components it joins, a
 product on one fixed uniform grid; then every component is smoothed by
-the exact Fourier multiplier exp(-(w_i - w_(i+1)) k^2/2), and the one
-function left is read at sigma = 0.  Layer i reads the first i + 1 cell
-coordinates only, so a component stays in Fourier space as a stack over
-that prefix grid, returning to the grid only to merge.
+the exact Fourier multiplier exp(-(w_i - w_(i+1)) k^2/2).  The last edge
+leaves one function, and its product is read at sigma = 0 on the grid,
+against the transform of the last multiplier times the readout phases,
+so it never returns to Fourier space.  Layer i reads the first i + 1
+cell coordinates only, so a component stays in Fourier space as a stack
+over that prefix grid, returning to the grid only to merge.
 
 The blocks read the kernels only through d^q W_j on the grid, and a
 block has at most one vertex per slice, so no tree degree passes
@@ -141,16 +143,28 @@ def _grid_constants(n: int, step: float):
 
 @lru_cache(maxsize=None)
 def _layer_multipliers(k: int, order: int, n: int, step: float) -> tuple:
-    """The Fourier multipliers exp(-(w_i - w_(i+1)) k^2/2) of the layers
-    i = 0..k at the levels of ``ordering_cell(k, order)``, w_0 := 1 and
-    w_(k+1) := 0, on a SIGMA_GRID of n points spaced by step, the only
-    things of the grid that they read.  Layer i holds order^(i+1) points
-    and the last order^k, with the grid on a trailing axis; they serve
-    every cell of every block with k tree edges.  Cached and read-only:
-    7.0 MB at k = 3, a 4-vertex block, and the default 12 nodes."""
-    half_k2, _ = _grid_constants(n, step)
+    """The Fourier multipliers m_i = exp(-(w_i - w_(i+1)) k^2/2) of the
+    layers i = 0..k - 1 at the levels of ``ordering_cell(k, order)``,
+    w_0 := 1, and in place of the last multiplier m_k, with w_(k+1) := 0,
+    the readout at sigma = 0, on a SIGMA_GRID of n points spaced by step,
+    the only things of the grid that they read.
+
+    The one function left in a cell is read at sigma = 0 after smoothing
+    by m_k: summed over the grid, spectrum * m_k * phase.  Past a merge
+    that function is a product x in real space, and summed over the grid
+    fft(x) * m_k * phase equals x * fft(m_k * phase).  So the readout of
+    k >= 1 edges is fft(m_k * phase), read against x; it is real, since
+    m_k is even in the wavenumber, and is kept real.  A block of one
+    vertex never merges, and reads its spectrum against m_0 * phase.
+    Layer i holds order^(i+1) points and the readout order^k, with the
+    grid on a trailing axis; they serve every cell of every block with k
+    tree edges.  Cached and read-only: 7.0 MB at k = 3, a 4-vertex block,
+    and the default 12 nodes."""
+    half_k2, phase = _grid_constants(n, step)
     bounds = (1.0, *ordering_cell(k, order)[0], 0.0)
-    return _read_only(*(np.exp(np.multiply.outer(hi - lo, half_k2)) for hi, lo in zip(bounds, bounds[1:])))
+    *layers, last = (np.exp(np.multiply.outer(hi - lo, half_k2)) for hi, lo in zip(bounds, bounds[1:]))
+    readout = last * phase
+    return _read_only(*layers, np.fft.fft(readout).real.copy() if k else readout)
 
 
 def _cell_values(spectra, order, layers) -> np.ndarray:
@@ -158,31 +172,37 @@ def _cell_values(spectra, order, layers) -> np.ndarray:
 
     spectra holds the spectrum of f_a on SIGMA_GRID in row a, order the
     tree edges by decreasing weight, w_1 >= ... >= w_k, and layers their
-    multipliers, as ``_layer_multipliers`` gives them.  With w_0 := 1 and
-    w_(k+1) := 0, sigma has covariance sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T
-    over the components f of the i heaviest edges, so every component of
-    layer i adds one Gaussian shift of variance w_i - w_(i+1) to all of
-    its vertices.  Edge i merges the two components it joins: the product
-    of their functions, on the grid.  Then every component is smoothed,
-    in Fourier space, by exp(-(w_i - w_(i+1)) k^2/2), on the prefix grid
-    of the first i + 1 cell coordinates; the one function left is read at
-    sigma = 0, at the points of the last layer.
+    multipliers and readout, as ``_layer_multipliers`` gives them.  With
+    w_0 := 1 and w_(k+1) := 0, sigma has covariance
+    sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T over the components f of the i
+    heaviest edges, so every component of layer i adds one Gaussian shift
+    of variance w_i - w_(i+1) to all of its vertices.  Edge i merges the
+    two components it joins: the product of their functions, on the grid.
+    Then every component is smoothed, in Fourier space, by
+    exp(-(w_i - w_(i+1)) k^2/2), on the prefix grid of the first i + 1
+    cell coordinates.  The last edge leaves one function, a product in
+    real space that is not transformed back: it is read against the
+    readout, at the points of the last layer.  So a cell of k >= 1 edges
+    makes k - 1 forward transforms.
     """
-    _, phase = _grid_constants(SIGMA_GRID.size, SIGMA_GRID[1] - SIGMA_GRID[0])
-    # a component is named by its least vertex, and a merge puts the lesser
-    # name first: complex products are not bitwise commutative
+    if not order:
+        return spectra[0] @ layers[0]
     comp = list(range(len(spectra)))
-    funcs = dict(enumerate(spectra))
-    for i, smooth in enumerate(layers):
-        if i:
-            a, b = sorted(comp[v] for v in order[i - 1])
-            merged = np.fft.ifft(funcs[a])
-            merged *= np.fft.ifft(funcs.pop(b))
-            funcs[a] = np.fft.fft(merged)
-            comp = [a if x == b else x for x in comp]
-        funcs = {x: f * smooth for x, f in funcs.items()}
-    (spectrum,) = funcs.values()
-    return spectrum @ phase
+    funcs = {a: f * layers[0] for a, f in enumerate(spectra)}
+    for i, edge in enumerate(order, 1):
+        # a component is named by its least vertex, and a merge puts the
+        # lesser name first: complex products are not bitwise commutative.
+        # Every component is a product made by this walk, so it is
+        # transformed in place.
+        a, b = sorted(comp[v] for v in edge)
+        merged, other = funcs.pop(a), funcs.pop(b)
+        np.fft.ifft(merged, out=merged)
+        merged *= np.fft.ifft(other, out=other)
+        if i == len(order):
+            return np.einsum("...i,...i->...", merged, layers[i])
+        funcs[a] = np.fft.fft(merged, out=merged)
+        comp = [a if x == b else x for x in comp]
+        funcs = {x: f * layers[i] for x, f in funcs.items()}
 
 
 def _union_paths(jungle: Jungle):

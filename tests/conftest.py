@@ -69,8 +69,11 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     tree degree (0 for a singleton).  sigma has the centered Gaussian law
     with covariance X restricted to the block.  Each vertex's kernel row
     comes from its own single-order ``dw_grid`` call on the engine's
-    current SIGMA_GRID, and the layers are walked at the one point, with
-    their multipliers computed here from its levels.
+    current SIGMA_GRID, and the layers are walked here at the one point,
+    with their multipliers computed from its levels: every merge returns
+    to Fourier space, and the last smoothed spectrum is read at sigma = 0
+    through the phases, so the engine's real-space readout is checked
+    against an independent one.
     """
     verts = sorted(block)
     if len(tree_edges) != len(verts) - 1:
@@ -80,11 +83,18 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     grid = mlve.engine.SIGMA_GRID
     rows = [dw_grid(params, slices[v], d, grid)[d] for v, d in zip(verts, _degrees(len(verts), edges))]
     cell = sorted(zip(edges, (weights[e] for e in tree_edges)), key=lambda ew: -ew[1])
-    half_k2, _ = mlve.engine._grid_constants(grid.size, grid[1] - grid[0])
+    half_k2, phase = mlve.engine._grid_constants(grid.size, grid[1] - grid[0])
     bounds = [1.0, *(float(w) for _, w in cell), 0.0]
-    layers = [np.exp((hi - lo) * half_k2) for hi, lo in zip(bounds, bounds[1:])]
-    spectra = np.fft.fft(rows, axis=-1)
-    return complex(mlve.engine._cell_values(spectra, [e for e, _ in cell], layers))
+    comp = list(range(len(verts)))
+    funcs = dict(enumerate(np.fft.fft(rows, axis=-1)))
+    for i, (hi, lo) in enumerate(zip(bounds, bounds[1:])):
+        if i:
+            a, b = sorted(comp[v] for v in cell[i - 1][0])
+            funcs[a] = np.fft.fft(np.fft.ifft(funcs[a]) * np.fft.ifft(funcs.pop(b)))
+            comp = [a if x == b else x for x in comp]
+        funcs = {x: f * np.exp((hi - lo) * half_k2) for x, f in funcs.items()}
+    (spectrum,) = funcs.values()
+    return complex(spectrum @ phase)
 
 
 def z_by_collections(gas) -> list[complex]:

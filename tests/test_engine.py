@@ -208,6 +208,47 @@ class TestBosonicBlockValue:
         assert [layer.size // grid.size for layer in layers] == [12 ** (i + 1) for i in range(k)] + [12**k]
         assert all(layer.shape[-1] == grid.size for layer in layers)
 
+    @pytest.mark.parametrize("k", range(1, 4))
+    def test_last_merge_is_read_in_real_space(self, k, monkeypatch):
+        # a cell of k edges transforms each merged pair back, 2k inverse
+        # transforms, and returns to Fourier space after every merge but
+        # the last, whose product is read against the real-space readout
+        grid = mlve.engine.SIGMA_GRID
+        layers = mlve.engine._layer_multipliers(k, 4, grid.size, grid[1] - grid[0])
+        spectra = np.ones((k + 1, grid.size), dtype=complex)
+        calls = []
+
+        def counting(name):
+            transform = getattr(np.fft, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+
+            return counted
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counting(name))
+        values = mlve.engine._cell_values(spectra, [(i, i + 1) for i in range(k)], layers)
+        assert values.shape == (4,) * k
+        assert (calls.count("fft"), calls.count("ifft")) == (k - 1, 2 * k)
+
+    def test_four_vertex_block_peak(self):
+        # one warm 4-vertex path block at 12 nodes: its two last-layer
+        # components, 12^3 x 243 complex values each (6.7 MB), are
+        # transformed and merged in place and never stacked
+        params = ModelParams(0.2, 2, 1, 4)
+        edges, js = ((0, 1), (1, 2), (2, 3)), (1, 2, 3, 4)
+        ev = TermEvaluator(params)
+        ev._integrate_block(edges, js)
+        tracemalloc.start()
+        try:
+            ev._integrate_block(edges, js)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
+
     @pytest.mark.parametrize("lam", [0.2, 0.3 + 0.1j])
     def test_batch_with_ties_and_boundary_weights(self, lam):
         # points of both ordering cells, holding tied weights and the
