@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import Jungle
-from .interpolation import min_over_paths
+from .interpolation import _read_only, min_over_paths
 
 BRUTE_FORCE_BUDGET = 8
 # rounding allowance of check_minor_bound's inequalities
@@ -167,6 +167,19 @@ def _sort_parity(indices) -> int:
     return -1 if inv % 2 else 1
 
 
+def _minor_indices(shape, cols, rows):
+    """The kept rows, as a column, the kept columns and the sign of the
+    minor of the defining Grassmann integral with the ordered deletion
+    lists cols and rows, for matrices of the given (rows, columns) shape:
+    the minor is sign * det(matrix[..., kept rows, kept columns])."""
+    keep_rows = np.array([i for i in range(shape[0]) if i not in rows], dtype=int)[:, None]
+    keep_cols = np.array([i for i in range(shape[1]) if i not in cols], dtype=int)
+    sign = _sort_parity(cols) * _sort_parity(rows)
+    if (sum(cols) + sum(rows)) % 2:
+        sign = -sign
+    return keep_rows, keep_cols, sign
+
+
 def grassmann_minor(matrix, cols, rows):
     """Value of the defining Grassmann integral, sign included, for the
     ordered deletion lists cols (the psi indices a) and rows (the psibar
@@ -184,13 +197,8 @@ def grassmann_minor(matrix, cols, rows):
     for i in (*cols, *rows):
         if not 0 <= i < dim:
             raise ValueError(f"index {i} out of range for dimension {dim}")
-    keep_rows = [i for i in range(arr.shape[-2]) if i not in set(rows)]
-    keep_cols = [i for i in range(dim) if i not in set(cols)]
-    sub = arr[..., np.array(keep_rows, dtype=int)[:, None], np.array(keep_cols, dtype=int)]
-    sign = _sort_parity(cols) * _sort_parity(rows)
-    if (sum(cols) + sum(rows)) % 2:
-        sign = -sign
-    return sign * np.linalg.det(sub)
+    keep_rows, keep_cols, sign = _minor_indices(arr.shape[-2:], cols, rows)
+    return sign * np.linalg.det(arr[..., keep_rows, keep_cols])
 
 
 # --- Fermionic factor of an expansion term ----------------------------------
@@ -230,16 +238,20 @@ def lifted_y_matrix(jungle: Jungle, slices, weights: dict) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _exchange_patterns(jungle: Jungle) -> tuple:
-    """The (cols, rows) deletion lists of the 2^k exchange patterns of the
-    jungle's Fermionic edges, in pattern order, without those that repeat
-    a generator: their exchange term vanishes."""
+    """The (kept rows, kept columns, sign) of ``_minor_indices`` on the
+    jungle's n x n lifted Y for the deletion lists of the 2^k exchange
+    patterns of its Fermionic edges, in pattern order, without those that
+    repeat a generator: their exchange term vanishes.  Fixed once per
+    jungle, so no call repeats the checks and parities of
+    ``grassmann_minor``.  Cached, so read-only."""
     edges = sorted(jungle.fermionic)
     out = []
     for pattern in range(1 << len(edges)):
         cols = tuple(v if pattern >> i & 1 else u for i, (u, v) in enumerate(edges))
         rows = tuple(u if pattern >> i & 1 else v for i, (u, v) in enumerate(edges))
         if len(set(cols)) == len(edges) and len(set(rows)) == len(edges):
-            out.append((cols, rows))
+            keep_rows, keep_cols, sign = _minor_indices((jungle.n, jungle.n), cols, rows)
+            out.append((*_read_only(keep_rows, keep_cols), sign))
     return tuple(out)
 
 
@@ -248,8 +260,8 @@ def exchange_sum(jungle: Jungle, y):
     of the minors of the lifted Y: a float for one matrix, an array for a
     stack of them."""
     total = np.zeros(y.shape[:-2])
-    for cols, rows in _exchange_patterns(jungle):
-        total = total + grassmann_minor(y, cols, rows)
+    for keep_rows, keep_cols, sign in _exchange_patterns(jungle):
+        total = total + sign * np.linalg.det(y[..., keep_rows, keep_cols])
     return total if total.ndim else float(total)
 
 

@@ -8,6 +8,7 @@ from mlve.combinatorics import Forest, Jungle, _components_of, empty_forest, enu
 from mlve.grassmann import (
     brute_force_grassmann,
     check_minor_bound,
+    exchange_sum,
     fermionic_factor,
     fermionic_factor_brute,
     grassmann_minor,
@@ -260,6 +261,22 @@ class TestStackedRoute:
             assert got.shape == shape and got.dtype == np.float64
             want = [grassmann_minor(y[i], cols, rows) for i, _ in points]
             np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=1e-15)
+
+    def test_exchange_sum_is_the_sum_of_minors(self, rng):
+        # the index arrays and signs fixed per jungle give, bit for bit,
+        # the checked minors of every exchange pattern that repeats no
+        # generator, summed in pattern order
+        for jungle, slices, stack in self.cases(rng):
+            edges = sorted(jungle.fermionic)
+            y = lifted_y_matrix(jungle, slices, stack)
+            want = np.zeros(y.shape[:-2])
+            for pattern in range(1 << len(edges)):
+                flip = [pattern >> i & 1 for i in range(len(edges))]
+                cols = tuple(v if f else u for f, (u, v) in zip(flip, edges))
+                rows = tuple(u if f else v for f, (u, v) in zip(flip, edges))
+                if len(set(cols)) == len(set(rows)) == len(edges):
+                    want = want + grassmann_minor(y, cols, rows)
+            assert np.array_equal(exchange_sum(jungle, y), want)
 
     def test_fermionic_factor_pointwise_and_brute(self, rng):
         kinds = set()
