@@ -193,7 +193,7 @@ def _cell_values(spectra, order, layers) -> np.ndarray:
         # a component is named by its least vertex, and a merge puts the
         # lesser name first: complex products are not bitwise commutative.
         # Every component is a product made by this walk, so it is
-        # transformed in place.
+        # transformed in place (numpy.fft takes out= from NumPy 2.0 on).
         a, b = sorted(comp[v] for v in edge)
         merged, other = funcs.pop(a), funcs.pop(b)
         np.fft.ifft(merged, out=merged)
