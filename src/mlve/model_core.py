@@ -261,11 +261,14 @@ def dw_grid(params: ModelParams, j: int, q: int, sigma: np.ndarray) -> np.ndarra
     expv = 1.0 + w
     rows = [w]
     for order in range(1, q + 1):
-        total = np.zeros_like(expv)
+        total = None
         for mult in partition_multiplicities(order):
-            term = np.full_like(expv, float(faa_di_bruno_weight(mult)))
-            for k, m in mult.items():
-                term = term * dv_cache[k] ** m
-            total = total + term
+            # weight 1 and power 1 are exact, so they are skipped; the
+            # weight still multiplies the first factor, which keeps every
+            # product in its order
+            first, *rest = (dv_cache[k] ** m if m > 1 else dv_cache[k] for k, m in mult.items())
+            weight = faa_di_bruno_weight(mult)
+            term = math.prod(rest, start=first if weight == 1 else float(weight) * first)
+            total = term if total is None else total + term
         rows.append(expv * total)
     return np.stack(rows)

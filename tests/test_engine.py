@@ -2,7 +2,7 @@ import cmath
 import math
 import tracemalloc
 from contextlib import contextmanager
-from itertools import accumulate, count, permutations, product
+from itertools import accumulate, combinations, count, permutations, product
 
 import numpy as np
 import pytest
@@ -210,12 +210,16 @@ class TestBosonicBlockValue:
 
     @pytest.mark.parametrize("k", range(1, 4))
     def test_last_merge_is_read_in_real_space(self, k, monkeypatch):
-        # a cell of k edges transforms each merged pair back, 2k inverse
-        # transforms, and returns to Fourier space after every merge but
-        # the last, whose product is read against the real-space readout
+        # a path cell of k edges returns to Fourier space after every merge
+        # but the last, whose product is read against the real-space
+        # readout.  Each merge inverse-transforms its merged component,
+        # and a single vertex is transformed only when its shared stack is
+        # built: 2k inverse transforms on a cold cache, k - 1 on a warm one
         grid = mlve.engine.SIGMA_GRID
         layers = mlve.engine._layer_multipliers(k, 4, grid.size, grid[1] - grid[0])
-        spectra = np.ones((k + 1, grid.size), dtype=complex)
+        edges = [(i, i + 1) for i in range(k)]
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 4), gl_nodes=4)
+        kernels = ev._vertex_kernels(edges, (1, 2, 3, 4)[: k + 1])
         calls = []
 
         def counting(name):
@@ -229,9 +233,11 @@ class TestBosonicBlockValue:
 
         for name in ("fft", "ifft"):
             monkeypatch.setattr(np.fft, name, counting(name))
-        values = mlve.engine._cell_values(spectra, [(i, i + 1) for i in range(k)], layers)
-        assert values.shape == (4,) * k
-        assert (calls.count("fft"), calls.count("ifft")) == (k - 1, 2 * k)
+        for counts in [(k - 1, 2 * k), (k - 1, k - 1)]:
+            calls.clear()
+            values = mlve.engine._cell_values(lambda a, i: ev._singleton(*kernels[a], i, layers), edges, layers)
+            assert values.shape == (4,) * k
+            assert (calls.count("fft"), calls.count("ifft")) == counts
 
     def test_four_vertex_block_peak(self):
         # one warm 4-vertex path block at 12 nodes: its two last-layer
@@ -360,6 +366,41 @@ class TestKernelTables:
         for n in range(1, 4):
             ev.order_contribution(n)
         assert sorted(sweeps) == [(j, min(j_max, mlve.engine.BLOCK_BUDGET) - 1) for j in range(1, j_max + 1)]
+
+
+class TestSingletonStacks:
+    @pytest.mark.parametrize("lam", [0.2, 0.3 + 0.1j, 0.5 * cmath.exp(0.7j)])
+    def test_shared_stacks_leave_every_block_unchanged(self, lam):
+        # every tree of b <= 4 vertices on every b slices of 1..4: a block
+        # integrated on a fresh evaluator has the same bits as on one whose
+        # singleton stacks the blocks before it built, larger blocks first,
+        # so that a 2-vertex block reads stacks that 4-vertex blocks made
+        params = ModelParams(lam, 2, 1, 4)
+        shared = TermEvaluator(params, GL)
+        built = 0
+        for b in range(4, 0, -1):
+            for tree, js in product(enumerate_trees(b), combinations(range(1, 5), b)):
+                edges = tuple(sorted(tree.edges))
+                fresh = TermEvaluator(params, GL)
+                value = fresh._integrate_block(edges, js)
+                built += len(fresh._singletons)
+                # repr round-trips a float, signed zeros included
+                assert repr(shared._integrate_block(edges, js)) == repr(value)
+        assert len(shared._singletons) < built
+
+    def test_one_stack_per_slice_degree_and_layer(self):
+        # the default rule at j = 1..4 through order 4: 38 blocks read 24
+        # stacks, each on the prefix grid of its layer, 31.9 MB in all
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 4))
+        for n in range(1, 5):
+            ev.order_contribution(n)
+        assert len(ev._block_cache) == 38
+        for (j, d, i), stack in ev._singletons.items():
+            assert j in range(1, 5) and d in range(1, 4) and i in range(1, 4)
+            assert stack.shape == (12,) * i + mlve.engine.SIGMA_GRID.shape
+            assert not stack.flags.writeable
+        assert len(ev._singletons) == 24
+        assert sum(stack.nbytes for stack in ev._singletons.values()) <= 32e6
 
 
 class TestStructuralZeros:
