@@ -147,7 +147,7 @@ def cmd_compare(args) -> int:
         _fail_usage(f"no reliable log Z reference at this coupling: {exc}")
     out = _out_dir(args)
 
-    ev = engine.TermEvaluator(params, gl_nodes)
+    ev = engine.TermEvaluator(params, gl_nodes, n_max)
     orders, sums, rows, trace_rows = [], [], [], []
     running = 0j
     for n in range(1, n_max + 1):

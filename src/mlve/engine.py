@@ -47,13 +47,15 @@ every cell of every block reads it: 24 stacks, 31.9 MB, serve the 38
 blocks of j = 1..4 through n = 4.
 
 The blocks read the kernels only through d^q W_j on the grid, and a
-block has at most one vertex per slice, so no tree degree passes
-q = min(slice count, BLOCK_BUDGET) - 1.  ``dw_grid`` returns the whole
+block of order n has at most n vertices, one per slice, so no tree
+degree passes q = min(slice count, BLOCK_BUDGET, n_max) - 1, with n_max
+the highest order the evaluator sums.  ``dw_grid`` returns the whole
 stack d^0 W_j .. d^q W_j from one kernel sweep, each row equal to a
 single-order call, and the evaluator keeps its spectra per slice: the
 first block that reaches a slice sweeps it, and every later block only
-picks rows.  A compare makes one sweep per slice of its window: 3 at
-the default config and 8 at j = 1..8.
+picks rows; a block with a tree degree past q is refused.  A compare
+makes one sweep per slice of its window: 3 at the default config and 8
+at j = 1..8, each of n_max rows at most.
 
 The lifted Y of the Fermionic factor is the path-minimum matrix of the
 jungle's union forest, its Bosonic and Fermionic edges together, with
@@ -78,18 +80,23 @@ are least in their orbit, so each term class is evaluated once: at
 n = 5 over three slices the 11,160 labeled terms are 105 classes, and at
 n = 6 the 233,820 are 369.
 
-Only the block integrals read the coupling.  The term classes and their
-stabilizers are planned over slice ranks, once per process for each
-order and slice count, by the cached ``_order_plan``; an evaluator maps
-the ranks to its window's slices.  The Fermionic integral sees the
-slices only through which of them are equal, so one process-wide memo
-holds it by jungle and equality pattern: the 105 and 369 classes need 21
-and 75 Fermionic integrals, and an evaluator at another coupling or
-window over as many slices computes none.  Block values are cached on
-the evaluator, on the block alone:
-the hardcore rule gives each block vertex its own slice, so naming every
-vertex by the rank of its slice puts the block in canonical form with no
-search.  The default config needs 9 block integrals through n = 6.
+Only the block integrals read the coupling, so everything else about a
+term class is planned over slice ranks, once per process for each order
+and slice count, by the cached ``_order_plan``: its jungle, stabilizer
+and least labeling, its Fermionic integral and the key of each of its
+Bosonic blocks.  The Fermionic integral sees the slices only through
+which of them are equal, so one process-wide memo holds it by jungle and
+equality pattern: the 105 and 369 classes need 21 and 75 Fermionic
+integrals, and an evaluator at another coupling or window over as many
+slices computes none.  Block values are cached on the evaluator, on the
+block alone: the hardcore rule gives each block vertex its own slice, so
+naming every vertex by the rank of its slice puts the block in canonical
+form with no search, and the key in slice ranks maps to the key in the
+window's slices.  An order is then, row by row, the planned Fermionic
+integral times block values read by key, each integrated through
+``block_integral`` on its first read; ``jungle_term`` is the same
+product for any labeling, filters included.  The default config needs 9
+block integrals through n = 6.
 """
 
 from __future__ import annotations
@@ -295,38 +302,64 @@ def _admissible_labelings(jungle: Jungle, slices):
             yield tuple(choice[comp_of[v]] for v in range(jungle.n))
 
 
+def _block_key(verts, edges, slices) -> tuple:
+    """(sorted slices, tree edges in slice ranks) of a block: verts are its
+    vertices, edges its tree and slices the labeling.  The hardcore rule
+    gives each block vertex its own slice, so naming every vertex by the
+    rank of its slice puts the block in canonical form, with no search."""
+    ranked = sorted(verts, key=slices.__getitem__)
+    rank = {v: i for i, v in enumerate(ranked)}
+    return tuple(slices[v] for v in ranked), tuple(sorted(norm_edge(rank[u], rank[v]) for u, v in edges))
+
+
 @lru_cache(maxsize=None)
 def _order_plan(n: int, n_slices: int) -> tuple:
     """The term classes of order n over a window of n_slices slices: one
-    row (class index, jungle, stabilizer, ranks) per class, by class index
-    and then by labeling.
+    row (class index, jungle, stabilizer, ranks, Fermionic integral, block
+    keys) per class, by class index and then by labeling.
 
     ranks is the least admissible labeling of the class representative in
     slice ranks 0..n_slices - 1.  A window's slices increase with their
     rank, so mapping the ranks to them keeps the lexicographic order, the
-    least labeling of each orbit and its stabilizer.  None of it reads the
-    coupling, so it is cached: each (order, slice count) is planned once
-    per process and shared by every evaluator."""
+    least labeling of each orbit and its stabilizer.  The Fermionic
+    integral is read from the ``_fermionic_integral`` memo at the equality
+    pattern of ranks, and the block keys are the ``_block_key`` of each
+    Bosonic block in slice ranks, in ``jungle.partition().blocks`` order:
+    mapped to a window's slices, they are the keys of its block cache.
+    None of it reads the coupling, so it is cached: each (order, slice
+    count) is planned once per process and shared by every evaluator."""
     if n > ORDER_BUDGET:
         raise BudgetExceededError(f"order {n} > budget {ORDER_BUDGET}")
     rows = []
     for index, (jungle, automorphisms) in enumerate(jungle_classes(n)):
+        edges = jungle.bosonic.edges
         for ranks in _admissible_labelings(jungle, range(n_slices)):
             images = [tuple(ranks[v] for v in order) for order in automorphisms]
             if min(images) == ranks:
-                rows.append((index, jungle, images.count(ranks), ranks))
+                fermionic = _fermionic_integral(jungle, _equality_pattern(ranks))
+                blocks = tuple(
+                    _block_key(block, [e for e in edges if e[0] in block], ranks) for block in jungle.partition().blocks
+                )
+                rows.append((index, jungle, images.count(ranks), ranks, fermionic, blocks))
     return tuple(rows)
 
 
 class TermEvaluator:
-    """Sums each order over the term classes of its order plan; caches
-    block integrals by block class, kernel spectra by slice and the
-    smoothed single-vertex stacks of the cell walk by (slice, tree degree,
-    layer)."""
+    """Sums each order over the term classes of its order plan, as each
+    row's Fermionic integral times its block values; caches block
+    integrals by block key, kernel spectra by slice and the smoothed
+    single-vertex stacks of the cell walk by (slice, tree degree, layer).
 
-    def __init__(self, params: ModelParams, gl_nodes: int = 12):
+    n_max is the highest order the evaluator will sum.  A block of order n
+    has at most n vertices, one per slice, so no tree degree passes
+    q = min(slice count, BLOCK_BUDGET, n_max) - 1, and each slice's sweep
+    stops at d^q W_j; a block past q is refused.  The default, ORDER_BUDGET,
+    sweeps every row a block of the window can read."""
+
+    def __init__(self, params: ModelParams, gl_nodes: int = 12, n_max: int = ORDER_BUDGET):
         self.params = params
         self.gl_nodes = gl_nodes
+        self._top = min(len(params.slices), BLOCK_BUDGET, n_max) - 1
         self._block_cache: dict = {}
         self._spectra: dict = {}
         self._singletons: dict = {}
@@ -336,19 +369,21 @@ class TermEvaluator:
     def block_integral(self, verts, edges, slices) -> complex:
         """The block Gaussian integral, integrated over its tree weights.
 
-        verts are the block vertices and edges its tree.  The hardcore rule
-        gives each block vertex its own slice, so naming every vertex by the
-        rank of its slice puts the block in canonical form: the key (sorted
-        slices, tree edges in slice ranks) names the class of the decorated
-        block, and the block is integrated from the key itself."""
-        ranked = sorted(verts, key=slices.__getitem__)
-        rank = {v: i for i, v in enumerate(ranked)}
-        js = tuple(slices[v] for v in ranked)
-        local = tuple(sorted(norm_edge(rank[u], rank[v]) for u, v in edges))
-        value = self._block_cache.get((js, local))
+        verts are the block vertices and edges its tree.  Its
+        ``_block_key`` (sorted slices, tree edges in slice ranks) names the
+        class of the decorated block, and the block is integrated from the
+        key itself."""
+        key = _block_key(verts, edges, slices)
+        value = self._block_cache.get(key)
         if value is None:
-            value = self._block_cache[js, local] = self._integrate_block(local, js)
+            value = self._block_cache[key] = self._integrate_block(key[1], key[0])
         return value
+
+    def _block(self, js, local) -> complex:
+        """The block of key (js, local) from the cache; a miss integrates
+        it through ``block_integral``, on local vertices named by rank."""
+        value = self._block_cache.get((js, local))
+        return self.block_integral(range(len(js)), local, js) if value is None else value
 
     def _vertex_kernels(self, edges, js) -> list:
         """(j_a, d_a) for each local vertex a: its slice, and its tree
@@ -356,16 +391,18 @@ class TermEvaluator:
 
         A slice's first block sweeps d^0 W_j .. d^q W_j in one ``dw_grid``
         call and keeps their spectra on SIGMA_GRID, with q the largest tree
-        degree of a block in the window: the hardcore rule gives a block at
-        most one vertex per slice.  Every block evaluation starts here, so
-        this is where a block past BLOCK_BUDGET is refused."""
+        degree of a block the evaluator sums.  Every block evaluation starts
+        here, so this is where a block past BLOCK_BUDGET, or with a tree
+        degree past q, is refused: no row past q is ever read."""
         if len(js) > BLOCK_BUDGET:
             raise BudgetExceededError(f"block size {len(js)} > {BLOCK_BUDGET}")
-        top = min(len(self.params.slices), BLOCK_BUDGET) - 1
+        degrees = _degrees(len(js), edges)
+        if max(degrees) > self._top:
+            raise BudgetExceededError(f"tree degree {max(degrees)} > {self._top}, the last kernel row swept")
         for j in js:
             if j not in self._spectra:
-                self._spectra[j] = np.fft.fft(dw_grid(self.params, j, top, SIGMA_GRID), axis=-1)
-        return list(zip(js, _degrees(len(js), edges)))
+                self._spectra[j] = np.fft.fft(dw_grid(self.params, j, self._top, SIGMA_GRID), axis=-1)
+        return list(zip(js, degrees))
 
     def _singleton(self, j, d, i, layers) -> np.ndarray:
         """The inverse transform of the spectrum of d^d W_j times the layer
@@ -415,9 +452,9 @@ class TermEvaluator:
     # -- full terms ----------------------------------------------------------
 
     def jungle_term(self, jungle: Jungle, slices) -> complex:
-        """The Fermionic integral times the block integrals.  A labeling
-        that breaks the hardcore rule or the slice delta is an exact 0,
-        with no quadrature."""
+        """The Fermionic integral times the block integrals, for any
+        labeling.  A labeling that breaks the hardcore rule or the slice
+        delta is an exact 0, with no quadrature."""
         slices = tuple(slices)
         if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
             return 0j
@@ -437,12 +474,17 @@ class TermEvaluator:
         index, slices an admissible labeling of it that is least in its
         orbit under the automorphisms, and the stabilizer the number of
         automorphisms that fix slices.  Every other labeling is a
-        structural zero or a relabeled copy of a yielded one.  The classes
-        come from ``_order_plan``."""
+        structural zero or a relabeled copy of a yielded one.  The classes,
+        their Fermionic integrals and block keys come from ``_order_plan``,
+        so value is the product ``jungle_term`` makes, in the same order,
+        with the block keys mapped from slice ranks to the window."""
         window = self.params.slices
-        for index, jungle, stabilizer, ranks in _order_plan(n, len(window)):
-            slices = tuple(window[r] for r in ranks)
-            yield index, jungle, stabilizer, slices, self.jungle_term(jungle, slices)
+        for index, jungle, stabilizer, ranks, fermionic, blocks in _order_plan(n, len(window)):
+            value = complex(fermionic)
+            if value != 0:
+                for js, local in blocks:
+                    value *= self._block(tuple(window[r] for r in js), local)
+            yield index, jungle, stabilizer, tuple(window[r] for r in ranks), value
 
     def order_contribution(self, n: int) -> complex:
         total = 0j

@@ -303,6 +303,23 @@ class TestCompare:
         # one on each slice
         assert max(sum(rec["n"] == 3 and rec["class"] == c for rec in recs) for c in range(3)) == 2
 
+    def test_kernel_rows_stop_at_n_max(self, tmp_path, monkeypatch):
+        # blocks of order <= 2 read d^0 W_j and d^1 W_j only, so each slice
+        # is swept at q = 1
+        from mlve import engine
+
+        sweeps = []
+        sweep = engine.dw_grid
+
+        def counted(params, j, q, sigma):
+            sweeps.append((j, q))
+            return sweep(params, j, q, sigma)
+
+        monkeypatch.setattr(engine, "dw_grid", counted)
+        cfg = write_config(tmp_path, j_max=3, n_max=2)
+        assert run_cli(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(sweeps) == [(1, 1), (2, 1), (3, 1)]
+
     def test_order_five_at_the_default_config(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"n_max": 5}), encoding="utf-8")

@@ -325,20 +325,26 @@ class TestBlockCache:
 
     def test_nine_blocks_at_order_five(self, monkeypatch):
         # the default config summed to n = 5 evaluates its 162 term classes
-        # once each, looks up their blocks, 456 of them, and integrates 9
-        lookups = []
-        lookup = TermEvaluator.block_integral
+        # once each, reads their blocks by key, 456 of them, and integrates
+        # 9, each through block_integral on its first read
+        lookups, integrated = [], []
+        lookup, integral = TermEvaluator._block, TermEvaluator.block_integral
 
         def counted(self, *args):
-            lookups.append(args[0])
+            lookups.append(args)
             return lookup(self, *args)
 
-        monkeypatch.setattr(TermEvaluator, "block_integral", counted)
+        def counted_integral(self, *args):
+            integrated.append(args)
+            return integral(self, *args)
+
+        monkeypatch.setattr(TermEvaluator, "_block", counted)
+        monkeypatch.setattr(TermEvaluator, "block_integral", counted_integral)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
         rows = sum(1 for n in range(1, 6) for _ in ev.order_terms(n))
         assert rows == 162
         assert len(lookups) == 456
-        assert len(ev._block_cache) == 9
+        assert len(integrated) == len(ev._block_cache) == 9
 
     def test_nine_blocks_through_order_three(self):
         # the default compare integrates 3 distinct blocks of each size
@@ -366,6 +372,47 @@ class TestKernelTables:
         for n in range(1, 4):
             ev.order_contribution(n)
         assert sorted(sweeps) == [(j, min(j_max, mlve.engine.BLOCK_BUDGET) - 1) for j in range(1, j_max + 1)]
+
+
+    @pytest.mark.parametrize("n_max, rows", [(2, 2), (3, 3)])
+    def test_rows_stop_at_the_highest_order(self, n_max, rows):
+        # a block of order n has at most n vertices, so an evaluator that
+        # sums orders up to n_max sweeps d^0 W_j .. d^(n_max - 1) W_j
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3), GL, n_max)
+        for n in range(1, n_max + 1):
+            ev.order_contribution(n)
+        assert {j: spectra.shape[0] for j, spectra in ev._spectra.items()} == dict.fromkeys((1, 2, 3), rows)
+
+    def test_a_block_past_the_highest_order_is_refused(self):
+        # a 3-vertex block has a vertex of tree degree 2, a row the n_max = 2
+        # evaluator does not sweep: it is refused before any sweep
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3), GL, 2)
+        with pytest.raises(BudgetExceededError):
+            ev.block_integral([0, 1, 2], [(0, 1), (1, 2)], (1, 2, 3))
+        assert ev._spectra == {}
+        with pytest.raises(BudgetExceededError):
+            ev.order_contribution(3)
+
+
+class TestPlannedRows:
+    @pytest.mark.parametrize(
+        "params, n_max",
+        [
+            (ModelParams(0.2, 2, 1, 3), 6),
+            (ModelParams(0.3 + 0.1j, 2, 1, 3), 5),
+            (ModelParams(0.5, 10, 3, 4), 4),
+            (ModelParams(0.2, 2, 1, 4), 4),
+        ],
+        ids=["default-n6", "complex-n5", "long-slices-n4", "four-slices-n4"],
+    )
+    def test_rows_equal_jungle_term(self, params, n_max):
+        # each row's planned Fermionic integral times its blocks read by
+        # key has the bits of the per-labeling route
+        ev = TermEvaluator(params)
+        for n in range(1, n_max + 1):
+            for _, jungle, _, slices, value in ev.order_terms(n):
+                # repr round-trips a float, signed zeros included
+                assert repr(value) == repr(ev.jungle_term(jungle, slices))
 
 
 class TestSingletonStacks:
@@ -803,8 +850,8 @@ class TestTermKey:
         # every spanning jungle with n <= 4 and every admissible labeling
         # over three slices: the rows of the order sum are pairwise
         # non-isomorphic, they cover every labeled term, and a row stands
-        # for n!/stabilizer labeled terms
-        monkeypatch.setattr(TermEvaluator, "jungle_term", lambda self, jungle, slices: 0j)
+        # for n!/stabilizer labeled terms; the blocks are stubbed out
+        monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 0j)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
         for n in range(1, 5):
             rows = {}
@@ -857,9 +904,9 @@ class TestTraceRecords:
         # the generator against the filtered product, order included: on
         # each class representative, the admissible labelings that are least
         # under its automorphisms, less the jungles whose Fermionic factor
-        # vanishes, each with the automorphisms that fix it; the term values
-        # are left out
-        monkeypatch.setattr(TermEvaluator, "jungle_term", lambda self, jungle, slices: 0j)
+        # vanishes, each with the automorphisms that fix it; the blocks are
+        # stubbed out, so the term values are left out
+        monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: 0j)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, len(window)))
         got = [(index, stabilizer, slices) for index, _, stabilizer, slices, _ in ev.order_terms(n)]
         want = []

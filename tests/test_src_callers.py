@@ -24,10 +24,13 @@ unused, and only while unused.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mlve"
+LAYER_TRACE = TESTS.parent / "bench" / "layertrace.py"
 
 REFERENCE_ROUTES = {
     # the scalar kernel route: compensated sums, one sigma at a time
@@ -57,6 +60,23 @@ REFERENCE_ROUTES = {
 
 # names imported unused, as module.name: bench/layertrace.py wraps them there
 BENCH_BINDINGS = {"engine.enumerate_jungles", "engine.fermionic_factor"}
+
+
+
+def test_every_traced_name_is_bound(monkeypatch):
+    # the benchmark's layer trace wraps mlve functions by module and name;
+    # one it cannot find is skipped, and its layer reads 0 in the trace
+    spec = importlib.util.spec_from_file_location("layertrace", LAYER_TRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layertrace)
+    spec.loader.exec_module(layertrace)
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.unbound == []
+
 
 # package metadata that only importers read
 MODULE_DUNDERS = {"__version__", "__all__"}
