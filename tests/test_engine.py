@@ -373,7 +373,6 @@ class TestKernelTables:
             ev.order_contribution(n)
         assert sorted(sweeps) == [(j, min(j_max, mlve.engine.BLOCK_BUDGET) - 1) for j in range(1, j_max + 1)]
 
-
     @pytest.mark.parametrize("n_max, rows", [(2, 2), (3, 3)])
     def test_rows_stop_at_the_highest_order(self, n_max, rows):
         # a block of order n has at most n vertices, so an evaluator that

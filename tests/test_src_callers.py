@@ -20,7 +20,8 @@ exemption goes as soon as its route gains a caller.
 
 Every name a module imports is also loaded in that module, except the
 package's re-exports in ``__all__`` and BENCH_BINDINGS, which stay bound
-unused, and only while unused.
+unused, and only while unused.  Every name the benchmark's layer trace
+(``bench/layertrace.py``) wraps must still resolve.
 """
 
 import ast
@@ -60,7 +61,6 @@ REFERENCE_ROUTES = {
 
 # names imported unused, as module.name: bench/layertrace.py wraps them there
 BENCH_BINDINGS = {"engine.enumerate_jungles", "engine.fermionic_factor"}
-
 
 
 def test_every_traced_name_is_bound(monkeypatch):
