@@ -4,8 +4,9 @@ The package evaluates log Z of the model order by order through the
 two-level jungle formula (Bosonic forests of intermediate-field replicas,
 Fermionic forests coupling their blocks), checks the result against an
 exact one-dimensional quadrature of the partition function, and verifies
-numerically every combinatorial identity and convergence bound entering
-the construction.
+numerically the combinatorial counts and convergence bounds entering the
+construction.  The identities that need a second implementation, the
+forest formula and the Berezin integral, are checked by the test suite.
 """
 
 from .errors import BudgetExceededError, DomainError, QuadratureUnreliableError

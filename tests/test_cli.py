@@ -354,19 +354,28 @@ class TestVerify:
         assert err.value.code == 2
 
     def test_fault_injection_is_caught(self, capsys, monkeypatch):
-        # flip the sign convention and make sure the oracle suite names it
-        from mlve import grassmann
+        # miscount the two-level trees and make sure the suite names it
+        from mlve import combinatorics
 
-        original = grassmann.grassmann_minor
-
-        def flipped(matrix, cols, rows):
-            return -original(matrix, cols, rows)
-
-        monkeypatch.setattr(grassmann, "grassmann_minor", flipped)
-        code = run_cli(["verify", "--suite", "grassmann"])
+        original = combinatorics.count_two_level_trees
+        monkeypatch.setattr(combinatorics, "count_two_level_trees", lambda n: original(n) + 1)
+        code = run_cli(["verify", "--suite", "combinatorics"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "minor mismatch" in out
+        assert "jungle count" in out
+
+    def test_default_run(self, capsys):
+        # every suite, in table order, and the q = 1 threshold WARN does not
+        # fail the run; the suites whose checks need the test oracles are gone
+        assert run_cli(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = ["combinatorics", "bound-domination", "mayer", "stirling-chain", "m-threshold"]
+        assert [line for line in lines if line.startswith("[")] == [f"[PASS] {name}" for name in names]
+        assert any(line.startswith("  WARN: documented discrepancy: q=1 at M=1e8") for line in lines)
+        for suite in ("forest-formula", "grassmann", "positivity"):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["verify", "--suite", suite])
+            assert err.value.code == 2
 
 
 class TestEnumerate:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlve.engine
-from conftest import bosonic_block_value, random_spanning_jungle
+from conftest import bosonic_block_value, fermionic_factor_brute, random_spanning_jungle
 from mlve.combinatorics import (
     Forest,
     Jungle,
@@ -22,12 +22,7 @@ from mlve.combinatorics import (
 )
 from mlve.engine import TermEvaluator, fermionic_weight_integral
 from mlve.errors import BudgetExceededError
-from mlve.grassmann import (
-    fermionic_factor,
-    fermionic_factor_brute,
-    hardcore_violated,
-    slice_delta_violated,
-)
+from mlve.grassmann import fermionic_factor, hardcore_violated, slice_delta_violated
 from mlve.interpolation import min_over_paths, ordering_cell
 from mlve.model_core import ModelParams, dw_grid
 from mlve.oracle import gauss_hermite_norm

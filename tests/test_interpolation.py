@@ -5,18 +5,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mlve.combinatorics import Forest, Jungle, empty_forest, enumerate_forests
-from mlve.grassmann import check_minor_bound
-from mlve.interpolation import (
+from conftest import (
     ExpEdgeFunction,
+    check_minor_bound,
     forest_formula_eval,
     gaussian_expectation,
-    min_over_paths,
-    ordering_cell,
     replica_gaussian_eval,
     replica_gaussian_left,
     x_matrix,
 )
+from mlve.combinatorics import Forest, Jungle, empty_forest, enumerate_forests
+from mlve.interpolation import min_over_paths, ordering_cell
 
 
 class _Monomial:
@@ -210,12 +209,13 @@ class TestForestFormula:
         fn = _Monomial({(0, 1): 1, (1, 2): 1, (0, 2): 1})
         assert forest_formula_eval(3, fn, 16) == pytest.approx(1.0, abs=1e-8)
 
-    def test_exp_family_random(self, rng):
+    @pytest.mark.parametrize("nodes", [16, 12])
+    def test_exp_family_random(self, rng, nodes):
         for _ in range(20):
             coeffs = {e: float(rng.uniform(-1, 1)) for e in [(0, 1), (0, 2), (1, 2)]}
             fn = ExpEdgeFunction(3, coeffs)
             target = math.exp(sum(coeffs.values()))
-            assert forest_formula_eval(3, fn, 16) == pytest.approx(target, abs=1e-6)
+            assert forest_formula_eval(3, fn, nodes) == pytest.approx(target, abs=1e-6)
 
     def test_four_vertices_exp_family(self, rng):
         # exercises three-edge forests and their ordering cells

@@ -46,8 +46,10 @@ REFERENCE_ROUTES = {
     "z_sigma_quadrature": "oracle.z_reliable, both rules in one sweep",
     # the lifted Y as path minima at any point of the weights
     "fermionic_factor": "engine.fermionic_weight_integral, Y gathered one ordering cell at a time",
-    # Berezin algebra
-    "fermionic_factor_brute": "grassmann.fermionic_factor",
+    # one checked minor per exchange pattern; exchange_sum takes its
+    # determinants directly, and the Berezin algebra that locks the
+    # minor's sign is in the tests
+    "grassmann_minor": "grassmann.exchange_sum, one pattern at a time",
     # exact rational series of log Z in g
     "logz_series_g": "oracle.logz_oracle at small coupling",
     "perturbative_coefficients": "oracle.logz_oracle at small coupling",
