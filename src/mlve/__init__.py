@@ -5,18 +5,19 @@ two-level jungle formula (Bosonic forests of intermediate-field replicas,
 Fermionic forests coupling their blocks), checks the result against an
 exact one-dimensional quadrature of the partition function, and verifies
 numerically the combinatorial counts and convergence bounds entering the
-construction.  The identities that need a second implementation, the
-forest formula and the Berezin integral, are checked by the test suite.
+construction.  Each quantity has one route here.  The second
+implementations it is checked against live in the test suite: the scalar
+kernel sums, the single-rule quadrature of Z, the forest formula and the
+Berezin integral.
 """
 
-from .errors import BudgetExceededError, DomainError, QuadratureUnreliableError
+from .errors import BudgetExceededError, QuadratureUnreliableError
 from .model_core import ModelParams, SliceIndexSet, slice_range
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "DomainError",
     "ModelParams",
     "QuadratureUnreliableError",
     "SliceIndexSet",

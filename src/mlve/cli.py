@@ -178,7 +178,7 @@ def cmd_compare(args) -> int:
             writer.writerow([row[0], f"{row[1]:.15e}", f"{row[2]:.15e}", f"{row[3]:.15e}"])
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "lambda": [params.lam.real, params.lam.imag] if isinstance(params.lam, complex) else params.lam,
+        "lambda": [params.lam.real, params.lam.imag],
         "M": params.M,
         "j_min": params.j_min,
         "j_max": params.j_max,

@@ -93,9 +93,9 @@ block alone: the hardcore rule gives each block vertex its own slice, so
 naming every vertex by the rank of its slice puts the block in canonical
 form with no search, and the key in slice ranks maps to the key in the
 window's slices.  An order is then, row by row, the planned Fermionic
-integral times block values read by key, each integrated through
-``block_integral`` on its first read; ``jungle_term`` is the same
-product for any labeling, filters included.  The default config needs 9
+integral times block values read by key through ``block_integral``, each
+integrated on its first read; ``jungle_term`` is the same product for
+any labeling, filters included.  The default config needs 9
 block integrals through n = 6.
 """
 
@@ -366,24 +366,15 @@ class TermEvaluator:
 
     # -- bosonic side --------------------------------------------------------
 
-    def block_integral(self, verts, edges, slices) -> complex:
-        """The block Gaussian integral, integrated over its tree weights.
-
-        verts are the block vertices and edges its tree.  Its
-        ``_block_key`` (sorted slices, tree edges in slice ranks) names the
-        class of the decorated block, and the block is integrated from the
-        key itself."""
-        key = _block_key(verts, edges, slices)
-        value = self._block_cache.get(key)
-        if value is None:
-            value = self._block_cache[key] = self._integrate_block(key[1], key[0])
-        return value
-
-    def _block(self, js, local) -> complex:
-        """The block of key (js, local) from the cache; a miss integrates
-        it through ``block_integral``, on local vertices named by rank."""
+    def block_integral(self, js, local) -> complex:
+        """The block Gaussian integral, integrated over its tree weights,
+        of the block of ``_block_key`` (js, local): its sorted slices, and
+        its tree edges on local vertices named by slice rank.  It is read
+        from the cache, and integrated from the key on a miss."""
         value = self._block_cache.get((js, local))
-        return self.block_integral(range(len(js)), local, js) if value is None else value
+        if value is None:
+            value = self._block_cache[js, local] = self._integrate_block(local, js)
+        return value
 
     def _vertex_kernels(self, edges, js) -> list:
         """(j_a, d_a) for each local vertex a: its slice, and its tree
@@ -462,7 +453,7 @@ class TermEvaluator:
         if value != 0:
             edges = jungle.bosonic.edges
             for block in jungle.partition().blocks:
-                value *= self.block_integral(block, [e for e in edges if e[0] in block], slices)
+                value *= self.block_integral(*_block_key(block, [e for e in edges if e[0] in block], slices))
         return value
 
     def order_terms(self, n: int):
@@ -483,7 +474,7 @@ class TermEvaluator:
             value = complex(fermionic)
             if value != 0:
                 for js, local in blocks:
-                    value *= self._block(tuple(window[r] for r in js), local)
+                    value *= self.block_integral(tuple(window[r] for r in js), local)
             yield index, jungle, stabilizer, tuple(window[r] for r in ranks), value
 
     def order_contribution(self, n: int) -> complex:

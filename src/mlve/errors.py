@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """An input hit a pole or a branch cut of one of the model kernels."""
-
-
 class BudgetExceededError(ValueError):
     """An exhaustive enumeration or expansion order beyond the desk-scale budget."""
 

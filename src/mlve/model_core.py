@@ -11,16 +11,15 @@ order at small x.  The expansion engine needs sigma-derivatives of W_j of
 any small order; they are assembled from the closed forms for the
 derivatives of -V_j through the Faa di Bruno partition sum.
 
-Scalar operations here are the defining route (compensated direct sums)
-and the test oracle for ``dw_grid``, which evaluates the stack
-d^0 W_j .. d^q W_j on numpy arrays from one ``numerics.kernel_bundle``
-sweep (past the head of a long slice, one power series for -V,
-differentiated termwise).
+``dw_grid`` is the one route for these quantities: it evaluates the
+stack d^0 W_j .. d^q W_j on numpy arrays from one
+``numerics.kernel_bundle`` sweep (past the head of a long slice, one
+power series for -V, differentiated termwise).  The scalar compensated
+sums it is checked against, one sigma at a time, are in the tests.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -97,74 +95,6 @@ class ModelParams:
         return slice_range(self.M, j)
 
 
-def log2m(x) -> complex:
-    """Subtracted logarithm x + log(1 - x), principal branch.
-
-    Vanishes to second order: log2m(x) = -x^2/2 - x^3/3 - ...
-    """
-    x = complex(x)
-    if x == 1:
-        raise DomainError("log2m is singular at x = 1")
-    one_minus = 1.0 - x
-    if one_minus.real <= 0 and one_minus.imag == 0:
-        raise DomainError(f"argument 1 - x = {one_minus} sits on the log branch cut")
-    if x.imag == 0:
-        return x.real + math.log1p(-x.real)
-    return x + cmath.log(one_minus)
-
-
-def _checked_pole_terms(params: ModelParams, j: int, sigma: complex):
-    """Yield i*lam*sigma/p over the slice, raising at poles/branch hits."""
-    sl = params.slice_set(j)
-    x0 = 1j * complex(params.lam) * complex(sigma)
-    for p in range(sl.hi, sl.lo - 1, -1):
-        x = x0 / p
-        if x == 1:
-            raise DomainError(f"kernel pole at p = {p} (1 - i*lam*sigma/p = 0)")
-        yield p, x
-
-
-def v_kernel(params: ModelParams, j: int, sigma) -> complex:
-    """V_j(sigma) = sum over the slice of log2m(i*lam*sigma/p)."""
-    return numerics.kahan_sum(log2m(x) for _, x in _checked_pole_terms(params, j, sigma))
-
-
-def w_kernel(params: ModelParams, j: int, sigma) -> complex:
-    """W_j(sigma) = exp(-V_j(sigma)) - 1, cancellation-safe at small V."""
-    return numerics.cexpm1(-v_kernel(params, j, sigma))
-
-
-def exp_minus_v(params: ModelParams, j: int, sigma) -> complex:
-    """exp(-V_j(sigma)); of modulus <= 1 for real coupling and real sigma."""
-    return cmath.exp(-v_kernel(params, j, sigma))
-
-
-def dv_derivative(params: ModelParams, j: int, k: int, sigma) -> complex:
-    """k-th sigma-derivative of -V_j at sigma, closed form.
-
-    k = 1:  sum_p (-lam^2 sigma) / (p (p - i lam sigma)),
-    k >= 2: (k-1)! sum_p (i lam)^k / (p - i lam sigma)^k.
-    """
-    if k < 1:
-        raise ValueError(f"derivative order must be >= 1, got {k}")
-    lam = complex(params.lam)
-    sigma = complex(sigma)
-    sl = params.slice_set(j)
-    terms = []
-    for p in range(sl.hi, sl.lo - 1, -1):
-        den = p - 1j * lam * sigma
-        if den == 0:
-            raise DomainError(f"kernel pole at p = {p}")
-        if k == 1:
-            terms.append((-(lam**2) * sigma) / (p * den))
-        else:
-            terms.append(den ** (-k))
-    total = numerics.kahan_sum(terms)
-    if k == 1:
-        return total
-    return math.factorial(k - 1) * (1j * lam) ** k * total
-
-
 @lru_cache(maxsize=None)
 def partition_multiplicities(q: int) -> tuple[dict, ...]:
     """Integer partitions of q as multiplicity maps {part: count}.
@@ -226,29 +156,6 @@ def partition_weight_sum(d: int) -> Fraction:
             den *= math.factorial(m) * k**m
         total += Fraction(1, den)
     return total
-
-
-def dw_derivative(params: ModelParams, j: int, q: int, sigma) -> complex:
-    """q-th sigma-derivative of W_j via the Faa di Bruno partition sum.
-
-    d^q W = exp(-V) * sum over partitions {m_k} of q of
-            q!/prod(m_k!(k!)^m_k) * prod_k [d^k(-V)]^(m_k).
-    """
-    if q < 0:
-        raise ValueError(f"derivative order must be >= 0, got {q}")
-    if q == 0:
-        return w_kernel(params, j, sigma)
-    dv_cache = {k: dv_derivative(params, j, k, sigma) for k in range(1, q + 1)}
-    total = 0.0 + 0.0j
-    for mult in partition_multiplicities(q):
-        term = complex(faa_di_bruno_weight(mult))
-        for k, m in mult.items():
-            term *= dv_cache[k] ** m
-        total += term
-    return cmath.exp(-v_kernel(params, j, sigma)) * total
-
-
-# --- vectorized grid route (engine plumbing) --------------------------------
 
 
 def dw_grid(params: ModelParams, j: int, q: int, sigma: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ special-function values: Hurwitz zeta differences by Euler-Maclaurin, at
 a cost flat in the window length.  Each series runs only as far as the
 sweep's own ratio rho = max|x| / s needs, s the first tail index: past
 its last power, bounds that fall like rho^m sum to less than an ulp.
-The scalar compensated sums in ``model_core`` and 40-digit mpmath values
-pin the route in the tests.
+The scalar compensated sums in the tests and 40-digit mpmath values pin
+the route.
 """
 
 from __future__ import annotations
@@ -57,20 +57,6 @@ def kahan_sum(values):
         comp = (t - total) - y
         total = t
     return total
-
-
-def cexpm1(z):
-    """exp(z) - 1 without cancellation for small |z|, complex-safe."""
-    z = complex(z)
-    if abs(z) > 0.5:
-        import cmath
-
-        return cmath.exp(z) - 1.0
-    # Horner form of the Taylor tail; 24 terms is far below 1 ulp at |z|=0.5.
-    acc = 0.0 + 0.0j
-    for k in range(24, 1, -1):
-        acc = (acc + 1.0) * z / k
-    return z * (1.0 + acc)
 
 
 @lru_cache(maxsize=None)

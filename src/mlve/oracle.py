@@ -87,23 +87,13 @@ def _slice_product_m1(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def z_sigma_quadrature(params: ModelParams, nodes: int = 200) -> complex:
-    """Gauss-Hermite value of Z, integrating prod_j (1 + W_j) over the slices."""
-    if nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
-    if params.lam == 0:
-        return 1.0 + 0.0j  # integrand identically 1 under the normalized measure
-    x, w = gauss_hermite_norm(nodes)
-    return 1.0 + complex(np.sum(w * _slice_product_m1(params, x)))
-
-
 def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, bool]:
     """Value at 2*nodes, the doubling delta, and the reliability verdict.
 
     Both rules take one kernel sweep per slice over their joined nodes.
     The doubled rule holds the largest node, so a long window splits, and
-    sizes its tail series, where it would for that rule alone and its Z
-    equals z_sigma_quadrature(params, 2 * nodes); the smaller rule's Z, which only
+    sizes its tail series, where it would for that rule alone, and its Z
+    equals that rule's integrated alone; the smaller rule's Z, which only
     enters the delta, may move at rounding level.  A Z that overflows is
     a ValueError, with no floating-point warning on the way.
     """

@@ -79,7 +79,7 @@ def suite_mayer() -> SuiteResult:
 
 
 def suite_stirling() -> SuiteResult:
-    res = SuiteResult("stirling-chain")
+    res = SuiteResult("stirling")
     for row in bounds.stirling_chain_check(range(1, 201)):
         if not row.ok:
             res.failures.append(f"chain inequality fails at q={row.q} (margin {row.margin})")

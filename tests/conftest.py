@@ -2,9 +2,11 @@
 the degree count of labeled trees, the pointwise block oracle, the
 enumeration oracles of the polymer-gas Mayer expansion, and the second
 implementations that the package's one route per quantity is checked
-against: the forest-formula and replica identities, the brute-force
-Berezin integral and the sampled minor bounds."""
+against: the scalar kernel sums, the single-rule quadrature of Z, the
+forest-formula and replica identities, the brute-force Berezin integral
+and the sampled minor bounds."""
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +28,9 @@ from mlve.combinatorics import (
 )
 from mlve.grassmann import grassmann_minor, hardcore_violated, lifted_y_matrix, slice_delta_violated
 from mlve.interpolation import min_over_paths, ordering_cell
-from mlve.model_core import dw_grid
+from mlve.model_core import dw_grid, faa_di_bruno_weight, partition_multiplicities
+from mlve.numerics import kahan_sum
+from mlve.oracle import MIN_NODES, _slice_product_m1, gauss_hermite_norm
 
 
 def random_block_tree(rng, verts):
@@ -110,6 +114,129 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
         funcs = {x: f * np.exp((hi - lo) * half_k2) for x, f in funcs.items()}
     (spectrum,) = funcs.values()
     return complex(spectrum @ phase)
+
+
+# --- the scalar kernel route and the single-rule quadrature of Z -------------
+# Compensated direct sums, one sigma at a time: the references of
+# ``numerics.kernel_bundle`` and ``model_core.dw_grid``.  They stop at a
+# pole or on the log branch cut with DomainError; the grid routes check
+# nothing there, and give a non-finite value at a pole.
+
+
+class DomainError(ValueError):
+    """An input hit a pole or a branch cut of one of the model kernels."""
+
+
+def log2m(x) -> complex:
+    """Subtracted logarithm x + log(1 - x), principal branch.
+
+    Vanishes to second order: log2m(x) = -x^2/2 - x^3/3 - ...
+    """
+    x = complex(x)
+    if x == 1:
+        raise DomainError("log2m is singular at x = 1")
+    one_minus = 1.0 - x
+    if one_minus.real <= 0 and one_minus.imag == 0:
+        raise DomainError(f"argument 1 - x = {one_minus} sits on the log branch cut")
+    if x.imag == 0:
+        return x.real + math.log1p(-x.real)
+    return x + cmath.log(one_minus)
+
+
+def _checked_pole_terms(params, j, sigma):
+    """Yield i*lam*sigma/p over the slice, raising at poles/branch hits."""
+    sl = params.slice_set(j)
+    x0 = 1j * complex(params.lam) * complex(sigma)
+    for p in range(sl.hi, sl.lo - 1, -1):
+        x = x0 / p
+        if x == 1:
+            raise DomainError(f"kernel pole at p = {p} (1 - i*lam*sigma/p = 0)")
+        yield p, x
+
+
+def cexpm1(z):
+    """exp(z) - 1 without cancellation for small |z|, complex-safe."""
+    z = complex(z)
+    if abs(z) > 0.5:
+        return cmath.exp(z) - 1.0
+    # Horner form of the Taylor tail; 24 terms is far below 1 ulp at |z|=0.5.
+    acc = 0.0 + 0.0j
+    for k in range(24, 1, -1):
+        acc = (acc + 1.0) * z / k
+    return z * (1.0 + acc)
+
+
+def v_kernel(params, j, sigma) -> complex:
+    """V_j(sigma) = sum over the slice of log2m(i*lam*sigma/p)."""
+    return kahan_sum(log2m(x) for _, x in _checked_pole_terms(params, j, sigma))
+
+
+def w_kernel(params, j, sigma) -> complex:
+    """W_j(sigma) = exp(-V_j(sigma)) - 1, cancellation-safe at small V."""
+    return cexpm1(-v_kernel(params, j, sigma))
+
+
+def exp_minus_v(params, j, sigma) -> complex:
+    """exp(-V_j(sigma)); of modulus <= 1 for real coupling and real sigma."""
+    return cmath.exp(-v_kernel(params, j, sigma))
+
+
+def dv_derivative(params, j, k, sigma) -> complex:
+    """k-th sigma-derivative of -V_j at sigma, closed form.
+
+    k = 1:  sum_p (-lam^2 sigma) / (p (p - i lam sigma)),
+    k >= 2: (k-1)! sum_p (i lam)^k / (p - i lam sigma)^k.
+    """
+    if k < 1:
+        raise ValueError(f"derivative order must be >= 1, got {k}")
+    lam = complex(params.lam)
+    sigma = complex(sigma)
+    sl = params.slice_set(j)
+    terms = []
+    for p in range(sl.hi, sl.lo - 1, -1):
+        den = p - 1j * lam * sigma
+        if den == 0:
+            raise DomainError(f"kernel pole at p = {p}")
+        if k == 1:
+            terms.append((-(lam**2) * sigma) / (p * den))
+        else:
+            terms.append(den ** (-k))
+    total = kahan_sum(terms)
+    if k == 1:
+        return total
+    return math.factorial(k - 1) * (1j * lam) ** k * total
+
+
+def dw_derivative(params, j, q, sigma) -> complex:
+    """q-th sigma-derivative of W_j via the Faa di Bruno partition sum.
+
+    d^q W = exp(-V) * sum over partitions {m_k} of q of
+            q!/prod(m_k!(k!)^m_k) * prod_k [d^k(-V)]^(m_k).
+    """
+    if q < 0:
+        raise ValueError(f"derivative order must be >= 0, got {q}")
+    if q == 0:
+        return w_kernel(params, j, sigma)
+    dv_cache = {k: dv_derivative(params, j, k, sigma) for k in range(1, q + 1)}
+    total = 0.0 + 0.0j
+    for mult in partition_multiplicities(q):
+        term = complex(faa_di_bruno_weight(mult))
+        for k, m in mult.items():
+            term *= dv_cache[k] ** m
+        total += term
+    return cmath.exp(-v_kernel(params, j, sigma)) * total
+
+
+def z_sigma_quadrature(params, nodes) -> complex:
+    """Gauss-Hermite value of Z at one rule, integrating prod_j (1 + W_j)
+    over the slices: ``oracle.z_reliable`` takes this rule and its doubled
+    rule in one kernel sweep."""
+    if nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
+    if params.lam == 0:
+        return 1.0 + 0.0j  # integrand identically 1 under the normalized measure
+    x, w = gauss_hermite_norm(nodes)
+    return 1.0 + complex(np.sum(w * _slice_product_m1(params, x)))
 
 
 # --- forest-formula and replica identities ---------------------------------

@@ -112,9 +112,9 @@ class TestBosonicBlockValue:
         # the smoothing multipliers cached for 243 points are not reused on
         # a grid of 729
         params = ModelParams(0.2, 2, 1, 3)
-        coarse = TermEvaluator(params).block_integral([0, 1], [(0, 1)], (1, 2))
+        coarse = TermEvaluator(params).block_integral((1, 2), ((0, 1),))
         monkeypatch.setattr(mlve.engine, "SIGMA_GRID", np.linspace(-12.0, 12.0, 729))
-        fine = TermEvaluator(params).block_integral([0, 1], [(0, 1)], (1, 2))
+        fine = TermEvaluator(params).block_integral((1, 2), ((0, 1),))
         assert abs(coarse - fine) <= 1e-12 * abs(fine)
 
     @settings(max_examples=20, deadline=None)
@@ -267,7 +267,7 @@ class TestBosonicBlockValue:
     def test_block_budget(self):
         ev = TermEvaluator(ModelParams(0.1, 2, 1, 5), GL)
         with pytest.raises(BudgetExceededError):
-            ev.block_integral([0, 1, 2, 3, 4], [(0, 1), (1, 2), (2, 3), (3, 4)], (1, 2, 3, 4, 5))
+            ev.block_integral((1, 2, 3, 4, 5), ((0, 1), (1, 2), (2, 3), (3, 4)))
         assert ev._spectra == {}
 
     def test_block_budget_on_evaluation_only(self):
@@ -311,7 +311,8 @@ class TestBlockCache:
                 edges = sorted(tree.edges)
                 odd_edges = tuple((2 * u + 1, 2 * v + 1) for u, v in edges)
                 for js in permutations(range(1, 5), b):
-                    entry = ev.block_integral(verts, odd_edges, {2 * a + 1: j for a, j in enumerate(js)})
+                    labels = {2 * a + 1: j for a, j in enumerate(js)}
+                    entry = ev.block_integral(*mlve.engine._block_key(verts, odd_edges, labels))
                     key = brute_block_key(edges, js)
                     assert entry_of.setdefault(key, entry) == entry
                     assert key_of.setdefault(entry, key) == key
@@ -320,10 +321,10 @@ class TestBlockCache:
 
     def test_nine_blocks_at_order_five(self, monkeypatch):
         # the default config summed to n = 5 evaluates its 162 term classes
-        # once each, reads their blocks by key, 456 of them, and integrates
-        # 9, each through block_integral on its first read
+        # once each, reads their blocks by key through block_integral, 456
+        # of them, and integrates 9, each on its first read
         lookups, integrated = [], []
-        lookup, integral = TermEvaluator._block, TermEvaluator.block_integral
+        lookup, integral = TermEvaluator.block_integral, TermEvaluator._integrate_block
 
         def counted(self, *args):
             lookups.append(args)
@@ -333,8 +334,8 @@ class TestBlockCache:
             integrated.append(args)
             return integral(self, *args)
 
-        monkeypatch.setattr(TermEvaluator, "_block", counted)
-        monkeypatch.setattr(TermEvaluator, "block_integral", counted_integral)
+        monkeypatch.setattr(TermEvaluator, "block_integral", counted)
+        monkeypatch.setattr(TermEvaluator, "_integrate_block", counted_integral)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 3))
         rows = sum(1 for n in range(1, 6) for _ in ev.order_terms(n))
         assert rows == 162
@@ -382,7 +383,7 @@ class TestKernelTables:
         # evaluator does not sweep: it is refused before any sweep
         ev = TermEvaluator(ModelParams(0.2, 2, 1, 3), GL, 2)
         with pytest.raises(BudgetExceededError):
-            ev.block_integral([0, 1, 2], [(0, 1), (1, 2)], (1, 2, 3))
+            ev.block_integral((1, 2, 3), ((0, 1), (1, 2)))
         assert ev._spectra == {}
         with pytest.raises(BudgetExceededError):
             ev.order_contribution(3)
@@ -711,7 +712,7 @@ def hardcore_gas_series(ev) -> list[complex]:
     activity = {}
     for mask in range(1, 1 << len(window)):
         js = tuple(j for i, j in enumerate(window) if mask >> i & 1)
-        activity[mask] = sum(ev.block_integral(range(len(js)), sorted(t.edges), js) for t in enumerate_trees(len(js)))
+        activity[mask] = sum(ev.block_integral(js, tuple(sorted(t.edges))) for t in enumerate_trees(len(js)))
     cover = [1.0 + 0.0j]
     for mask in range(1, 1 << len(window)):
         lowest = mask & -mask

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import z_sigma_quadrature
 from mlve import numerics
 from mlve.errors import QuadratureUnreliableError
 from mlve.model_core import ModelParams
@@ -14,7 +15,6 @@ from mlve.oracle import (
     logz_series_g,
     perturbative_coefficients,
     z_reliable,
-    z_sigma_quadrature,
 )
 
 

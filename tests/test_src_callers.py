@@ -33,17 +33,10 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mlve"
 LAYER_TRACE = TESTS.parent / "bench" / "layertrace.py"
 
+# Second routes that only the tests call, the scalar kernel sums and the
+# single-rule Z quadrature among them, live in conftest.py and need no
+# exemption.
 REFERENCE_ROUTES = {
-    # the scalar kernel route: compensated sums, one sigma at a time
-    "log2m": "numerics.kernel_bundle, the terms of -V",
-    "v_kernel": "numerics.kernel_bundle, -V over a slice",
-    "w_kernel": "model_core.dw_grid at q = 0",
-    "exp_minus_v": "numerics.kernel_bundle, 1 + W",
-    "dv_derivative": "numerics.kernel_bundle, d^k(-V)",
-    "dw_derivative": "model_core.dw_grid, d^q W by the Faa di Bruno sum",
-    "cexpm1": "numerics.kernel_bundle, W = expm1(-V)",
-    # one Gauss-Hermite rule per sweep
-    "z_sigma_quadrature": "oracle.z_reliable, both rules in one sweep",
     # the lifted Y as path minima at any point of the weights
     "fermionic_factor": "engine.fermionic_weight_integral, Y gathered one ordering cell at a time",
     # one checked minor per exchange pattern; exchange_sum takes its
