@@ -7,8 +7,8 @@ exact one-dimensional quadrature of the partition function, and verifies
 numerically the combinatorial counts and convergence bounds entering the
 construction.  Each quantity has one route here.  The second
 implementations it is checked against live in the test suite: the scalar
-kernel sums, the single-rule quadrature of Z, the forest formula and the
-Berezin integral.
+kernel sums with their Faa di Bruno partition sum, the single-rule
+quadrature of Z, the forest formula and the Berezin integral.
 """
 
 from .errors import BudgetExceededError, QuadratureUnreliableError

@@ -253,9 +253,10 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
     pair.  With the union-forest paths fixed once, each cell's Y is one
     gather of its broadcast levels, which reads the slice delta's zeros
     from a slot of their own.
+
+    The labeling must be admissible: neither the hardcore rule nor the
+    slice delta may be broken.  Nothing here checks it.
     """
-    if hardcore_violated(jungle, slices) or slice_delta_violated(jungle, slices):
-        return 0.0
     k = len(jungle.fermionic)
     levels, weights = ordering_cell(k, (jungle.n + 1) // 2)
     on_path, linked = _union_paths(jungle)
@@ -275,9 +276,10 @@ def fermionic_weight_integral(jungle: Jungle, slices) -> float:
 @lru_cache(maxsize=None)
 def _fermionic_integral(jungle: Jungle, pattern: tuple) -> float:
     """``fermionic_weight_integral`` at a slice-equality pattern, memoized
-    for the process: the lifted Y, the hardcore and slice-delta filters and
-    the node count read nothing of the slices but which of them are equal,
-    so the pattern stands for every labeling that has it."""
+    for the process: the lifted Y and the node count read nothing of the
+    slices but which of them are equal, so the pattern stands for every
+    labeling that has it.  The pattern must be of an admissible labeling;
+    ``_order_plan`` passes only those, and ``jungle_term`` filters first."""
     return fermionic_weight_integral(jungle, pattern)
 
 

@@ -8,14 +8,15 @@ slices I_j = [M^(j-1), M^j - 1].  Each slice carries a kernel
 
 where log2m(x) = x + log(1-x) is the subtracted logarithm, of second
 order at small x.  The expansion engine needs sigma-derivatives of W_j of
-any small order; they are assembled from the closed forms for the
-derivatives of -V_j through the Faa di Bruno partition sum.
+any small order; they follow from the closed forms for the derivatives
+of -V_j by the Leibniz recurrence of E' = (-V)' E, E = exp(-V_j).
 
 ``dw_grid`` is the one route for these quantities: it evaluates the
 stack d^0 W_j .. d^q W_j on numpy arrays from one
 ``numerics.kernel_bundle`` sweep (past the head of a long slice, one
 power series for -V, differentiated termwise).  The scalar compensated
-sums it is checked against, one sigma at a time, are in the tests.
+sums and the Faa di Bruno partition sum it is checked against, one sigma
+at a time, are in the tests.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,87 +94,19 @@ class ModelParams:
         return slice_range(self.M, j)
 
 
-@lru_cache(maxsize=None)
-def partition_multiplicities(q: int) -> tuple[dict, ...]:
-    """Integer partitions of q as multiplicity maps {part: count}.
-
-    Generated from the lexicographically ascending part lists (the
-    accel_asc recursion), so (1,1,...,1) comes first and (q,) last.
-    """
-    if q == 0:
-        return ({},)
-    out = []
-    a = [0] * (q + 1)
-    k = 1
-    y = q - 1
-    while k != 0:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        l = k + 1
-        while x <= y:
-            a[k] = x
-            a[l] = y
-            parts = a[: k + 2]
-            out.append(_multiplicity(parts))
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        out.append(_multiplicity(a[: k + 1]))
-    return tuple(out)
-
-
-def _multiplicity(parts) -> dict:
-    m = {}
-    for part in parts:
-        m[part] = m.get(part, 0) + 1
-    return m
-
-
-def faa_di_bruno_weight(mult: dict) -> int:
-    """Multinomial weight q! / prod_k m_k! (k!)^(m_k), exact integer."""
-    q = sum(k * m for k, m in mult.items())
-    den = 1
-    for k, m in mult.items():
-        den *= math.factorial(m) * math.factorial(k) ** m
-    num = math.factorial(q)
-    assert num % den == 0
-    return num // den
-
-
-def partition_weight_sum(d: int) -> Fraction:
-    """sum over partitions of d of 1/prod(m_k! k^m_k); equals 1 for d >= 1."""
-    total = Fraction(0)
-    for mult in partition_multiplicities(d):
-        den = 1
-        for k, m in mult.items():
-            den *= math.factorial(m) * k**m
-        total += Fraction(1, den)
-    return total
-
-
 def dw_grid(params: ModelParams, j: int, q: int, sigma: np.ndarray) -> np.ndarray:
     """d^0 W_j, ..., d^q W_j on a grid of sigma values, shape
-    (q + 1, *sigma.shape), from one ``kernel_bundle`` sweep.  Every
-    derivative order of the sweep accumulates on its own, so row k is
-    the same for every q >= k."""
+    (q + 1, *sigma.shape), from one ``kernel_bundle`` sweep.  E = 1 + W =
+    exp(-V) solves E' = (-V)' E, so by Leibniz's rule
+
+        d^q E = sum_(k<q) C(q-1, k) d^(k+1)(-V) d^(q-1-k) E,   q >= 1.
+
+    Row q reads only the rows below it, and every derivative order of the
+    sweep accumulates on its own, so row k is the same for every q >= k."""
     sl = params.slice_set(j)
-    w, dv_cache = numerics.kernel_bundle(complex(params.lam), sl.lo, sl.hi, q, sigma)
-    expv = 1.0 + w
-    rows = [w]
+    w, dv = numerics.kernel_bundle(complex(params.lam), sl.lo, sl.hi, q, sigma)
+    rows = [1.0 + w]
     for order in range(1, q + 1):
-        total = None
-        for mult in partition_multiplicities(order):
-            # weight 1 and power 1 are exact, so they are skipped; the
-            # weight still multiplies the first factor, which keeps every
-            # product in its order
-            first, *rest = (dv_cache[k] ** m if m > 1 else dv_cache[k] for k, m in mult.items())
-            weight = faa_di_bruno_weight(mult)
-            term = math.prod(rest, start=first if weight == 1 else float(weight) * first)
-            total = term if total is None else total + term
-        rows.append(expv * total)
+        rows.append(sum(math.comb(order - 1, k) * dv[k + 1] * rows[order - 1 - k] for k in range(order)))
+    rows[0] = w  # d^q E = d^q W for q >= 1
     return np.stack(rows)

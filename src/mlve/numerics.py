@@ -11,8 +11,9 @@ special-function values: Hurwitz zeta differences by Euler-Maclaurin, at
 a cost flat in the window length.  Each series runs only as far as the
 sweep's own ratio rho = max|x| / s needs, s the first tail index: past
 its last power, bounds that fall like rho^m sum to less than an ulp.
-The scalar compensated sums in the tests and 40-digit mpmath values pin
-the route.
+The harmonic sum of the head is correctly rounded by math.fsum.  The
+scalar compensated sums in the tests and 40-digit mpmath values pin the
+route.
 """
 
 from __future__ import annotations
@@ -47,25 +48,11 @@ _BERNOULLI = [
 ]
 
 
-def kahan_sum(values):
-    """Compensated sum of an iterable of floats or complex numbers."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 @lru_cache(maxsize=None)
 def harmonic_range_sum(lo: int, hi: int) -> float:
-    """Sum of 1/p for lo <= p <= hi, compensated, summed in descending p:
-    the smallest terms first keeps the compensation effective."""
-    if lo > hi:
-        return 0.0
-    return kahan_sum(1.0 / p for p in range(hi, lo - 1, -1))
+    """Sum of 1/p for lo <= p <= hi, the floats 1/p summed by math.fsum,
+    so correctly rounded in any order; an empty range sums to 0.0."""
+    return math.fsum(1.0 / p for p in range(lo, hi + 1))
 
 
 def _hurwitz_zeta(k: int, a: int) -> float:

@@ -3,8 +3,9 @@
 Each suite returns a SuiteResult with failures (hard errors) and warnings
 (documented discrepancies that are expected and reported, not fixed).
 Suites are sized to finish in seconds.  Checks against a second
-implementation (the forest formula, the Berezin integral, the minor
-bounds) run only in the test suite, which holds those oracles.
+implementation (the scalar kernel sums and their Faa di Bruno partition
+sum, the forest formula, the Berezin integral, the minor bounds) run only
+in the test suite, which holds those oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import bounds, combinatorics, engine, mayer
-from .model_core import ModelParams, partition_weight_sum
+from .model_core import ModelParams
 
 
 @dataclass
@@ -41,9 +42,6 @@ def suite_combinatorics() -> SuiteResult:
             res.failures.append(f"jungle count n={n}: {count} != {expect}")
         if expect > combinatorics.two_level_tree_bound(n):
             res.failures.append(f"jungle bound violated at n={n}")
-    for d in range(1, 9):
-        if partition_weight_sum(d) != 1:
-            res.failures.append(f"partition weight sum != 1 at d={d}")
     return res
 
 

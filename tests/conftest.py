@@ -2,13 +2,15 @@
 the degree count of labeled trees, the pointwise block oracle, the
 enumeration oracles of the polymer-gas Mayer expansion, and the second
 implementations that the package's one route per quantity is checked
-against: the scalar kernel sums, the single-rule quadrature of Z, the
-forest-formula and replica identities, the brute-force Berezin integral
-and the sampled minor bounds."""
+against: the scalar kernel sums and their Faa di Bruno partition sum,
+the single-rule quadrature of Z, the forest-formula and replica
+identities, the brute-force Berezin integral and the sampled minor
+bounds."""
 
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -28,8 +30,7 @@ from mlve.combinatorics import (
 )
 from mlve.grassmann import grassmann_minor, hardcore_violated, lifted_y_matrix, slice_delta_violated
 from mlve.interpolation import min_over_paths, ordering_cell
-from mlve.model_core import dw_grid, faa_di_bruno_weight, partition_multiplicities
-from mlve.numerics import kahan_sum
+from mlve.model_core import dw_grid
 from mlve.oracle import MIN_NODES, _slice_product_m1, gauss_hermite_norm
 
 
@@ -118,13 +119,90 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
 
 # --- the scalar kernel route and the single-rule quadrature of Z -------------
 # Compensated direct sums, one sigma at a time: the references of
-# ``numerics.kernel_bundle`` and ``model_core.dw_grid``.  They stop at a
-# pole or on the log branch cut with DomainError; the grid routes check
-# nothing there, and give a non-finite value at a pole.
+# ``numerics.kernel_bundle`` and ``model_core.dw_grid``.  d^q W is the Faa
+# di Bruno sum over integer partitions of q, where the grid route takes
+# the Leibniz recurrence of E' = (-V)' E.  They stop at a pole or on the
+# log branch cut with DomainError; the grid routes check nothing there,
+# and give a non-finite value at a pole.
 
 
 class DomainError(ValueError):
     """An input hit a pole or a branch cut of one of the model kernels."""
+
+
+def kahan_sum(values):
+    """Compensated sum of an iterable of floats or complex numbers."""
+    total = 0.0
+    comp = 0.0
+    for v in values:
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+@lru_cache(maxsize=None)
+def partition_multiplicities(q: int) -> tuple[dict, ...]:
+    """Integer partitions of q as multiplicity maps {part: count}.
+
+    Generated from the lexicographically ascending part lists (the
+    accel_asc recursion), so (1,1,...,1) comes first and (q,) last.
+    """
+    if q == 0:
+        return ({},)
+    out = []
+    a = [0] * (q + 1)
+    k = 1
+    y = q - 1
+    while k != 0:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        l = k + 1
+        while x <= y:
+            a[k] = x
+            a[l] = y
+            parts = a[: k + 2]
+            out.append(_multiplicity(parts))
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        out.append(_multiplicity(a[: k + 1]))
+    return tuple(out)
+
+
+def _multiplicity(parts) -> dict:
+    m = {}
+    for part in parts:
+        m[part] = m.get(part, 0) + 1
+    return m
+
+
+def faa_di_bruno_weight(mult: dict) -> int:
+    """Multinomial weight q! / prod_k m_k! (k!)^(m_k), exact integer."""
+    q = sum(k * m for k, m in mult.items())
+    den = 1
+    for k, m in mult.items():
+        den *= math.factorial(m) * math.factorial(k) ** m
+    num = math.factorial(q)
+    assert num % den == 0
+    return num // den
+
+
+def partition_weight_sum(d: int) -> Fraction:
+    """sum over partitions of d of 1/prod(m_k! k^m_k); equals 1 for d >= 1."""
+    total = Fraction(0)
+    for mult in partition_multiplicities(d):
+        den = 1
+        for k, m in mult.items():
+            den *= math.factorial(m) * k**m
+        total += Fraction(1, den)
+    return total
 
 
 def log2m(x) -> complex:

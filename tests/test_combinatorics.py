@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import count_trees_with_degrees
+from conftest import count_trees_with_degrees, faa_di_bruno_weight, partition_multiplicities
 from mlve.combinatorics import (
     Forest,
     Jungle,
@@ -21,7 +21,6 @@ from mlve.combinatorics import (
     two_level_tree_bound,
 )
 from mlve.errors import BudgetExceededError
-from mlve.model_core import faa_di_bruno_weight, partition_multiplicities
 
 
 def _set_partitions(n):
@@ -276,8 +275,6 @@ def test_empty_forest_is_identity_partition():
 
 def test_profile_sum_identity_exact():
     # sum over profiles of n^(sum B_q) / prod(B_q! q^(B_q)) = C(2n-1, n)
-    from mlve.model_core import partition_multiplicities
-
     for n in range(1, 9):
         total = Fraction(0)
         for mult in partition_multiplicities(n):

@@ -15,20 +15,16 @@ from conftest import (
     dv_derivative,
     dw_derivative,
     exp_minus_v,
+    faa_di_bruno_weight,
     log2m,
+    partition_multiplicities,
+    partition_weight_sum,
     v_kernel,
     w_kernel,
 )
 from mlve import numerics
 from mlve.engine import SIGMA_GRID
-from mlve.model_core import (
-    ModelParams,
-    dw_grid,
-    faa_di_bruno_weight,
-    partition_multiplicities,
-    partition_weight_sum,
-    slice_range,
-)
+from mlve.model_core import ModelParams, dw_grid, slice_range
 
 
 def _slice_power_sum(M, j, k):
@@ -346,7 +342,7 @@ class TestGridRoutes:
                 sl = params.slice_set(j)
                 got_e = 1.0 + numerics.kernel_bundle(complex(lam), sl.lo, sl.hi, 0, sigma)[0]
                 assert np.abs(got_e - ref_e).max() < 1e-13
-                for q in (0, 1, 2, 3):
+                for q in range(6):
                     ref = np.array([dw_derivative(params, j, q, s) for s in sigma])
                     got = dw_grid(params, j, q, sigma)[q]
                     assert np.abs(got - ref).max() < 5e-13
@@ -359,7 +355,7 @@ class TestGridRoutes:
         # its swept head
         params = ModelParams(lam, M, j, j)
         sigma = np.concatenate([SIGMA_GRID, 5.0 * SIGMA_GRID])
-        for q in range(4):
+        for q in range(6):
             stack = dw_grid(params, j, q, sigma)
             assert stack.shape == (q + 1, sigma.size)
             for k in range(q + 1):

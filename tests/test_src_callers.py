@@ -33,7 +33,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mlve"
 LAYER_TRACE = TESTS.parent / "bench" / "layertrace.py"
 
-# Second routes that only the tests call, the scalar kernel sums and the
+# Second routes that only the tests call, the scalar kernel sums with
+# their Faa di Bruno partition sum and compensated sum, and the
 # single-rule Z quadrature among them, live in conftest.py and need no
 # exemption.
 REFERENCE_ROUTES = {
