@@ -250,6 +250,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_oracle(args) -> int:
     from . import oracle
+    from .errors import QuadratureUnreliableError
 
     cfg = load_config(args.config)
     params = _params(cfg)
@@ -260,8 +261,10 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         _fail_usage(f"no quadrature Z at this coupling: {exc}")
     out = _out_dir(args)
-    # the conditions under which oracle.logz_oracle answers rather than raises
-    logz = cmath.log(z) if reliable and abs(z) >= oracle.MIN_ABS_Z else None
+    try:
+        logz = oracle.checked_logz(z, delta, reliable)
+    except (QuadratureUnreliableError, ValueError):
+        logz = None
     record = {
         "schema_version": SCHEMA_VERSION,
         "lambda": [params.lam.real, params.lam.imag],
@@ -312,9 +315,16 @@ def cmd_domain_map(args) -> int:
     res = args.resolution
     if res < 2:
         _fail_usage(f"--resolution must be >= 2, got {res}")
-    for name in ("re_min", "re_max", "im_min", "im_max"):
-        if not math.isfinite(getattr(args, name)):
-            _fail_usage(f"--{name.replace('_', '-')} must be a finite number, got {getattr(args, name)!r}")
+    for axis in ("re", "im"):
+        lo, hi = getattr(args, f"{axis}_min"), getattr(args, f"{axis}_max")
+        # the grid is monotone in its index, so its points lie between lo and
+        # the last one, and that is not finite when lo or hi is not
+        try:
+            last = lo + (hi - lo) * (res - 1) / (res - 1)
+        except OverflowError:  # a resolution past the float range
+            last = math.inf
+        if not math.isfinite(last):
+            _fail_usage(f"--{axis}-min {lo!r} and --{axis}-max {hi!r} give no finite grid of {res} points")
     out = _out_dir(args)
     with (out / "domain_map.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

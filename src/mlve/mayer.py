@@ -16,10 +16,13 @@ Z' = Z (log Z)':
 
     n b_n = n z_n - sum_(k<n) k b_k z_(n-k).
 
-The coefficients z_n come from a subset sum over monomer masks: the
-lowest monomer of a mask is either empty or lies in exactly one polymer
-inside the mask.  The cost is flat in the number of polymers; the tests
-check the orders against the tree walk itself.
+``series_log`` runs that recurrence at any order and in the arithmetic
+of its input, so the exact rational series of ``oracle.logz_series_g``
+takes its log from it too; ``log_coefficients`` holds the gas to
+``ORDER_BUDGET``.  The coefficients z_n come from a subset sum over
+monomer masks: the lowest monomer of a mask is either empty or lies in
+exactly one polymer inside the mask.  The cost is flat in the number of
+polymers; the tests check the orders against the tree walk itself.
 """
 
 from __future__ import annotations
@@ -78,15 +81,22 @@ def partition_polynomial(gas: PolymerGas) -> list[complex]:
     return z[-1]
 
 
+def series_log(z, order: int) -> list:
+    """b_1..b_order of log Z(s) for the coefficients z_0..z_order of Z(s),
+    z_0 = 1, by n b_n = n z_n - sum_(k<n) k b_k z_(n-k).  The sums start
+    from a zero of z's own type, so Fractions give Fractions exactly."""
+    zero = 0 * z[0]
+    b = []
+    for n in range(1, order + 1):
+        b.append(z[n] - sum((k * b[k - 1] * z[n - k] for k in range(1, n)), zero) / n)
+    return b
+
+
 def log_coefficients(z, n_max: int) -> list[complex]:
     """b_1..b_n_max of log Z(s) for the coefficients z of Z(s), z_0 = 1."""
     if not 1 <= n_max <= ORDER_BUDGET:
         raise ValueError(f"order must be in 1..{ORDER_BUDGET}, got {n_max}")
-    z = list(z) + [0.0j] * n_max
-    b: list[complex] = []
-    for n in range(1, n_max + 1):
-        b.append(z[n] - sum(k * b[k - 1] * z[n - k] for k in range(1, n)) / n)
-    return b
+    return series_log(list(z) + [0.0j] * n_max, n_max)
 
 
 def convergence_condition(gas: PolymerGas, root) -> float:

@@ -11,10 +11,12 @@ quadrature integrates the slice product, so each factor takes the
 accurate route of its own window.  Gauss-Hermite quadrature of moderate
 order nails it to machine precision at desk scale; reliability is
 defined operationally by node doubling, with the rule and its doubled
-rule evaluated in one kernel sweep per slice over their joined nodes.
-The module also extracts the low-order coefficients of log Z as a series
-in the quartic coupling g = lam^2, by exact rational series manipulation
-of the integrand.
+rule evaluated in one kernel sweep per slice over their joined nodes;
+``checked_logz`` is the one rule for when Z has a log.  The module also
+gives the coefficients of log Z in the quartic coupling g = lam^2 as
+exact rationals: exp(-V) by the recurrence of E' = (-V)' E and its log
+by ``mayer.series_log``, the recurrence of Z' = Z (log Z)'.  Only the
+tests call them, with the power expansion of log(1 + A) as the oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import numerics
 from .errors import QuadratureUnreliableError
+from .mayer import series_log
 from .model_core import ModelParams
 
 DOUBLING_TOL = 1e-10
@@ -113,17 +116,22 @@ def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, b
     return b, delta, delta < DOUBLING_TOL
 
 
-def logz_oracle(params: ModelParams, nodes: int = 200) -> complex:
-    """Principal log of the quadrature Z; raises if the quadrature is not
-    node-doubling stable or Z is too close to 0 for a meaningful log."""
-    z, delta, ok = z_reliable(params, nodes)
-    if not ok:
+def checked_logz(z: complex, delta: float, reliable: bool) -> complex:
+    """Principal log of a quadrature Z from z_reliable; raises if the
+    quadrature is not node-doubling stable or Z is too close to 0 for a
+    meaningful log."""
+    if not reliable:
         raise QuadratureUnreliableError(
             f"node doubling moved Z by {delta:.3e} (tolerance {DOUBLING_TOL:.0e})"
         )
     if abs(z) < MIN_ABS_Z:
         raise ValueError(f"Z = {z} too close to zero for a stable logarithm")
     return cmath.log(z)
+
+
+def logz_oracle(params: ModelParams, nodes: int = 200) -> complex:
+    """checked_logz of the quadrature Z at nodes and 2*nodes."""
+    return checked_logz(*z_reliable(params, nodes))
 
 
 # --- perturbative coefficients ----------------------------------------------
@@ -137,28 +145,8 @@ def _series_exp(coeffs: list[Fraction], order: int) -> list[Fraction]:
     for n in range(order):
         acc = Fraction(0)
         for k in range(n + 1):
-            if k + 1 <= order:
-                acc += (k + 1) * coeffs[k + 1] * out[n - k]
+            acc += (k + 1) * coeffs[k + 1] * out[n - k]
         out[n + 1] = acc / (n + 1)
-    return out
-
-
-def _series_log1p(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    """log(1 + A) for a series A with zero constant term, truncated."""
-    out = [Fraction(0)] * (order + 1)
-    power = [Fraction(0)] * (order + 1)
-    power[0] = Fraction(1)
-    for m in range(1, order + 1):
-        nxt = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            if power[i] == 0:
-                continue
-            for jj in range(1, order + 1 - i):
-                nxt[i + jj] += power[i] * coeffs[jj]
-        power = nxt
-        sign = Fraction(-1) ** (m + 1)
-        for i in range(order + 1):
-            out[i] += sign * power[i] / m
     return out
 
 
@@ -182,18 +170,8 @@ def logz_series_g(p_lo: int, p_hi: int, order: int) -> list[Fraction]:
         minus_v[k] = u[k] / k
     h = _series_exp(minus_v, zmax)
     # Z = 1 + sum_(m>=1) h_(2m) (-1)^m (2m-1)!! g^m
-    z_tail = [Fraction(0)] * (order + 1)
+    z = [Fraction(1)] + [Fraction(0)] * order
     for m in range(1, order + 1):
         dfact = math.factorial(2 * m) // (2**m * math.factorial(m))  # (2m-1)!!
-        z_tail[m] = h[2 * m] * Fraction((-1) ** m) * dfact
-    logz = _series_log1p(z_tail, order)
-    return logz[1:]
-
-
-def perturbative_coefficients(params: ModelParams, order: int) -> list[complex]:
-    """First coefficients of log Z in g = lam^2; they depend only on the
-    index window, not on how it is cut into slices."""
-    if order > 4:
-        raise ValueError("perturbative order budgeted to 4")
-    exact = logz_series_g(params.p_lo, params.cutoff, order)
-    return [complex(c) for c in exact]
+        z[m] = h[2 * m] * Fraction((-1) ** m) * dfact
+    return series_log(z, order)

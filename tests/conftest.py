@@ -3,9 +3,9 @@ the degree count of labeled trees, the pointwise block oracle, the
 enumeration oracles of the polymer-gas Mayer expansion, and the second
 implementations that the package's one route per quantity is checked
 against: the scalar kernel sums and their Faa di Bruno partition sum,
-the single-rule quadrature of Z, the forest-formula and replica
-identities, the brute-force Berezin integral and the sampled minor
-bounds."""
+the single-rule quadrature of Z, the power expansion of the exact
+perturbative log Z, the forest-formula and replica identities, the
+brute-force Berezin integral and the sampled minor bounds."""
 
 import cmath
 import math
@@ -30,8 +30,8 @@ from mlve.combinatorics import (
 )
 from mlve.grassmann import grassmann_minor, hardcore_violated, lifted_y_matrix, slice_delta_violated
 from mlve.interpolation import min_over_paths, ordering_cell
-from mlve.model_core import dw_grid
-from mlve.oracle import MIN_NODES, _slice_product_m1, gauss_hermite_norm
+from mlve.model_core import ModelParams, dw_grid
+from mlve.oracle import MIN_NODES, _slice_product_m1, gauss_hermite_norm, logz_series_g
 
 
 def random_block_tree(rng, verts):
@@ -315,6 +315,39 @@ def z_sigma_quadrature(params, nodes) -> complex:
         return 1.0 + 0.0j  # integrand identically 1 under the normalized measure
     x, w = gauss_hermite_norm(nodes)
     return 1.0 + complex(np.sum(w * _slice_product_m1(params, x)))
+
+
+# --- exact perturbative series ---------------------------------------------
+# ``oracle.logz_series_g`` takes log Z by the recurrence of
+# ``mayer.series_log``; ``_series_log1p`` expands the powers of A instead.
+
+
+def _series_log1p(coeffs: list[Fraction], order: int) -> list[Fraction]:
+    """log(1 + A) for a series A with zero constant term, truncated."""
+    out = [Fraction(0)] * (order + 1)
+    power = [Fraction(0)] * (order + 1)
+    power[0] = Fraction(1)
+    for m in range(1, order + 1):
+        nxt = [Fraction(0)] * (order + 1)
+        for i in range(order + 1):
+            if power[i] == 0:
+                continue
+            for jj in range(1, order + 1 - i):
+                nxt[i + jj] += power[i] * coeffs[jj]
+        power = nxt
+        sign = Fraction(-1) ** (m + 1)
+        for i in range(order + 1):
+            out[i] += sign * power[i] / m
+    return out
+
+
+def perturbative_coefficients(params: ModelParams, order: int) -> list[complex]:
+    """First coefficients of log Z in g = lam^2; they depend only on the
+    index window, not on how it is cut into slices."""
+    if order > 4:
+        raise ValueError("perturbative order budgeted to 4")
+    exact = logz_series_g(params.p_lo, params.cutoff, order)
+    return [complex(c) for c in exact]
 
 
 # --- forest-formula and replica identities ---------------------------------

@@ -471,7 +471,18 @@ class TestDomainMap:
         assert err.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["--re-min", "nan"], ["--re-max", "inf"], ["--im-min=-inf"], ["--im-max", "nan"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--re-min", "nan"],
+            ["--re-max", "inf"],
+            ["--im-min=-inf"],
+            ["--im-max", "nan"],
+            # finite bounds whose grid overflows: the step itself, and the step times the index
+            ["--re-min=-1e308", "--re-max", "1e308"],
+            ["--re-max", "1e308", "--resolution", "3"],
+        ],
+    )
     def test_non_finite_bound_exits_two(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:
@@ -508,6 +519,17 @@ class TestMayerCommand:
         rec = json.loads((out / "mayer.json").read_text())
         assert rec["abs_error"] < 1e-3
         assert len(rec["orders"]) == 4
+        # the whole record, byte for byte
+        pinned = {
+            "schema_version": 2,
+            "monomers": [0, 1],
+            "z_direct": [1.26, 0.0],
+            "log_z_direct": 0.23111172096338664,
+            "orders": [[0.25, 0.0], [-0.021249999999999998, 0.0], [0.002708333333333333, 0.0], [-0.0004015624999999999, 0.0]],
+            "tree_sum": [0.23105677083333334, 0.0],
+            "abs_error": 6.923526160651505e-05,
+        }
+        assert (out / "mayer.json").read_bytes() == (json.dumps(pinned, indent=2) + "\n").encode()
 
     def test_complex_activity(self, tmp_path):
         gas = {"monomers": [0], "activities": [{"polymer": [0], "activity": [0.1, -0.2]}]}

@@ -1,21 +1,16 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import z_sigma_quadrature
+from conftest import _series_log1p, perturbative_coefficients, z_sigma_quadrature
 from mlve import numerics
 from mlve.errors import QuadratureUnreliableError
 from mlve.model_core import ModelParams
-from mlve.oracle import (
-    gauss_hermite_norm,
-    logz_oracle,
-    logz_series_g,
-    perturbative_coefficients,
-    z_reliable,
-)
+from mlve.oracle import _series_exp, gauss_hermite_norm, logz_oracle, logz_series_g, z_reliable
 
 
 class TestGaussHermiteRule:
@@ -174,6 +169,19 @@ class TestLogOracle:
 class TestPerturbativeSeries:
     def test_degenerate_window(self):
         assert logz_series_g(5, 4, 3) == [0, 0, 0]
+
+    @pytest.mark.parametrize("lo, hi, order", [(1, 7, 12), (1, 1, 12), (4, 7, 8), (1, 255, 8), (5, 4, 3)])
+    def test_recurrence_matches_power_expansion(self, lo, hi, order):
+        # the log of Z = 1 + sum_m z_m g^m by the powers of its tail, with
+        # z_m = h_(2m) (-1)^m (2m-1)!! from the same exp series h
+        zmax = 2 * order
+        minus_v = [Fraction(0)] * 2
+        minus_v += [sum((Fraction(1, p**k) for p in range(lo, hi + 1)), Fraction(0)) / k for k in range(2, zmax + 1)]
+        h = _series_exp(minus_v, zmax)
+        tail = [Fraction(0)] + [h[2 * m] * (-1) ** m * math.prod(range(1, 2 * m, 2)) for m in range(1, order + 1)]
+        got = logz_series_g(lo, hi, order)
+        assert got == _series_log1p(tail, order)[1:]
+        assert all(type(c) is Fraction for c in got)
 
     def test_coefficients_depend_only_on_window(self):
         a = perturbative_coefficients(ModelParams(0.2, 2, 1, 3), 3)
