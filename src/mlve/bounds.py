@@ -3,9 +3,9 @@
 The block bound (real coupling), its complex-coupling variant, the
 summed series with its geometric reduction, the Stirling-chain
 combinatorial inequality, the large-M threshold claim and the analyticity
-domain predicates.  Combinatorial growth is evaluated with mpmath at 30
-significant digits, i.e. well past 80-bit, since the M^(q^2/4) factors
-leave double range almost immediately.
+domain predicate.  Combinatorial growth is evaluated with mpmath at 30
+significant digits, set by each bound for its own evaluation alone: the
+M^(q^2/4) factors leave double range almost immediately.
 
 One documented discrepancy is reported, never repaired silently: the
 claimed threshold 3^(3q) q^q M^(-q^2/8) <= 1 for all q >= 1 fails at
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .combinatorics import Jungle
-
-mp.mp.dps = 30
 
 
 def double_factorial(n: int) -> int:
@@ -67,15 +65,13 @@ def block_bound_complex(block_size: int, degrees, slices, lam: complex, M: int) 
     cos(2 gamma)^(|B|/2).
     """
     lam = complex(lam)
-    gamma = cmath.phase(lam)
-    cos2g = math.cos(2 * gamma)
-    if abs(lam) ** 2 >= cos2g:
+    if not borel_domain(lam=lam).inside:
         raise ValueError("coupling outside the domain |lam|^2 < cos(2 gamma)")
     if block_size == 1:
         (j,) = tuple(slices)
         return abs(lam) ** 2 * float(M) ** (-(j - 2))
     base = block_bound_real(block_size, degrees, slices, abs(lam), M)
-    return base / cos2g ** (block_size / 2.0)
+    return base / math.cos(2 * cmath.phase(lam)) ** (block_size / 2.0)
 
 
 @dataclass
@@ -87,6 +83,7 @@ class SeriesReport:
     b_max: int
 
 
+@mp.workdps(30)
 def summed_series_bound(lam_abs: float, M: float, q_max: int = 60, b_max: int = 200) -> SeriesReport:
     """Truncation of the summed bound sum_B S^B with
 
@@ -114,6 +111,7 @@ def summed_series_bound(lam_abs: float, M: float, q_max: int = 60, b_max: int = 
     return SeriesReport(float(s), float(partial), bool(geometric), q_max, b_max)
 
 
+@mp.workdps(30)
 def inner_tail_bound(lam_abs: float, M: float, q_max: int = 200) -> tuple[float, float]:
     """(sum_q |lam|^(2q-2) M^(-q/8), 1/(M^(1/8) - |lam|^2)); first <= second."""
     lam2 = mp.mpf(lam_abs) ** 2
@@ -133,6 +131,7 @@ class InequalityRow:
     ok: bool
 
 
+@mp.workdps(30)
 def stirling_chain_check(q_values) -> list[InequalityRow]:
     """Check 2/(q-1)! sqrt((4q-4)!!) (3q-3)!/(2q-1)! <= 3^(3q) e^(-q) q^q.
 
@@ -162,6 +161,7 @@ class ThresholdRow:
     ok: bool
 
 
+@mp.workdps(30)
 def m_threshold_check(M: float, q_values) -> list[ThresholdRow]:
     """Evaluate 3^(3q) q^q M^(-q^2/8) per q and flag values above 1.
 
@@ -185,27 +185,25 @@ class BorelPoint:
 
 
 def borel_domain(lam: complex | None = None, g: complex | None = None) -> BorelPoint:
-    """Strict-interior membership of the analyticity domain.
+    """Strict-interior membership of the analyticity domain: the package's
+    one membership predicate.
 
     Three descriptions coincide away from the origin: |lam|^2 < cos(2 gamma);
     Re(1/g) > 1; |g - 1/2| < 1/2 with g = lam^2.  The boundary is excluded.
-    g = 0 is the one point where the closures differ (the coupling-form
-    includes the free theory, the disk form puts it on the boundary); the
-    coupling form wins here.
+    ``inside`` reads the disk; the other two are reported, and differ from
+    it only by rounding on the circle.  g = 0 is the one point where the
+    closures differ (the coupling form includes the free theory, the disk
+    form puts it on the boundary); it counts as inside.
     """
     if (lam is None) == (g is None):
         raise ValueError("give exactly one of lam or g")
     if g is None:
         g = complex(lam) ** 2
     g = complex(g)
-    lam_abs_sq = abs(g)
-    cos2g = math.cos(cmath.phase(g)) if g != 0 else 1.0
-    crit = lam_abs_sq - cos2g
     if g == 0:
-        return BorelPoint(True, crit, None, None)
-    re_inv = (1.0 / g).real
+        return BorelPoint(True, -1.0, None, None)
     disk = abs(g - 0.5)
-    return BorelPoint(crit < 0, crit, re_inv, disk)
+    return BorelPoint(disk < 0.5, abs(g) - math.cos(cmath.phase(g)), (1.0 / g).real, disk)
 
 
 def assemble_term_bound(jungle: Jungle, slices, lam_abs: float, M: int) -> float:

@@ -42,14 +42,16 @@ def _fail_usage(message: str) -> "NoReturn":  # noqa: F821 - doc only
 
 
 def load_config(path: str | None) -> dict:
+    from . import engine, oracle
+
     defaults = {
         "lambda": 0.2,
         "M": 2,
         "j_min": 1,
         "j_max": 3,
         "n_max": 3,
-        "oracle_nodes": 200,
-        "gl_nodes": 12,
+        "oracle_nodes": oracle.DEFAULT_NODES,
+        "gl_nodes": engine.DEFAULT_GL_NODES,
     }
     if path is None:
         return defaults
@@ -312,6 +314,8 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_domain_map(args) -> int:
+    from .bounds import borel_domain
+
     res = args.resolution
     if res < 2:
         _fail_usage(f"--resolution must be >= 2, got {res}")
@@ -333,9 +337,7 @@ def cmd_domain_map(args) -> int:
             re = args.re_min + (args.re_max - args.re_min) * i / (res - 1)
             for j in range(res):
                 im = args.im_min + (args.im_max - args.im_min) * j / (res - 1)
-                # the map is of the open disk |g - 1/2| < 1/2 itself
-                inside = abs(complex(re, im) - 0.5) < 0.5
-                writer.writerow([f"{re:.17g}", f"{im:.17g}", int(inside)])
+                writer.writerow([f"{re:.17g}", f"{im:.17g}", int(borel_domain(g=complex(re, im)).inside)])
     print(f"domain map: {res * res} points -> {out / 'domain_map.csv'}")
     return 0
 

@@ -117,6 +117,7 @@ from .grassmann import fermionic_factor  # noqa: F401
 
 ORDER_BUDGET = 7
 BLOCK_BUDGET = 4
+DEFAULT_GL_NODES = 12
 # The blocks are converged at the default 12 nodes; 24 is that rule doubled,
 # for a node-doubling error estimate.  numpy's leggauss holds an n x n
 # companion matrix, so an unbounded rule could ask for any amount of memory.
@@ -358,7 +359,7 @@ class TermEvaluator:
     stops at d^q W_j; a block past q is refused.  The default, ORDER_BUDGET,
     sweeps every row a block of the window can read."""
 
-    def __init__(self, params: ModelParams, gl_nodes: int = 12, n_max: int = ORDER_BUDGET):
+    def __init__(self, params: ModelParams, gl_nodes: int = DEFAULT_GL_NODES, n_max: int = ORDER_BUDGET):
         self.params = params
         self.gl_nodes = gl_nodes
         self._top = min(len(params.slices), BLOCK_BUDGET, n_max) - 1

@@ -176,8 +176,6 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     """
     lam = complex(lam)
     sigma_c = np.asarray(sigma, dtype=complex)
-    if lo > hi:
-        return np.zeros_like(sigma_c), {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
     z0 = -1j * lam * sigma_c
     split = hi + 1
     if hi - lo + 1 > DIRECT_SUM_LIMIT:

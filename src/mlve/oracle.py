@@ -36,7 +36,8 @@ from .model_core import ModelParams
 DOUBLING_TOL = 1e-10
 # log Z is taken only where |Z| is at least this far from 0.
 MIN_ABS_Z = 1e-8
-# Fewest Gauss-Hermite nodes a Z quadrature accepts.
+# Gauss-Hermite nodes of a Z quadrature by default, and the fewest it accepts.
+DEFAULT_NODES = 200
 MIN_NODES = 50
 # Most nodes a run may ask for: the doubled rule then has 3,200 nodes and
 # a dense 3,200 x 3,200 Jacobi matrix, a few seconds to solve.
@@ -90,7 +91,7 @@ def _slice_product_m1(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def z_reliable(params: ModelParams, nodes: int = 200) -> tuple[complex, float, bool]:
+def z_reliable(params: ModelParams, nodes: int = DEFAULT_NODES) -> tuple[complex, float, bool]:
     """Value at 2*nodes, the doubling delta, and the reliability verdict.
 
     Both rules take one kernel sweep per slice over their joined nodes.
@@ -129,7 +130,7 @@ def checked_logz(z: complex, delta: float, reliable: bool) -> complex:
     return cmath.log(z)
 
 
-def logz_oracle(params: ModelParams, nodes: int = 200) -> complex:
+def logz_oracle(params: ModelParams, nodes: int = DEFAULT_NODES) -> complex:
     """checked_logz of the quadrature Z at nodes and 2*nodes."""
     return checked_logz(*z_reliable(params, nodes))
 

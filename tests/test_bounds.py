@@ -148,6 +148,22 @@ class TestBorelDomain:
             assert point.inside == ((1.0 / g).real > 1.0)
             assert point.inside == (abs(g - 0.5) < 0.5)
 
+    def test_free_theory_inside(self):
+        # g = 0 lies on the disk's circle but inside the coupling form
+        for point in (borel_domain(g=0), borel_domain(g=-0.0), borel_domain(lam=0)):
+            assert point.inside
+            assert point.lam_sq_minus_cos == -1.0
+            assert point.re_inv_g is None and point.disk_distance is None
+
+    def test_block_bound_refuses_what_the_predicate_refuses(self, rng):
+        for _ in range(200):
+            lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            if borel_domain(lam=lam).inside:
+                assert block_bound_complex(2, (1, 1), (3, 3), lam, 10) > 0
+            else:
+                with pytest.raises(ValueError):
+                    block_bound_complex(2, (1, 1), (3, 3), lam, 10)
+
     def test_exactly_one_argument(self):
         with pytest.raises(ValueError):
             borel_domain()

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import z_by_collections
 from mlve import cli
+from mlve.bounds import borel_domain
 from mlve.mayer import PolymerGas
 
 
@@ -390,6 +391,18 @@ class TestEnumerate:
         assert len(lines) == 4  # 3 trees + the count line
         assert json.loads(lines[0])["edges"]
 
+    @pytest.mark.parametrize("edges", [False, True], ids=["count", "edges"])
+    def test_forests(self, capsys, edges):
+        # on 3 vertices: the empty forest, 3 single edges and 3 spanning trees
+        run_cli(["enumerate", "--kind", "forests", "--n", "3", *(["--edges"] * edges)])
+        *records, count = capsys.readouterr().out.strip().splitlines()
+        assert count == "forests n=3: 7"
+        if edges:
+            sizes = Counter(len(json.loads(line)["edges"]) for line in records)
+            assert sizes == {0: 1, 1: 3, 2: 3}
+        else:
+            assert records == []
+
     @pytest.mark.parametrize(
         "argv",
         [["--kind", "trees", "--n", "9"], ["--kind", "jungles", "--n", "8"], ["--n", "0"]],
@@ -410,6 +423,17 @@ class TestOracleCommand:
         rec = json.loads((out / "oracle.json").read_text())
         assert rec["reliable"] is True
         assert rec["Z"][0] == pytest.approx(0.9720341382341898, abs=1e-12)
+
+    def test_unreliable_quadrature_exits_one(self, tmp_path, capsys):
+        # at lambda = 0.3i on the default window node doubling moves Z by 6.8e-3
+        cfg = write_config(tmp_path, **{"lambda": [0, 0.3], "j_max": 3})
+        out = tmp_path / "out"
+        assert run_cli(["oracle", "--config", str(cfg), "--out", str(out)]) == 1
+        rec = json.loads((out / "oracle.json").read_text())
+        assert json.loads(capsys.readouterr().out) == rec
+        assert rec["reliable"] is False
+        assert rec["logZ"] is None
+        assert rec["node_doubling_delta"] == pytest.approx(6.8e-3, rel=1e-2)
 
 
 class TestBoundsCommand:
@@ -459,9 +483,32 @@ class TestDomainMap:
             )
             == 0
         )
-        for row in csv.DictReader((out / "domain_map.csv").open()):
+        rows = list(csv.DictReader((out / "domain_map.csv").open()))
+        assert len(rows) == 15 * 15
+        for row in rows:
             g = complex(float(row["re_g"]), float(row["im_g"]))
-            assert int(row["inside"]) == int(abs(g - 0.5) < 0.5)
+            assert int(row["inside"]) == int(borel_domain(g=g).inside) == int(abs(g - 0.5) < 0.5)
+
+    def test_default_grid_is_the_disk_and_the_origin(self, tmp_path):
+        # the disk's own boundary point g = 0 is the free theory, counted inside
+        out = tmp_path / "out"
+        assert run_cli(["domain-map", "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "domain_map.csv").open()))
+        assert len(rows) == 41 * 41
+        off_disk = [
+            (row["re_g"], row["im_g"], row["inside"])
+            for row in rows
+            if int(row["inside"]) != int(abs(complex(float(row["re_g"]), float(row["im_g"])) - 0.5) < 0.5)
+        ]
+        assert off_disk == [("0", "0", "1")]
+
+    def test_resolution_past_the_float_range_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["domain-map", "--out", str(out), "--resolution", str(10**400)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --re-min")
+        assert not out.exists()
 
     @pytest.mark.parametrize("resolution", ["1", "0", "-3"])
     def test_resolution_below_two_exits_two(self, tmp_path, resolution):
@@ -706,6 +753,23 @@ class TestDispatch:
         assert run_cli(argv) == 7
         assert reached == [str(tmp_path / "out")]
         assert cli.build_parser.cache_info().misses == 1
+
+
+def test_import_leaves_mpmath_precision_alone():
+    # the bounds set mpmath's precision for their own evaluation only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import importlib, pkgutil, mpmath, mlve\n"
+        "before = mpmath.mp.dps\n"
+        "for info in pkgutil.iter_modules(mlve.__path__):\n"
+        "    importlib.import_module('mlve.' + info.name)\n"
+        "print(before, mpmath.mp.dps)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+    )
+    before, after = result.stdout.split()
+    assert after == before
 
 
 def test_import_leaves_scipy_out():

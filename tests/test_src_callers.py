@@ -50,7 +50,6 @@ REFERENCE_ROUTES = {
     "block_bound_complex": "the block bound on the domain |lam|^2 < cos(2 gamma)",
     "summed_series_bound": "geometric convergence of the summed series for large M",
     "inner_tail_bound": "the inner sum bound 1 / (M^(1/8) - |lam|^2)",
-    "borel_domain": "the three descriptions of the analyticity domain agree",
     "convergence_condition": "the Kotecky-Preiss condition of the Mayer expansion",
 }
 
