@@ -12,7 +12,11 @@ accurate route of its own window.  Gauss-Hermite quadrature of moderate
 order nails it to machine precision at desk scale; reliability is
 defined operationally by node doubling, with the rule and its doubled
 rule evaluated in one kernel sweep per slice over their joined nodes;
-``checked_logz`` is the one rule for when Z has a log.  The module also
+``checked_logz`` is the one rule for when Z has a log.  The sweep skips
+the outer nodes of each rule whose weights times a proven bound on the
+integrand (``growth_rate``) sum to less than ``PRUNE``, far below the
+rounding of any Z that has a log; where no bound holds it sweeps them
+all.  The module also
 gives the coefficients of log Z in the quartic coupling g = lam^2 as
 exact rationals: exp(-V) by the recurrence of E' = (-V)' E and its log
 by ``mayer.series_log``, the recurrence of Z' = Z (log Z)'.  Only the
@@ -39,6 +43,11 @@ MIN_ABS_Z = 1e-8
 # Gauss-Hermite nodes of a Z quadrature by default, and the fewest it accepts.
 DEFAULT_NODES = 200
 MIN_NODES = 50
+# A rule leaves out of the sweep the outer nodes whose weights times the
+# integrand bound sum to less than this: 2^-60 of the smallest |Z| that
+# has a log, so far below the rounding of any such Z.  It is derived from
+# MIN_ABS_Z, not tuned.
+PRUNE = MIN_ABS_Z * 2.0**-60
 # Most nodes a run may ask for: the doubled rule then has 3,200 nodes and
 # a dense 3,200 x 3,200 Jacobi matrix, a few seconds to solve.
 MAX_NODES = 1600
@@ -91,26 +100,97 @@ def _slice_product_m1(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def growth_rate(lam: complex, lo: int, hi: int) -> float:
+    """A rate c with log |prod_(p=lo..hi) e^z/(1 + z)| <= c |sigma|, z = -i lam sigma/p,
+    so that over the full window |prod_j (1 + W_j) - 1| <= 1 + exp(c |sigma|).
+
+    Where |Re lam| > |Im lam|, cos(2 arg z) = -cos(2 gamma) < 0.  A factor
+    with Re z >= 0 has |1 + z| >= 1, so its log-modulus Re z - log|1 + z|
+    is at most Re z; with Re z < 0 its derivative in t = |z|,
+    t (cos 2 arg z + t cos arg z) / |1 + z|^2, is negative, so it falls from
+    0.  Each factor is then at most |Re z| = |Im lam| |sigma| / p, and
+    sum_p 1/p <= 1/lo + log(hi/lo), so c = |Im lam| (1/lo + log(hi/lo)).
+    Elsewhere a factor can come near its pole at z = -1: no rate, inf.
+    """
+    lam = complex(lam)
+    if abs(lam.real) <= abs(lam.imag):
+        return math.inf
+    return abs(lam.imag) * (1.0 / lo + math.log(hi / lo))
+
+
+@lru_cache(maxsize=None)
+def _outer_halves(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """|x| and w at the nodes below 0 of the rules of ``nodes`` and 2 ``nodes``
+    nodes, each outermost first, end to end."""
+    (x_a, w_a), (x_b, w_b) = gauss_hermite_norm(nodes), gauss_hermite_norm(2 * nodes)
+    return -np.concatenate((x_a[: nodes // 2], x_b[:nodes])), np.concatenate((w_a[: nodes // 2], w_b[:nodes]))
+
+
+def _outer_cuts(nodes: int, rate: float) -> tuple[int, int]:
+    """Nodes left out at each end of the rules of ``nodes`` and 2 ``nodes``
+    nodes.  Each rule leaves out the most whose weights times the bound
+    1 + exp(rate |x|) on |prod_j (1 + W_j) - 1| sum, over both ends, to less
+    than ``PRUNE``; the doubled rule then keeps its nodes up to the first at
+    or past the other's largest."""
+    ax, w = _outer_halves(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = w + w * np.exp(rate * ax)
+    bound[np.isnan(bound)] = math.inf  # a weight that underflows to 0 under an overflowing bound
+    # the two ends of a rule sum the same, so each end sums to less than PRUNE / 2
+    cut_a = int(np.searchsorted(np.cumsum(bound[: nodes // 2]), PRUNE / 2))
+    cut_b = int(np.searchsorted(np.cumsum(bound[nodes // 2 :]), PRUNE / 2))
+    x_a, x_b = gauss_hermite_norm(nodes)[0], gauss_hermite_norm(2 * nodes)[0]
+    return cut_a, min(cut_b, 2 * nodes - 1 - int(np.searchsorted(x_b, x_a[nodes - 1 - cut_a])))
+
+
+@lru_cache(maxsize=None)
+def _real_cuts(nodes: int) -> tuple[int, int]:
+    """``_outer_cuts`` at rate 0, the rate of every real coupling, so a
+    property of the rules alone."""
+    return _outer_cuts(nodes, 0.0)
+
+
+def kept_rules(params: ModelParams, nodes: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The Gauss-Hermite rules of ``nodes`` and 2 ``nodes`` nodes, each cut
+    to the central nodes that ``z_reliable`` sweeps.
+
+    Each rule leaves out the outer nodes of ``_outer_cuts`` at the rate
+    ``growth_rate`` of the full window, and the doubled rule keeps at
+    least one node as far out as the largest the other keeps.  Both stay
+    mirror-symmetric.  Where no rate holds both rules are whole; at a real
+    coupling the cuts are those of rate 0, cached per node count.
+    """
+    rate = growth_rate(params.lam, params.p_lo, params.cutoff)
+    cut_a, cut_b = (0, 0) if math.isinf(rate) else _real_cuts(nodes) if rate == 0.0 else _outer_cuts(nodes, rate)
+    (x_a, w_a), (x_b, w_b) = gauss_hermite_norm(nodes), gauss_hermite_norm(2 * nodes)
+    return (
+        (x_a[cut_a : nodes - cut_a], w_a[cut_a : nodes - cut_a]),
+        (x_b[cut_b : 2 * nodes - cut_b], w_b[cut_b : 2 * nodes - cut_b]),
+    )
+
+
 def z_reliable(params: ModelParams, nodes: int = DEFAULT_NODES) -> tuple[complex, float, bool]:
     """Value at 2*nodes, the doubling delta, and the reliability verdict.
 
-    Both rules take one kernel sweep per slice over their joined nodes.
-    The doubled rule holds the largest node, so a long window splits, and
-    sizes its tail series, where it would for that rule alone, and its Z
-    equals that rule's integrated alone; the smaller rule's Z, which only
-    enters the delta, may move at rounding level.  A Z that overflows is
-    a ValueError, with no floating-point warning on the way.
+    Both rules, cut to their ``kept_rules``, take one kernel sweep per
+    slice over their joined nodes; the nodes a rule leaves out would
+    move its Z by less than ``PRUNE`` in all.  The doubled rule holds the
+    largest node, so a long window splits, and sizes its tail series,
+    where it would for that kept rule alone, and its Z equals that rule's
+    integrated alone; the smaller rule's Z, which only enters the delta,
+    may move at rounding level.  Where ``growth_rate`` has no bound the rules are whole.  A Z
+    that overflows is a ValueError, with no floating-point warning on the
+    way.
     """
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     if params.lam == 0:
         return 1.0 + 0.0j, 0.0, True
-    x_a, w_a = gauss_hermite_norm(nodes)
-    x_b, w_b = gauss_hermite_norm(2 * nodes)
+    (x_a, w_a), (x_b, w_b) = kept_rules(params, nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         acc = _slice_product_m1(params, np.concatenate((x_a, x_b)))
-        a = 1.0 + complex(np.sum(w_a * acc[:nodes]))
-        b = 1.0 + complex(np.sum(w_b * acc[nodes:]))
+        a = 1.0 + complex(np.sum(w_a * acc[: len(x_a)]))
+        b = 1.0 + complex(np.sum(w_b * acc[len(x_a) :]))
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise ValueError(f"Z is not finite at {nodes} or {2 * nodes} nodes: the integrand overflows")
     delta = abs(a - b)

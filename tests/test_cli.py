@@ -192,6 +192,18 @@ class TestCompare:
         assert "node doubling moved Z" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lam", [[0.0, 0.5], [0.0, 1.0], [0.0, 2.0], [0.2, 0.5]])
+    def test_coupling_with_no_integrand_bound_exits_two(self, tmp_path, capsys, lam):
+        # |Re lambda| <= |Im lambda|: the oracle sweeps every node and node
+        # doubling still finds no reference
+        cfg = write_config(tmp_path, **{"lambda": lam, "j_max": 3})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["compare", "--config", str(cfg), "--out", str(out)])
+        assert err.value.code == 2
+        assert "no reliable log Z reference" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["compare", "oracle"])
     def test_huge_coupling_exits_two(self, tmp_path, capsys, command):
         # lambda = 1e308 is finite, but lambda * sigma overflows on the

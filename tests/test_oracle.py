@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -9,8 +11,61 @@ import pytest
 from conftest import _series_log1p, perturbative_coefficients, z_sigma_quadrature
 from mlve import numerics
 from mlve.errors import QuadratureUnreliableError
-from mlve.model_core import ModelParams
-from mlve.oracle import _series_exp, gauss_hermite_norm, logz_oracle, logz_series_g, z_reliable
+from mlve.model_core import ModelParams, slice_range
+from mlve.oracle import (
+    DOUBLING_TOL,
+    PRUNE,
+    _series_exp,
+    _slice_product_m1,
+    gauss_hermite_norm,
+    growth_rate,
+    kept_rules,
+    logz_oracle,
+    logz_series_g,
+    z_reliable,
+)
+
+
+def rule_z(params, x, w):
+    """Z of one rule (x, w) integrated alone, as conftest.z_sigma_quadrature
+    integrates a whole Gauss-Hermite rule."""
+    return 1.0 + complex(np.sum(w * _slice_product_m1(params, x)))
+
+
+def whole_rule_z_reliable(params, nodes):
+    """z_reliable as it was before it left nodes out: one joint sweep over
+    both whole rules."""
+    if params.lam == 0:
+        return 1.0 + 0.0j, 0.0, True
+    x_a, w_a = gauss_hermite_norm(nodes)
+    x_b, w_b = gauss_hermite_norm(2 * nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = _slice_product_m1(params, np.concatenate((x_a, x_b)))
+        a = 1.0 + complex(np.sum(w_a * acc[:nodes]))
+        b = 1.0 + complex(np.sum(w_b * acc[nodes:]))
+    delta = abs(a - b)
+    return b, delta, delta < DOUBLING_TOL
+
+
+@lru_cache(maxsize=None)
+def mpmath_full_window_z(lam, M, j_max):
+    """The whole 400-node Gauss-Hermite sum with -V over the whole window
+    [lo, hi] at 30 digits: z H + log Gamma(hi + 1) - log Gamma(lo)
+    - log Gamma(hi + 1 + z) + log Gamma(lo + z), z = -i lam sigma.  Like
+    the oracle it sums w (f - 1) and adds 1, so a distance to it does not
+    measure 1 - sum w."""
+    params = ModelParams(lam, M, 1, j_max)
+    x, w = gauss_hermite_norm(400)
+    lo, hi = params.p_lo, params.cutoff
+    with mp.workdps(30):
+        h = mp.psi(0, hi + 1) - mp.psi(0, lo)
+        const = mp.loggamma(hi + 1) - mp.loggamma(lo)
+        ref = mp.mpc(0)
+        for xk, wk in zip(x, w):
+            z = -1j * mp.mpc(lam) * mp.mpf(xk)
+            ref += mp.mpf(wk) * (mp.exp(z * h + const - mp.loggamma(hi + 1 + z) + mp.loggamma(lo + z)) - 1)
+        ref += 1
+    return complex(ref)
 
 
 class TestGaussHermiteRule:
@@ -60,23 +115,15 @@ class TestPartitionFunction:
 
     @pytest.mark.parametrize("lam, M, j_max", [(0.5, 10, 6), (0.3, 100, 3), (0.45 + 0.2j, 100, 2)])
     def test_matches_mpmath_full_window(self, lam, M, j_max):
-        # the same Gauss-Hermite sum, with -V over the whole window
-        # [lo, hi] at 30 digits: z H + log Gamma(hi + 1) - log Gamma(lo)
-        # - log Gamma(hi + 1 + z) + log Gamma(lo + z), z = -i lam sigma.
-        # Like the oracle it sums w (f - 1) and adds 1, so the distance
-        # does not measure 1 - sum w
+        # the same whole-rule Gauss-Hermite sum, with -V over the whole window
         params = ModelParams(lam, M, 1, j_max)
-        x, w = gauss_hermite_norm(400)
-        lo, hi = params.p_lo, params.cutoff
-        with mp.workdps(30):
-            h = mp.psi(0, hi + 1) - mp.psi(0, lo)
-            const = mp.loggamma(hi + 1) - mp.loggamma(lo)
-            ref = mp.mpc(0)
-            for xk, wk in zip(x, w):
-                z = -1j * mp.mpc(lam) * mp.mpf(xk)
-                ref += mp.mpf(wk) * (mp.exp(z * h + const - mp.loggamma(hi + 1 + z) + mp.loggamma(lo + z)) - 1)
-            ref += 1
-        assert abs(z_sigma_quadrature(params, 400) - complex(ref)) <= np.spacing(1.0)
+        assert abs(z_sigma_quadrature(params, 400) - mpmath_full_window_z(lam, M, j_max)) <= np.spacing(1.0)
+
+    @pytest.mark.parametrize("lam, M, j_max", [(0.5, 10, 6), (0.3, 100, 3), (0.45 + 0.2j, 100, 2)])
+    def test_kept_rules_match_mpmath_full_window(self, lam, M, j_max):
+        # the nodes the oracle leaves out do not move Z off the whole rule's
+        z = z_reliable(ModelParams(lam, M, 1, j_max), 200)[0]
+        assert abs(z - mpmath_full_window_z(lam, M, j_max)) <= np.spacing(1.0)
 
     @pytest.mark.parametrize(
         "lam, M, j_max",
@@ -84,14 +131,16 @@ class TestPartitionFunction:
         ids=["real-M10", "real-M100", "complex-M100", "complex-long-slice", "free"],
     )
     def test_doubling_shares_one_sweep(self, lam, M, j_max):
-        # both rules take one kernel sweep per slice; the doubled rule holds
-        # the largest node, so its long-window split and its Z are those of
-        # its own quadrature, while the smaller rule's Z moves at rounding
+        # both kept rules take one kernel sweep per slice; the doubled rule
+        # holds the largest node, so its long-window split and its Z are
+        # those of its own kept rule, while the smaller rule's Z moves at
+        # rounding.  The whole doubled rule stays the independent reference
         params = ModelParams(lam, M, 1, j_max)
         z, delta, _ = z_reliable(params, 200)
-        a, b = z_sigma_quadrature(params, 200), z_sigma_quadrature(params, 400)
+        a, b = (rule_z(params, x, w) for x, w in kept_rules(params, 200))
         assert z == b
         assert abs(delta - abs(a - b)) <= 1e-16
+        assert abs(z - z_sigma_quadrature(params, 400)) <= np.spacing(1.0)
 
     def test_node_doubling_stability(self):
         assert z_reliable(ModelParams(0.2, 2, 1, 3), 200)[1] < 1e-10
@@ -116,6 +165,85 @@ class TestPartitionFunction:
                 z = z_sigma_quadrature(ModelParams(float(lam), M, jmin, jmax), 300)
                 values.append(abs(z))
         assert min(values) > 0.5
+
+
+class TestKeptRules:
+    CONFIGS = [(0.5, 10, 6), (0.3, 100, 3), (0.45 + 0.2j, 100, 2), (0.25 - 0.08j, 16, 2), (-0.26 + 0.07j, 16, 2), (0.3 - 0.02j, 10**8, 2)]
+    IDS = ["real-M10", "real-M100", "complex-M100", "complex-long-slice", "scan", "all-tail"]
+
+    @pytest.mark.parametrize("lam, M, j_max", CONFIGS, ids=IDS)
+    @pytest.mark.parametrize("nodes", [100, 200])
+    def test_left_out_nodes_move_z_below_prune(self, lam, M, j_max, nodes):
+        # each rule leaves out the same number of nodes at both ends, whose
+        # weights times the integrand bound sum to less than PRUNE, and the
+        # doubled rule keeps a node as far out as any the other keeps
+        params = ModelParams(lam, M, 1, j_max)
+        rate = growth_rate(lam, params.p_lo, params.cutoff)
+        kept = kept_rules(params, nodes)
+        for (x, w), (x_kept, w_kept) in zip((gauss_hermite_norm(nodes), gauss_hermite_norm(2 * nodes)), kept):
+            cut = (len(x) - len(x_kept)) // 2
+            assert cut > 0
+            assert np.array_equal(x_kept, x[cut : len(x) - cut]) and np.array_equal(w_kept, w[cut : len(x) - cut])
+            out = np.r_[: cut, len(x) - cut : len(x)]
+            assert math.fsum(w[out] * (1.0 + np.exp(rate * np.abs(x[out])))) < PRUNE
+        assert kept[1][0][-1] >= kept[0][0][-1]
+
+    @pytest.mark.parametrize("lam", [0.2, -0.4, 0.05])
+    def test_real_coupling_keeps_im_log_z_at_rounding(self, lam):
+        # the kept rules stay mirror-symmetric
+        params = ModelParams(lam, 16, 1, 2)
+        for x, w in kept_rules(params, 200):
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(cmath.log(z_reliable(params, 200)[0]).imag) <= np.spacing(1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5j, 0.2 + 0.5j, 0.5 * cmath.exp(0.9j)], ids=["zero", "0.5i", "0.2+0.5i", "phase-0.9"])
+    def test_no_rate_sweeps_whole_rules(self, lam):
+        # where |Re lam| <= |Im lam| no node is left out, and Z, the delta
+        # and the verdict are bit for bit those of the whole rules
+        params = ModelParams(lam, 2, 1, 3)
+        for (x, w), (x_kept, w_kept) in zip((gauss_hermite_norm(200), gauss_hermite_norm(400)), kept_rules(params, 200)):
+            assert np.array_equal(x_kept, x) and np.array_equal(w_kept, w)
+        assert repr(z_reliable(params, 200)) == repr(whole_rule_z_reliable(params, 200))
+
+
+class TestGrowthRate:
+    # slice windows at |sigma| <= 60 and |lam| <= 10 on the three kernel
+    # routes: short ([1, 1], [4, 7], [1, 99]), a head with or without a tail
+    # ([16, 255], [1000, 999999]) and all tail ([10^8, 10^16 - 1], [2^59, 2^60 - 1])
+    WINDOWS = [slice_range(M, j) for M, j in [(2, 1), (2, 3), (100, 1), (16, 2), (1000, 2), (10**8, 2), (2, 60)]]
+
+    @staticmethod
+    def route(lam, sl, reach_sigma):
+        if sl.hi - sl.lo + 1 <= numerics.DIRECT_SUM_LIMIT:
+            return "short"
+        split = math.ceil(2.0 * abs(lam) * reach_sigma)
+        return "tail" if split <= sl.lo else "head+tail" if split <= sl.hi else "head"
+
+    def test_bounds_each_slice_kernel(self):
+        # log |1 + W| <= rate |sigma| wherever growth_rate gives a rate, over
+        # couplings of every phase; a kernel past the float range needs a
+        # bound past it too
+        rng = np.random.default_rng(35)
+        sigma = np.linspace(-60.0, 60.0, 241)
+        log_max = math.log(sys.float_info.max)
+        routes, bounded = set(), 0
+        for _ in range(600):
+            lam = 10.0 ** rng.uniform(-2.0, 1.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            for sl in self.WINDOWS:
+                rate = growth_rate(lam, sl.lo, sl.hi)
+                if math.isinf(rate):
+                    assert abs(lam.real) <= abs(lam.imag)
+                    continue
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    log_mod = np.log(np.abs(1.0 + numerics.kernel_bundle(lam, sl.lo, sl.hi, 0, sigma)[0]))
+                bound = rate * np.abs(sigma)
+                past = np.isnan(log_mod) | (log_mod == math.inf)
+                assert np.all(log_mod[~past] <= bound[~past] + 1e-15)
+                assert np.all(bound[past] > log_max)
+                routes.add(self.route(lam, sl, 60.0))
+                bounded += 1
+        assert bounded > 1000
+        assert {"short", "head+tail", "tail"} <= routes
 
 
 class TestLogOracle:
