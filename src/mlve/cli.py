@@ -27,9 +27,9 @@ import cmath
 import csv
 import json
 import math
+import os
 import sys
 from functools import cache
-from pathlib import Path
 
 SCHEMA_VERSION = 2
 # math.exp(x) is finite exactly for x below this
@@ -55,11 +55,11 @@ def load_config(path: str | None) -> dict:
     }
     if path is None:
         return defaults
-    p = Path(path)
-    if not p.is_file():
+    if not os.path.isfile(path):
         _fail_usage(f"config file not found: {path}")
     try:
-        loaded = json.loads(p.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
     except ValueError as exc:  # also an integer past Python's digit limit
         _fail_usage(f"config is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
@@ -104,26 +104,35 @@ def _int_setting(cfg, key: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
-def _out_path(args) -> Path:
-    """--out as a path; a usage error when it, or the nearest part of it
-    that exists, is not a directory.  Creates nothing."""
-    out = Path(args.out)
-    for part in (out, *out.parents):
-        if part.exists():
-            if not part.is_dir():
-                _fail_usage(f"--out {args.out}: {part} is not a directory")
+def _out_path(args) -> None:
+    """A usage error when --out, or the nearest part of it that exists, is
+    not a directory.  Creates nothing.  The parts are named as pathlib
+    names them: a POSIX root, then the components that are neither empty
+    nor ".", and "." for none."""
+    out = args.out
+    root = "//" if out[:2] == "//" and out[2:3] != "/" else "/" if out[:1] == "/" else ""
+    names = [name for name in out.split("/") if name not in ("", ".")]
+    for end in range(len(names), -1, -1):
+        part = root + "/".join(names[:end]) or "."
+        if os.path.exists(part):
+            if not os.path.isdir(part):
+                _fail_usage(f"--out {out}: {part} is not a directory")
             break
-    return out
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args) -> str:
     """The --out directory, created with its parents if absent."""
-    out = Path(args.out)
+    out = args.out or "."
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
     except OSError as exc:
         _fail_usage(f"--out {args.out}: {exc.strerror or exc}")
     return out
+
+
+def _write_json(path: str, record: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
 
 
 def cmd_compare(args) -> int:
@@ -173,7 +182,7 @@ def cmd_compare(args) -> int:
         sums.append(running)
         rows.append((n, running.real, running.imag, abs(running - ref)))
 
-    with (out / "orders.csv").open("w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(out, "orders.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "partial_sum_re", "partial_sum_im", "abs_error_vs_oracle"])
         for row in rows:
@@ -190,9 +199,9 @@ def cmd_compare(args) -> int:
         "partial_sums": [[s.real, s.imag] for s in sums],
         "abs_errors": [row[3] for row in rows],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write_json(os.path.join(out, "summary.json"), summary)
     if args.trace:
-        with (out / "trace.jsonl").open("w", encoding="utf-8") as fh:
+        with open(os.path.join(out, "trace.jsonl"), "w", encoding="utf-8") as fh:
             for rec in trace_rows:
                 fh.write(json.dumps(rec) + "\n")
     print(f"log Z oracle = {ref:.12g}")
@@ -280,7 +289,7 @@ def cmd_oracle(args) -> int:
         "reliable": reliable,
         "logZ": None if logz is None else [logz.real, logz.imag],
     }
-    (out / "oracle.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    _write_json(os.path.join(out, "oracle.json"), record)
     print(json.dumps(record, indent=2))
     return 0 if reliable else 1
 
@@ -294,14 +303,14 @@ def cmd_verify_bounds(args) -> int:
         _fail_usage(f"--q-max must be >= 1, got {args.q_max}")
     out = _out_dir(args)
     rows = bounds.stirling_chain_check(range(1, args.q_max + 1))
-    with (out / "stirling_chain.csv").open("w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(out, "stirling_chain.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "log_lhs", "log_rhs", "margin"])
         for r in rows:
             writer.writerow([r.q, f"{r.log_lhs:.15e}", f"{r.log_rhs:.15e}", f"{r.margin:.15e}"])
     bad = [r for r in rows if not r.ok]
     thr = bounds.m_threshold_check(args.M, range(1, args.q_max + 1))
-    with (out / "m_threshold.csv").open("w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(out, "m_threshold.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["q", "value", "ok"])
         for r in thr:
@@ -329,8 +338,8 @@ def cmd_domain_map(args) -> int:
             last = math.inf
         if not math.isfinite(last):
             _fail_usage(f"--{axis}-min {lo!r} and --{axis}-max {hi!r} give no finite grid of {res} points")
-    out = _out_dir(args)
-    with (out / "domain_map.csv").open("w", newline="", encoding="utf-8") as fh:
+    path = os.path.join(_out_dir(args), "domain_map.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_g", "im_g", "inside"])
         for i in range(res):
@@ -338,7 +347,7 @@ def cmd_domain_map(args) -> int:
             for j in range(res):
                 im = args.im_min + (args.im_max - args.im_min) * j / (res - 1)
                 writer.writerow([f"{re:.17g}", f"{im:.17g}", int(borel_domain(g=complex(re, im)).inside)])
-    print(f"domain map: {res * res} points -> {out / 'domain_map.csv'}")
+    print(f"domain map: {res * res} points -> {path}")
     return 0
 
 
@@ -357,11 +366,11 @@ def cmd_mayer(args) -> int:
 
     if args.n_max < 1:
         _fail_usage(f"--n-max must be >= 1, got {args.n_max}")
-    path = Path(args.gas)
-    if not path.is_file():
+    if not os.path.isfile(args.gas):
         _fail_usage(f"gas file not found: {args.gas}")
     try:
-        spec = json.loads(path.read_text(encoding="utf-8"))
+        with open(args.gas, encoding="utf-8") as fh:
+            spec = json.load(fh)
         monomers = _monomer_set(spec["monomers"], "monomers")
         acts = {}
         for entry in spec["activities"]:
@@ -393,7 +402,7 @@ def cmd_mayer(args) -> int:
         "abs_error": abs(cmath.rect(math.e**total.real, total.imag) - direct),
     }
     out = _out_dir(args)
-    (out / "mayer.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    _write_json(os.path.join(out, "mayer.json"), record)
     print(json.dumps(record, indent=2))
     return 0
 

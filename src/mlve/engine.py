@@ -49,13 +49,14 @@ blocks of j = 1..4 through n = 4.
 The blocks read the kernels only through d^q W_j on the grid, and a
 block of order n has at most n vertices, one per slice, so no tree
 degree passes q = min(slice count, BLOCK_BUDGET, n_max) - 1, with n_max
-the highest order the evaluator sums.  ``dw_grid`` returns the whole
-stack d^0 W_j .. d^q W_j from one kernel sweep, each row equal to a
-single-order call, and the evaluator keeps its spectra per slice: the
-first block that reaches a slice sweeps it, and every later block only
-picks rows; a block with a tree degree past q is refused.  A compare
-makes one sweep per slice of its window: 3 at the default config and 8
-at j = 1..8, each of n_max rows at most.
+the highest order the evaluator sums.  ``dw_grid`` returns the stacks
+d^0 W_j .. d^q W_j of a list of slices from one kernel call, each row
+equal to a single-order call on its slice alone, and the evaluator keeps
+its spectra per slice: its first block sweeps every slice of the window
+in one call and transforms the stack with one FFT, and every later
+block only picks rows; a block with a tree degree past q is refused.  A
+compare makes one such call, at the default config and at j = 1..8
+alike, each slice's stack of n_max rows at most.
 
 The lifted Y of the Fermionic factor is the path-minimum matrix of the
 jungle's union forest, its Bosonic and Fermionic edges together, with
@@ -383,19 +384,23 @@ class TermEvaluator:
         """(j_a, d_a) for each local vertex a: its slice, and its tree
         degree, the row of that slice's spectra that it reads.
 
-        A slice's first block sweeps d^0 W_j .. d^q W_j in one ``dw_grid``
-        call and keeps their spectra on SIGMA_GRID, with q the largest tree
-        degree of a block the evaluator sums.  Every block evaluation starts
-        here, so this is where a block past BLOCK_BUDGET, or with a tree
-        degree past q, is refused: no row past q is ever read."""
+        The evaluator's first block sweeps d^0 W_j .. d^q W_j of every
+        slice of the window in one ``dw_grid`` call and keeps their spectra
+        on SIGMA_GRID, by slice, with q the largest tree degree of a block
+        the evaluator sums; every slice has a block of one vertex, so no
+        row goes unread.  Every block evaluation starts here, so this is
+        where a block past BLOCK_BUDGET, or with a tree degree past q, is
+        refused: no row past q is ever read."""
         if len(js) > BLOCK_BUDGET:
             raise BudgetExceededError(f"block size {len(js)} > {BLOCK_BUDGET}")
         degrees = _degrees(len(js), edges)
         if max(degrees) > self._top:
             raise BudgetExceededError(f"tree degree {max(degrees)} > {self._top}, the last kernel row swept")
         for j in js:
-            if j not in self._spectra:
-                self._spectra[j] = np.fft.fft(dw_grid(self.params, j, self._top, SIGMA_GRID), axis=-1)
+            self.params.slice_set(j)  # a ValueError for a slice outside the window
+        if not self._spectra:
+            window = self.params.slices
+            self._spectra = dict(zip(window, np.fft.fft(dw_grid(self.params, window, self._top, SIGMA_GRID), axis=-1)))
         return list(zip(js, degrees))
 
     def _singleton(self, j, d, i, layers) -> np.ndarray:

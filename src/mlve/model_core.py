@@ -12,8 +12,8 @@ any small order; they follow from the closed forms for the derivatives
 of -V_j by the Leibniz recurrence of E' = (-V)' E, E = exp(-V_j).
 
 ``dw_grid`` is the one route for these quantities: it evaluates the
-stack d^0 W_j .. d^q W_j on numpy arrays from one
-``numerics.kernel_bundle`` sweep (past the head of a long slice, one
+stacks d^0 W_j .. d^q W_j of a list of slices on numpy arrays from one
+``numerics.kernel_bundle`` call (past the head of a long slice, one
 power series for -V, differentiated termwise).  The scalar compensated
 sums and the Faa di Bruno partition sum it is checked against, one sigma
 at a time, are in the tests.
@@ -94,19 +94,22 @@ class ModelParams:
         return slice_range(self.M, j)
 
 
-def dw_grid(params: ModelParams, j: int, q: int, sigma: np.ndarray) -> np.ndarray:
-    """d^0 W_j, ..., d^q W_j on a grid of sigma values, shape
-    (q + 1, *sigma.shape), from one ``kernel_bundle`` sweep.  E = 1 + W =
-    exp(-V) solves E' = (-V)' E, so by Leibniz's rule
+def dw_grid(params: ModelParams, js, q: int, sigma: np.ndarray) -> np.ndarray:
+    """d^0 W_j, ..., d^q W_j for every slice j of ``js`` on a grid of sigma
+    values, shape (len(js), q + 1, *sigma.shape), from one
+    ``kernel_bundle`` call.  E = 1 + W = exp(-V) solves E' = (-V)' E, so
+    by Leibniz's rule
 
         d^q E = sum_(k<q) C(q-1, k) d^(k+1)(-V) d^(q-1-k) E,   q >= 1.
 
     Row q reads only the rows below it, and every derivative order of the
-    sweep accumulates on its own, so row k is the same for every q >= k."""
-    sl = params.slice_set(j)
-    w, dv = numerics.kernel_bundle(complex(params.lam), sl.lo, sl.hi, q, sigma)
+    sweep accumulates on its own, so row k is the same for every q >= k;
+    every step is elementwise, so the rows of a slice are the same for
+    every js that holds it."""
+    windows = [(sl.lo, sl.hi) for sl in map(params.slice_set, js)]
+    w, dv = numerics.kernel_bundle(complex(params.lam), windows, q, sigma)
     rows = [1.0 + w]
     for order in range(1, q + 1):
         rows.append(sum(math.comb(order - 1, k) * dv[k + 1] * rows[order - 1 - k] for k in range(order)))
     rows[0] = w  # d^q E = d^q W for q >= 1
-    return np.stack(rows)
+    return np.stack(rows, axis=1)

@@ -2,7 +2,8 @@
 
 ``kernel_bundle`` is the one grid routine for the slice kernel
 W = exp(-V) - 1 and its sigma-derivatives d^k(-V); the jungle terms and
-the quadrature Z both call it.  It sweeps a short index window term by
+the quadrature Z both call it, once for all the slices of their window,
+which it returns stacked.  It sweeps a short index window term by
 term.  A window longer than ``DIRECT_SUM_LIMIT`` is swept only over its
 head, up to twice the largest |lambda sigma|; past that, -V is one power
 series in x = i lambda sigma, differentiated termwise for d^k(-V).  Its
@@ -94,7 +95,9 @@ def _inverse_power_sum(lo: int, hi: int, k: int) -> float:
 _SERIES_TOL = 2.0**-57
 
 
-@lru_cache(maxsize=None)
+# keyed on a float ratio, so bounded: a scan over |lambda| adds keys
+# without end, and a pass of the benchmark's scan uses 16
+@lru_cache(maxsize=256)
 def _series_top(k: int, rho: float) -> int:
     """Highest power of the k-th x-derivative of the -V series at the ratio
     rho = max|x| / s: the least top such that the term bounds past it sum
@@ -152,17 +155,21 @@ def _tail_series(lo: int, hi: int, x: np.ndarray, max_k: int, rho: float) -> lis
     return out
 
 
-def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
-    """W = exp(-V) - 1 and the derivatives d^k(-V), k = 1..max_k, in one pass.
+def kernel_bundle(lam: complex, windows, max_k: int, sigma):
+    """W = exp(-V) - 1 and the derivatives d^k(-V), k = 1..max_k, of every
+    slice in ``windows``, a sequence of index ranges (lo, hi), in one call:
+    W and each d^k(-V) are stacked by slice, with shape
+    (len(windows), *sigma.shape).
 
     The only grid route for these quantities: the engine's kernel tables
-    and the oracle's integrand 1 + W both come from here.  A complex sweep
-    over p accumulates the product form of exp(-V) together with all the
-    inverse-power sums.  A window longer than ``DIRECT_SUM_LIMIT`` is swept
-    only over its head [lo, s), s = max(lo, ceil(2 max |lam sigma|)) capped
-    at hi + 1, where an infinite or NaN bound also sweeps the whole window;
-    over a nonempty tail [s, hi], -V and its x-derivatives come from
-    ``_tail_series`` in x = i lam sigma, each row summed as far as the ratio
+    and the oracle's integrand 1 + W both come from here.  For each slice
+    a complex sweep over p accumulates the product form of exp(-V)
+    together with all the inverse-power sums.  A window longer than
+    ``DIRECT_SUM_LIMIT`` is swept only over its head [lo, s),
+    s = max(lo, ceil(2 max |lam sigma|)) capped at hi + 1, where an
+    infinite or NaN bound also sweeps the whole window; over a nonempty
+    tail [s, hi], -V and its x-derivatives come from ``_tail_series`` in
+    x = i lam sigma, each row summed as far as the ratio
     rho = max |lam sigma| / s <= 1/2 needs, and enter d^k(-V) with the
     chain-rule factor (i lam)^k.  The split and the lengths both read the
     largest |sigma| alone.  On every window
@@ -173,34 +180,45 @@ def kernel_bundle(lam: complex, lo: int, hi: int, max_k: int, sigma):
     steps -z0 prod/(p + z0) and keeps its digits where prod is near 1: W
     is free of cancellation at small V.  Real and complex couplings take
     the same route.
+
+    z0 and the largest |z0| are computed once for all the slices, and the
+    closing expm1, product and derivative assembly runs once on the
+    stacks of their sweeps.  Every step is elementwise, so each row equals
+    the call on its slice alone, bit for bit.
     """
     lam = complex(lam)
     sigma_c = np.asarray(sigma, dtype=complex)
     z0 = -1j * lam * sigma_c
-    split = hi + 1
-    if hi - lo + 1 > DIRECT_SUM_LIMIT:
-        reach = float(np.abs(z0).max(initial=0.0))
-        if 2.0 * reach < hi + 1:  # False for an infinite or NaN reach
+    reach = float(np.abs(z0).max(initial=0.0))
+    shape = (len(windows), *sigma_c.shape)
+    prod = np.ones(shape, dtype=complex)
+    prod_m1 = np.zeros(shape, dtype=complex)  # prod - 1, summed over the steps of prod
+    sums = np.zeros((max_k, *shape), dtype=complex)  # sums[k - 1] for k = 1..max_k
+    tails = np.zeros((max_k + 1, *shape), dtype=complex)  # V_tail = 0 on a window that is all head
+    harmonic = np.empty(len(windows))
+    for i, (lo, hi) in enumerate(windows):
+        split = hi + 1
+        if hi - lo + 1 > DIRECT_SUM_LIMIT and 2.0 * reach < hi + 1:  # False for an infinite or NaN reach
             split = max(lo, math.ceil(2.0 * reach))
-    prod = np.ones_like(sigma_c)
-    prod_m1 = np.zeros_like(sigma_c)  # prod - 1, summed over the steps of prod
-    sums = {k: np.zeros_like(sigma_c) for k in range(1, max_k + 1)}
-    for p in range(split - 1, lo - 1, -1):
-        r = 1.0 / (p + z0)
-        prod_m1 = prod_m1 - z0 * r * prod
-        prod = prod * (p * r)
-        if max_k >= 1:
-            sums[1] = sums[1] + r / p
-        rk = r
-        for k in range(2, max_k + 1):
-            rk = rk * r
-            sums[k] = sums[k] + rk
-    head = z0 * harmonic_range_sum(lo, split - 1)
-    tail = _tail_series(split, hi, -z0, max_k, reach / split) if split <= hi else [0.0] * (max_k + 1)
-    w = np.expm1(head + tail[0]) * prod + prod_m1
+        prod_i, prod_m1_i, sums_i = prod[i], prod_m1[i], list(sums[:, i])
+        for p in range(split - 1, lo - 1, -1):
+            r = 1.0 / (p + z0)
+            prod_m1_i -= z0 * r * prod_i
+            prod_i *= p * r
+            if max_k >= 1:
+                sums_i[0] += r / p
+            rk = r
+            for k in range(2, max_k + 1):
+                rk = rk * r
+                sums_i[k - 1] += rk
+        harmonic[i] = harmonic_range_sum(lo, split - 1)
+        if split <= hi:
+            tails[:, i] = _tail_series(split, hi, -z0, max_k, reach / split)
+    head = z0 * harmonic.reshape(-1, *(1,) * z0.ndim)
+    w = np.expm1(head + tails[0]) * prod + prod_m1
     dv = {}
     if max_k >= 1:
-        dv[1] = -(lam**2) * sigma_c * sums[1] + 1j * lam * tail[1]
+        dv[1] = -(lam**2) * sigma_c * sums[0] + 1j * lam * tails[1]
     for k in range(2, max_k + 1):
-        dv[k] = (1j * lam) ** k * (math.factorial(k - 1) * sums[k] + tail[k])
+        dv[k] = (1j * lam) ** k * (math.factorial(k - 1) * sums[k - 1] + tails[k])
     return w, dv

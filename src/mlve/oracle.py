@@ -11,8 +11,9 @@ quadrature integrates the slice product, so each factor takes the
 accurate route of its own window.  Gauss-Hermite quadrature of moderate
 order nails it to machine precision at desk scale; reliability is
 defined operationally by node doubling, with the rule and its doubled
-rule evaluated in one kernel sweep per slice over their joined nodes;
-``checked_logz`` is the one rule for when Z has a log.  The sweep skips
+rule evaluated over their joined nodes in one kernel call, which sweeps
+every slice; ``checked_logz`` is the one rule for when Z has a log.  The
+sweep skips
 the outer nodes of each rule whose weights times a proven bound on the
 integrand (``growth_rate``) sum to less than ``PRUNE``, far below the
 rounding of any Z that has a log; where no bound holds it sweeps them
@@ -86,16 +87,16 @@ def gauss_hermite_norm(nodes: int):
 
 
 def _slice_product_m1(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """prod_j (1 + W_j) - 1 at the nodes x, accumulated as acc + W + acc W.
+    """prod_j (1 + W_j) - 1 at the nodes x, accumulated as acc + W + acc W
+    over the slices' rows of one kernel call.
 
     The weights of a rule sum to 1 only up to a few ulps, so the rules
     integrate this and add 1: the error of 1 - sum w would otherwise enter
     log Z at every coupling.
     """
+    windows = [(sl.lo, sl.hi) for sl in map(params.slice_set, params.slices)]
     acc = np.zeros_like(x, dtype=complex)
-    for j in params.slices:
-        sl = params.slice_set(j)
-        wj = numerics.kernel_bundle(params.lam, sl.lo, sl.hi, 0, x)[0]
+    for wj in numerics.kernel_bundle(params.lam, windows, 0, x)[0]:
         acc += wj + acc * wj
     return acc
 
@@ -172,8 +173,8 @@ def kept_rules(params: ModelParams, nodes: int) -> tuple[tuple[np.ndarray, np.nd
 def z_reliable(params: ModelParams, nodes: int = DEFAULT_NODES) -> tuple[complex, float, bool]:
     """Value at 2*nodes, the doubling delta, and the reliability verdict.
 
-    Both rules, cut to their ``kept_rules``, take one kernel sweep per
-    slice over their joined nodes; the nodes a rule leaves out would
+    Both rules, cut to their ``kept_rules``, take one kernel call over
+    their joined nodes, one sweep per slice; the nodes a rule leaves out would
     move its Z by less than ``PRUNE`` in all.  The doubled rule holds the
     largest node, so a long window splits, and sizes its tail series,
     where it would for that kept rule alone, and its Z equals that rule's

@@ -31,6 +31,7 @@ from mlve.combinatorics import (
 from mlve.grassmann import grassmann_minor, hardcore_violated, lifted_y_matrix, slice_delta_violated
 from mlve.interpolation import min_over_paths, ordering_cell
 from mlve.model_core import ModelParams, dw_grid
+from mlve.numerics import kernel_bundle
 from mlve.oracle import MIN_NODES, _slice_product_m1, gauss_hermite_norm, logz_series_g
 
 
@@ -81,6 +82,19 @@ def count_trees_with_degrees(degrees) -> int:
     return math.factorial(len(degrees) - 2) // math.prod(math.factorial(d - 1) for d in degrees)
 
 
+def kernel_slice(lam, lo, hi, max_k, sigma):
+    """``numerics.kernel_bundle`` on the one slice [lo, hi]: W and the
+    d^k(-V), each of the shape of sigma."""
+    w, dv = kernel_bundle(lam, [(lo, hi)], max_k, sigma)
+    return w[0], {k: v[0] for k, v in dv.items()}
+
+
+def dw_slice(params, j, q, sigma):
+    """``model_core.dw_grid`` on the one slice j: d^0 W_j .. d^q W_j, shape
+    (q + 1, *sigma.shape)."""
+    return dw_grid(params, [j], q, sigma)[0]
+
+
 def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     """E[prod_a (d^(d_a) W_(j_a))(sigma_a)] at one interpolation point: the
     pointwise oracle of the engine's batched block integrals.
@@ -88,7 +102,7 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     block lists global vertex ids; tree_edges must span it; d_a is the
     tree degree (0 for a singleton).  sigma has the centered Gaussian law
     with covariance X restricted to the block.  Each vertex's kernel row
-    comes from its own single-order ``dw_grid`` call on the engine's
+    comes from its own single-order ``dw_slice`` call on the engine's
     current SIGMA_GRID, and the layers are walked here at the one point,
     with their multipliers computed from its levels: every merge returns
     to Fourier space, and the last smoothed spectrum is read at sigma = 0
@@ -101,7 +115,7 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     local = {v: i for i, v in enumerate(verts)}
     edges = [norm_edge(local[u], local[v]) for u, v in tree_edges]
     grid = mlve.engine.SIGMA_GRID
-    rows = [dw_grid(params, slices[v], d, grid)[d] for v, d in zip(verts, _degrees(len(verts), edges))]
+    rows = [dw_slice(params, slices[v], d, grid)[d] for v, d in zip(verts, _degrees(len(verts), edges))]
     cell = sorted(zip(edges, (weights[e] for e in tree_edges)), key=lambda ew: -ew[1])
     half_k2, phase = mlve.engine._grid_constants(grid.size, grid[1] - grid[0])
     bounds = [1.0, *(float(w) for _, w in cell), 0.0]

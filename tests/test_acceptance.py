@@ -19,6 +19,7 @@ from conftest import (
     berezin_integral,
     check_minor_bound,
     count_trees_with_degrees,
+    dw_slice,
     exp_neg_bilinear,
     forest_formula_eval,
     monomial_element,
@@ -36,7 +37,7 @@ from mlve.combinatorics import (
     two_level_tree_bound,
 )
 from mlve.engine import TermEvaluator
-from mlve.model_core import ModelParams, dw_grid
+from mlve.model_core import ModelParams
 from mlve.oracle import gauss_hermite_norm
 
 
@@ -68,7 +69,7 @@ def test_criterion_01_oracle_agreement():
         # expansion converges to log Z only with this orientation (see the
         # decisions ledger on the sign bookkeeping).
         x, w = gauss_hermite_norm(400)
-        s1_direct = sum(complex(np.sum(w * dw_grid(params, j, 0, x)[0])) for j in params.slices)
+        s1_direct = sum(complex(np.sum(w * dw_slice(params, j, 0, x)[0])) for j in params.slices)
         assert abs(partial_sums[0] - s1_direct) < 1e-8
 
         elapsed = time.time() - t0

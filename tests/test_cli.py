@@ -317,21 +317,21 @@ class TestCompare:
         assert max(sum(rec["n"] == 3 and rec["class"] == c for rec in recs) for c in range(3)) == 2
 
     def test_kernel_rows_stop_at_n_max(self, tmp_path, monkeypatch):
-        # blocks of order <= 2 read d^0 W_j and d^1 W_j only, so each slice
-        # is swept at q = 1
+        # blocks of order <= 2 read d^0 W_j and d^1 W_j only, so the one
+        # sweep of the window stops at q = 1
         from mlve import engine
 
         sweeps = []
         sweep = engine.dw_grid
 
-        def counted(params, j, q, sigma):
-            sweeps.append((j, q))
-            return sweep(params, j, q, sigma)
+        def counted(params, js, q, sigma):
+            sweeps.append((tuple(js), q))
+            return sweep(params, js, q, sigma)
 
         monkeypatch.setattr(engine, "dw_grid", counted)
         cfg = write_config(tmp_path, j_max=3, n_max=2)
         assert run_cli(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert sorted(sweeps) == [(1, 1), (2, 1), (3, 1)]
+        assert sweeps == [((1, 2, 3), 1)]
 
     def test_order_five_at_the_default_config(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -750,6 +750,19 @@ class TestOutPath:
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("error: --out ")
         assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+    @pytest.mark.parametrize("out", ["taken/sub", "./taken//sub/"])
+    def test_relative_out_under_a_file_names_the_file(self, tmp_path, capsys, monkeypatch, out):
+        # the message names the nearest part that exists, as given but
+        # without empty or "." components
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        (tmp_path / "taken").write_text("kept\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["compare", "--config", str(cfg), "--out", out])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == f"error: --out {out}: taken is not a directory\n"
 
 
 class TestDispatch:

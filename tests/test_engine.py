@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlve.engine
-from conftest import bosonic_block_value, fermionic_factor_brute, random_spanning_jungle
+from conftest import bosonic_block_value, dw_slice, fermionic_factor_brute, random_spanning_jungle
 from mlve.combinatorics import (
     Forest,
     Jungle,
@@ -24,7 +24,7 @@ from mlve.engine import TermEvaluator, fermionic_weight_integral
 from mlve.errors import BudgetExceededError
 from mlve.grassmann import fermionic_factor, hardcore_violated, slice_delta_violated
 from mlve.interpolation import min_over_paths, ordering_cell
-from mlve.model_core import ModelParams, dw_grid
+from mlve.model_core import ModelParams
 from mlve.oracle import gauss_hermite_norm
 
 # coarse but converged weight quadrature for unit tests; the acceptance
@@ -42,7 +42,7 @@ def orders_and_sums(params, n_max, gl_nodes=12):
 def gh_expectation(params, j, q, nodes=200):
     """Independent 1-D quadrature of E[d^q W_j]."""
     x, w = gauss_hermite_norm(nodes)
-    return complex(np.sum(w * dw_grid(params, j, q, x)[q]))
+    return complex(np.sum(w * dw_slice(params, j, q, x)[q]))
 
 
 def gh_block_expectation(X, edges, js, params, nodes=80):
@@ -69,7 +69,7 @@ def gh_block_expectation(X, edges, js, params, nodes=80):
     sigma = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ pts
     integrand = np.ones(pts.shape[1], dtype=complex)
     for a in range(b):
-        integrand = integrand * dw_grid(params, js[a], degrees[a], sigma[a])[degrees[a]]
+        integrand = integrand * dw_slice(params, js[a], degrees[a], sigma[a])[degrees[a]]
     return complex(integrand @ gh_w)
 
 
@@ -147,7 +147,7 @@ class TestBosonicBlockValue:
         # the product of derivatives
         val = bosonic_block_value([0, 1], [(0, 1)], (1, 2), {(0, 1): 1.0}, self.params)
         x, w = gauss_hermite_norm(200)
-        direct = complex(np.sum(w * dw_grid(self.params, 1, 1, x)[1] * dw_grid(self.params, 2, 1, x)[1]))
+        direct = complex(np.sum(w * dw_slice(self.params, 1, 1, x)[1] * dw_slice(self.params, 2, 1, x)[1]))
         assert abs(val - direct) < 1e-9
 
     def test_four_block_factorizes_at_w_zero(self):
@@ -353,21 +353,22 @@ class TestBlockCache:
 class TestKernelTables:
     @pytest.mark.parametrize("j_max", [3, 8])
     def test_one_sweep_per_slice(self, monkeypatch, j_max):
-        # every block reads its kernel rows from one dw_grid sweep per slice
-        # of the window: through order 3 the 9 blocks of the default config
-        # make 3 sweeps, and the 204 blocks at j = 1..8 make 8
+        # every block reads its kernel rows from one sweep per slice, all in
+        # one dw_grid call over the whole window: through order 3 the 9
+        # blocks of the default config and the 204 blocks at j = 1..8 make
+        # one call each
         sweeps = []
         sweep = mlve.engine.dw_grid
 
-        def counted(params, j, q, sigma):
-            sweeps.append((j, q))
-            return sweep(params, j, q, sigma)
+        def counted(params, js, q, sigma):
+            sweeps.append((tuple(js), q))
+            return sweep(params, js, q, sigma)
 
         monkeypatch.setattr(mlve.engine, "dw_grid", counted)
         ev = TermEvaluator(ModelParams(0.2, 2, 1, j_max))
         for n in range(1, 4):
             ev.order_contribution(n)
-        assert sorted(sweeps) == [(j, min(j_max, mlve.engine.BLOCK_BUDGET) - 1) for j in range(1, j_max + 1)]
+        assert sweeps == [(tuple(range(1, j_max + 1)), min(j_max, mlve.engine.BLOCK_BUDGET) - 1)]
 
     @pytest.mark.parametrize("n_max, rows", [(2, 2), (3, 3)])
     def test_rows_stop_at_the_highest_order(self, n_max, rows):
@@ -377,6 +378,12 @@ class TestKernelTables:
         for n in range(1, n_max + 1):
             ev.order_contribution(n)
         assert {j: spectra.shape[0] for j, spectra in ev._spectra.items()} == dict.fromkeys((1, 2, 3), rows)
+
+    def test_a_block_outside_the_window_is_refused(self):
+        # a block on a slice the window does not hold has no kernel rows
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, 3), GL, 2)
+        with pytest.raises(ValueError, match="outside window"):
+            ev.block_integral((3, 4), ((0, 1),))
 
     def test_a_block_past_the_highest_order_is_refused(self):
         # a 3-vertex block has a vertex of tree degree 2, a row the n_max = 2
@@ -539,7 +546,7 @@ class TestOrders:
         # sum_{j<k}(E[W_j W_k] - E[W_j]E[W_k]) - 1/2 sum_j E[W_j]^2
         params = ModelParams(0.35, 2, 1, 2)
         x, w = gauss_hermite_norm(300)
-        W = {j: dw_grid(params, j, 0, x)[0] for j in params.slices}
+        W = {j: dw_slice(params, j, 0, x)[0] for j in params.slices}
         ew = {j: complex(np.sum(w * W[j])) for j in params.slices}
         expect = 0j
         slices = list(params.slices)

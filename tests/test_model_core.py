@@ -14,8 +14,10 @@ from conftest import (
     cexpm1,
     dv_derivative,
     dw_derivative,
+    dw_slice,
     exp_minus_v,
     faa_di_bruno_weight,
+    kernel_slice,
     log2m,
     partition_multiplicities,
     partition_weight_sum,
@@ -327,9 +329,24 @@ class TestInversePowerSums:
         tops = {}
         series_top = numerics._series_top.__wrapped__
         monkeypatch.setattr(numerics, "_series_top", lambda k, rho: tops.setdefault(k, series_top(k, rho)))
-        dw_grid(ModelParams(0.3, 16, 2, 2), 2, 1, SIGMA_GRID)
+        dw_slice(ModelParams(0.3, 16, 2, 2), 2, 1, SIGMA_GRID)
         assert sorted(tops) == [0, 1]
         assert all(top - k + 1 <= 30 for k, top in tops.items()), tops
+
+    def test_series_top_cache_is_bounded(self):
+        # a scan that varies |lambda| adds one key per coupling and row; the
+        # cache keeps at most its bound, and every row length it returns is
+        # the one computed afresh
+        series_top = numerics._series_top
+        series_top.cache_clear()
+        sigma = np.array([-12.0, 0.5, 12.0])
+        rhos = []
+        for lam in np.linspace(0.01, 0.3, 2000):
+            numerics.kernel_bundle(lam, [(16, 255)], 1, sigma)
+            rhos.append(float(np.abs(-1j * complex(lam) * sigma).max()) / 16)
+        info = series_top.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < 2 * len(set(rhos))
+        assert all(series_top(k, rho) == series_top.__wrapped__(k, rho) for rho in rhos for k in (0, 1))
 
 
 class TestGridRoutes:
@@ -340,11 +357,11 @@ class TestGridRoutes:
             for j in (1, 2, 3):
                 ref_e = np.array([exp_minus_v(params, j, s) for s in sigma])
                 sl = params.slice_set(j)
-                got_e = 1.0 + numerics.kernel_bundle(complex(lam), sl.lo, sl.hi, 0, sigma)[0]
+                got_e = 1.0 + kernel_slice(complex(lam), sl.lo, sl.hi, 0, sigma)[0]
                 assert np.abs(got_e - ref_e).max() < 1e-13
                 for q in range(6):
                     ref = np.array([dw_derivative(params, j, q, s) for s in sigma])
-                    got = dw_grid(params, j, q, sigma)[q]
+                    got = dw_slice(params, j, q, sigma)[q]
                     assert np.abs(got - ref).max() < 5e-13
 
     @pytest.mark.parametrize("lam", [0.2, 0.3 + 0.1j])
@@ -356,10 +373,45 @@ class TestGridRoutes:
         params = ModelParams(lam, M, j, j)
         sigma = np.concatenate([SIGMA_GRID, 5.0 * SIGMA_GRID])
         for q in range(6):
-            stack = dw_grid(params, j, q, sigma)
+            stack = dw_slice(params, j, q, sigma)
             assert stack.shape == (q + 1, sigma.size)
             for k in range(q + 1):
-                assert np.array_equal(stack[k], dw_grid(params, j, k, sigma)[k])
+                assert np.array_equal(stack[k], dw_slice(params, j, k, sigma)[k])
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0])
+    @pytest.mark.parametrize("lam", [0.3, 0.2 + 0.1j])
+    @pytest.mark.parametrize(
+        "M, j_min, j_max",
+        [(2, 1, 3), (100, 1, 1), (16, 1, 2), (10**8, 1, 2), (10, 3, 4)],
+        ids=["short", "head-and-tail", "all-tail-or-split", "base-1e8", "j_min-3"],
+    )
+    def test_stacked_rows_equal_single_slice_calls(self, M, j_min, j_max, lam, scale):
+        # each slice's rows of a call over the whole window are the call on
+        # that slice alone, bit for bit: on SIGMA_GRID [16, 255] and
+        # [1e8, 1e16) are all tail and [1, 99] and [1, 1e8) head and tail;
+        # 5 x SIGMA_GRID reaches into the head of [16, 255]
+        params = ModelParams(lam, M, j_min, j_max)
+        sigma = scale * SIGMA_GRID
+        windows = [(sl.lo, sl.hi) for sl in map(params.slice_set, params.slices)]
+        stack = dw_grid(params, params.slices, 3, sigma)
+        w, dv = numerics.kernel_bundle(lam, windows, 3, sigma)
+        assert stack.shape == (len(windows), 4, sigma.size) and w.shape == (len(windows), sigma.size)
+        for i, (j, (lo, hi)) in enumerate(zip(params.slices, windows)):
+            assert stack[i].tobytes() == dw_slice(params, j, 3, sigma).tobytes()
+            w_j, dv_j = kernel_slice(lam, lo, hi, 3, sigma)
+            assert w[i].tobytes() == w_j.tobytes()
+            assert all(dv[k][i].tobytes() == dv_j[k].tobytes() for k in (1, 2, 3))
+
+    def test_stacked_rows_do_not_read_their_neighbours(self):
+        # a call over unrelated windows, in any order, gives each window the
+        # rows of its call alone
+        windows = [(16, 255), (1, 1), (10**8, 10**16 - 1), (2, 3), (1, 99), (16, 255)]
+        sigma = 3.0 * SIGMA_GRID
+        w, dv = numerics.kernel_bundle(0.3 - 0.1j, windows, 2, sigma)
+        for i, (lo, hi) in enumerate(windows):
+            w_j, dv_j = kernel_slice(0.3 - 0.1j, lo, hi, 2, sigma)
+            assert w[i].tobytes() == w_j.tobytes()
+            assert dv[1][i].tobytes() == dv_j[1].tobytes() and dv[2][i].tobytes() == dv_j[2].tobytes()
 
     @pytest.mark.parametrize("lam", [0.25, 0.2 + 0.1j])
     def test_closed_form_route_matches_scalar(self, lam, rng):
@@ -368,7 +420,7 @@ class TestGridRoutes:
         sigma = rng.normal(scale=2.0, size=12)
         j = 8  # window [128, 255], above the direct-sum limit
         sl = params.slice_set(j)
-        w, dv = numerics.kernel_bundle(complex(lam), sl.lo, sl.hi, 3, sigma)
+        w, dv = kernel_slice(complex(lam), sl.lo, sl.hi, 3, sigma)
         for k in (1, 2, 3):
             ref = np.array([dv_derivative(params, j, k, s) for s in sigma])
             assert np.abs(dv[k] - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -379,7 +431,7 @@ class TestGridRoutes:
         # at lam = 1e5 the head of [16, 255] reaches past its last index
         # for sigma != 0: there is no tail, and W is the swept product
         sigma = np.array([0.0, 1.0, 12.0])
-        w, dv = numerics.kernel_bundle(1e5, 16, 255, 1, sigma)
+        w, dv = kernel_slice(1e5, 16, 255, 1, sigma)
         with mp.workdps(30):
             xs = [1j * mp.mpf(1e5) * mp.mpf(float(s)) for s in sigma]
             ref = [complex(mp.fprod(mp.exp(-x / p) / (1 - x / p) for p in range(16, 256)) - 1) for x in xs]
@@ -392,7 +444,7 @@ class TestGridRoutes:
         lam = 0.15 + 0.1j
         params = ModelParams(lam, 100, 1, 1)
         sigma = np.array([-12.0, -11.0, -10.5, -8.0, 3.0])
-        _, dv = numerics.kernel_bundle(lam, 1, 99, 3, sigma)
+        _, dv = kernel_slice(lam, 1, 99, 3, sigma)
         for k in (1, 2, 3):
             ref = np.array([dv_derivative(params, 1, k, s) for s in sigma])
             assert np.abs(dv[k] - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -406,7 +458,7 @@ class TestGridRoutes:
         sigma = SIGMA_GRID[::12]
         for q in range(4):
             ref = _mp_dw_product(lam, 1, 99, q, sigma)
-            got = dw_grid(params, 1, q, sigma)[q]
+            got = dw_slice(params, 1, q, sigma)[q]
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("lam, M, j", [(0.3, 16, 2), (0.2 + 0.1j, 16, 2), (0.25, 2, 8)])
@@ -419,7 +471,7 @@ class TestGridRoutes:
         sigma = SIGMA_GRID[::12]
         for q in range(4):
             ref = _mp_dw_product(lam, sl.lo, sl.hi, q, sigma)
-            got = dw_grid(ModelParams(lam, M, j, j), j, q, sigma)[q]
+            got = dw_slice(ModelParams(lam, M, j, j), j, q, sigma)[q]
             assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
 
     def test_tail_at_half_its_first_index_against_mpmath(self):
@@ -430,7 +482,7 @@ class TestGridRoutes:
         params = ModelParams(0.3, 16, 2, 2)
         for q in range(4):
             ref = _mp_dw_product(0.3, 16, 255, q, sigma)
-            got = dw_grid(params, 2, q, sigma)[q]
+            got = dw_slice(params, 2, q, sigma)[q]
             assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max(), q
 
     @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.1j])
@@ -443,7 +495,7 @@ class TestGridRoutes:
 
         sl = slice_range(M, j)
         sigma = np.array([0.3, 1.0, 3.0, 6.0, 12.0])
-        got = dw_grid(ModelParams(lam, M, j, j), j, 0, sigma)[0]
+        got = dw_slice(ModelParams(lam, M, j, j), j, 0, sigma)[0]
         with mp.workdps(40):
             u = {k: mp.zeta(k, sl.lo) - mp.zeta(k, sl.hi + 1) for k in range(2, 122)}
             for s, value in zip(sigma, got):
@@ -460,7 +512,7 @@ class TestGridRoutes:
 
         sl = slice_range(M, j)
         sigma = np.array([0.05, 0.1, 0.3, 1.0, 3.0, 6.0, 12.0])
-        got = dw_grid(ModelParams(lam, M, j, j), j, 1, sigma)[1]
+        got = dw_slice(ModelParams(lam, M, j, j), j, 1, sigma)[1]
         with mp.workdps(40):
             u = {k: mp.zeta(k, sl.lo) - mp.zeta(k, sl.hi + 1) for k in range(2, 122)}
             for s, value in zip(sigma, got):

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import _series_log1p, perturbative_coefficients, z_sigma_quadrature
+from conftest import _series_log1p, kernel_slice, perturbative_coefficients, z_sigma_quadrature
 from mlve import numerics
 from mlve.errors import QuadratureUnreliableError
 from mlve.model_core import ModelParams, slice_range
@@ -110,7 +110,7 @@ class TestPartitionFunction:
         ]
         for lam, M, jmin, jmax in cases:
             params = ModelParams(lam, M, jmin, jmax)
-            full = 1.0 + numerics.kernel_bundle(lam, params.p_lo, params.cutoff, 0, x)[0]
+            full = 1.0 + kernel_slice(lam, params.p_lo, params.cutoff, 0, x)[0]
             assert abs(complex(np.sum(w * full)) - z_sigma_quadrature(params, 300)) < 1e-12
 
     @pytest.mark.parametrize("lam, M, j_max", [(0.5, 10, 6), (0.3, 100, 3), (0.45 + 0.2j, 100, 2)])
@@ -235,7 +235,7 @@ class TestGrowthRate:
                     assert abs(lam.real) <= abs(lam.imag)
                     continue
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    log_mod = np.log(np.abs(1.0 + numerics.kernel_bundle(lam, sl.lo, sl.hi, 0, sigma)[0]))
+                    log_mod = np.log(np.abs(1.0 + kernel_slice(lam, sl.lo, sl.hi, 0, sigma)[0]))
                 bound = rate * np.abs(sigma)
                 past = np.isnan(log_mod) | (log_mod == math.inf)
                 assert np.all(log_mod[~past] <= bound[~past] + 1e-15)
