@@ -60,6 +60,8 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
+    except OSError as exc:  # a file that exists but cannot be read
+        _fail_usage(f"cannot read config {path}: {exc.strerror or exc}")
     except ValueError as exc:  # also an integer past Python's digit limit
         _fail_usage(f"config is not valid JSON: {exc}")
     if not isinstance(loaded, dict):
@@ -150,6 +152,14 @@ def cmd_compare(args) -> int:
             f"a higher order reaches Bosonic blocks of more than {engine.BLOCK_BUDGET} vertices"
         )
     gl_nodes = _int_setting(cfg, "gl_nodes", 1, engine.MAX_GL_NODES)
+    counts = engine.block_counts(len(params.slices), n_max)
+    seconds = engine.block_seconds(counts, gl_nodes)
+    if seconds > engine.BLOCK_SECONDS_LIMIT:
+        sizes = ", ".join(f"{n} {b}-vertex" for b, n in counts.items())
+        _fail_usage(
+            f"n_max {n_max} over {len(params.slices)} slices needs {sizes} block integrals, about "
+            f"{seconds:.3g} s at {gl_nodes} Gauss-Legendre nodes, past the {engine.BLOCK_SECONDS_LIMIT:g} s limit"
+        )
     nodes = _int_setting(cfg, "oracle_nodes", oracle.MIN_NODES, oracle.MAX_NODES)
     _out_path(args)  # a bad --out costs no quadrature; the directory waits for a reference
     try:
@@ -379,6 +389,8 @@ def cmd_mayer(args) -> int:
                 raise ValueError(f"polymer {entry['polymer']!r} listed twice")
             acts[poly] = _coupling(entry["activity"], f"the activity of polymer {entry['polymer']!r}")
         gas = mayer.PolymerGas(monomers, acts)
+    except OSError as exc:  # a file that exists but cannot be read
+        _fail_usage(f"cannot read gas file {args.gas}: {exc.strerror or exc}")
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _fail_usage(f"malformed gas file {args.gas}: {exc!r}")
     try:

@@ -102,6 +102,7 @@ block integrals through n = 6.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -118,6 +119,15 @@ from .grassmann import fermionic_factor  # noqa: F401
 
 ORDER_BUDGET = 7
 BLOCK_BUDGET = 4
+# Seconds one block integral takes at DEFAULT_GL_NODES, by vertex count
+# b = 1..BLOCK_BUDGET, averaged over every block of a window in one
+# evaluator on a shared 2-core host with one BLAS thread: 0.01-0.04 ms for
+# b <= 2 (200 slices), 0.7-1.1 ms for b = 3 (24 slices) and 34-57 ms for
+# b = 4 (6 slices), which other runs put at 68-99 ms; b = 4 takes the top
+# of that range.  A compare whose blocks would take more than
+# BLOCK_SECONDS_LIMIT at these prices is refused before any work.
+BLOCK_SECONDS = (3e-5, 3e-5, 8e-4, 0.099)
+BLOCK_SECONDS_LIMIT = 60.0
 DEFAULT_GL_NODES = 12
 # The blocks are converged at the default 12 nodes; 24 is that rule doubled,
 # for a node-doubling error estimate.  numpy's leggauss holds an n x n
@@ -144,6 +154,21 @@ MAX_GL_NODES = 24
 # over [-16, 16] the 729-point value is itself 2.0e-12 off and the
 # 243-point value 1.5e-12.
 SIGMA_GRID = np.linspace(-12.0, 12.0, 243)
+
+
+def block_counts(n_slices: int, n_max: int) -> dict:
+    """{b: the distinct blocks of b vertices that orders 1..n_max over
+    n_slices slices integrate}: every block has its own slice on each
+    vertex, so C(n_slices, b) slice sets times the b^(b-2) labeled trees,
+    for b up to min(n_max, n_slices, BLOCK_BUDGET)."""
+    return {b: math.comb(n_slices, b) * b ** max(b - 2, 0) for b in range(1, min(n_max, n_slices, BLOCK_BUDGET) + 1)}
+
+
+def block_seconds(counts: dict, gl_nodes: int) -> float:
+    """The time the blocks of ``block_counts`` take at BLOCK_SECONDS, with
+    gl_nodes Gauss-Legendre nodes: a cell of a block of b vertices walks
+    gl_nodes^(b-1) weight points, so the price scales with that power."""
+    return sum(n * BLOCK_SECONDS[b - 1] * (gl_nodes / DEFAULT_GL_NODES) ** (b - 1) for b, n in counts.items())
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,9 @@ Z' = Z (log Z)':
     n b_n = n z_n - sum_(k<n) k b_k z_(n-k).
 
 ``series_log`` runs that recurrence at any order and in the arithmetic
-of its input, so the exact rational series of ``oracle.logz_series_g``
-takes its log from it too; ``log_coefficients`` holds the gas to
+of its input, so the tests' exact rational series of log Z in the
+quartic coupling (``logz_series_g`` in tests/conftest.py) takes its log
+from it too; ``log_coefficients`` holds the gas to
 ``ORDER_BUDGET``.  The coefficients z_n come from a subset sum over
 monomer masks: the lowest monomer of a mask is either empty or lies in
 exactly one polymer inside the mask.  The cost is flat in the number of

@@ -1,12 +1,13 @@
 """Low-level numerics shared by the kernel and oracle modules.
 
 ``kernel_bundle`` is the one grid routine for the slice kernel
-W = exp(-V) - 1 and its sigma-derivatives d^k(-V); the jungle terms and
-the quadrature Z both call it, once for all the slices of their window,
-which it returns stacked.  It sweeps a short index window term by
-term.  A window longer than ``DIRECT_SUM_LIMIT`` is swept only over its
-head, up to twice the largest |lambda sigma|; past that, -V is one power
-series in x = i lambda sigma, differentiated termwise for d^k(-V).  Its
+W = exp(-V) - 1 and its sigma-derivatives d^k(-V); the jungle terms call
+it once for all the slices of their window, which it returns stacked,
+and the quadrature Z once for the full window [p_lo, cutoff].  It sweeps
+a short index window term by term.  A window longer than
+``DIRECT_SUM_LIMIT`` is swept only over its head, up to twice the
+largest |lambda sigma|; past that, -V is one power series in
+x = i lambda sigma, differentiated termwise for d^k(-V).  Its
 coefficients u_m = sum_p p^(-m), real and free of sigma, are the only
 special-function values: Hurwitz zeta differences by Euler-Maclaurin, at
 a cost flat in the window length.  Each series runs only as far as the
@@ -20,7 +21,6 @@ route.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,17 +36,9 @@ DIRECT_SUM_LIMIT = 96
 # 2^-19 of its leading term.
 _ASYMPTOTIC_THRESHOLD = 64
 
-# Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin series of zeta(k, a).
-_BERNOULLI = [
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-]
+# Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin series of zeta(k, a),
+# each quotient a correctly rounded float.
+_BERNOULLI = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510]
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +59,7 @@ def _hurwitz_zeta(k: int, a: int) -> float:
     terms = [1.0 / (k - 1), 0.5 / a]
     rising = k  # k (k+1) ... (k+2j-2)
     for j, b in enumerate(_BERNOULLI, start=1):
-        terms.append(float(b) * rising / math.factorial(2 * j) * inv2**j)
+        terms.append(b * rising / math.factorial(2 * j) * inv2**j)
         rising *= (k + 2 * j - 1) * (k + 2 * j)
     return math.fsum(terms) * float(a) ** (1 - k)
 

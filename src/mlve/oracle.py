@@ -3,39 +3,31 @@
 In the intermediate-field representation Z is a one-dimensional Gaussian
 integral,
 
-    Z(lam, N) = int dnu(sigma) prod_p 1/(1 - i lam sigma/p) e^(-i lam sigma/p)
-              = int dnu(sigma) prod_j (1 + W_j(sigma)),
+    Z(lam, N) = int dnu(sigma) prod_p 1/(1 - i lam sigma/p) e^(-i lam sigma/p),
 
-with p running over the full slice window and j over its slices.  The
-quadrature integrates the slice product, so each factor takes the
-accurate route of its own window.  Gauss-Hermite quadrature of moderate
-order nails it to machine precision at desk scale; reliability is
-defined operationally by node doubling, with the rule and its doubled
-rule evaluated over their joined nodes in one kernel call, which sweeps
-every slice; ``checked_logz`` is the one rule for when Z has a log.  The
-sweep skips
-the outer nodes of each rule whose weights times a proven bound on the
-integrand (``growth_rate``) sum to less than ``PRUNE``, far below the
-rounding of any Z that has a log; where no bound holds it sweeps them
-all.  The module also
-gives the coefficients of log Z in the quartic coupling g = lam^2 as
-exact rationals: exp(-V) by the recurrence of E' = (-V)' E and its log
-by ``mayer.series_log``, the recurrence of Z' = Z (log Z)'.  Only the
-tests call them, with the power expansion of log(1 + A) as the oracle.
+with p running over the full cutoff window [p_lo, cutoff].  The
+quadrature integrates that one product, the kernel W of the whole
+window, and none of the slice decomposition that the expansion it
+checks is built on.  Gauss-Hermite quadrature of moderate order nails it
+to machine precision at desk scale; reliability is defined operationally
+by node doubling, with the rule and its doubled rule evaluated over their
+joined nodes in one kernel call; ``checked_logz`` is the one rule for
+when Z has a log.  The sweep skips the outer nodes of each rule whose
+weights times a proven bound on the integrand (``growth_rate``) sum to
+less than ``PRUNE``, far below the rounding of any Z that has a log;
+where no bound holds it sweeps them all.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import numerics
 from .errors import QuadratureUnreliableError
-from .mayer import series_log
 from .model_core import ModelParams
 
 DOUBLING_TOL = 1e-10
@@ -86,24 +78,20 @@ def gauss_hermite_norm(nodes: int):
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
-def _slice_product_m1(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """prod_j (1 + W_j) - 1 at the nodes x, accumulated as acc + W + acc W
-    over the slices' rows of one kernel call.
+def _integrand_m1(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """W = prod_p e^z/(1 + z) - 1, z = -i lam x/p, over the full window
+    [p_lo, cutoff] at the nodes x, from one kernel call.
 
     The weights of a rule sum to 1 only up to a few ulps, so the rules
     integrate this and add 1: the error of 1 - sum w would otherwise enter
     log Z at every coupling.
     """
-    windows = [(sl.lo, sl.hi) for sl in map(params.slice_set, params.slices)]
-    acc = np.zeros_like(x, dtype=complex)
-    for wj in numerics.kernel_bundle(params.lam, windows, 0, x)[0]:
-        acc += wj + acc * wj
-    return acc
+    return numerics.kernel_bundle(params.lam, [(params.p_lo, params.cutoff)], 0, x)[0][0]
 
 
 def growth_rate(lam: complex, lo: int, hi: int) -> float:
     """A rate c with log |prod_(p=lo..hi) e^z/(1 + z)| <= c |sigma|, z = -i lam sigma/p,
-    so that over the full window |prod_j (1 + W_j) - 1| <= 1 + exp(c |sigma|).
+    so that the kernel of the window has |W| <= 1 + exp(c |sigma|).
 
     Where |Re lam| > |Im lam|, cos(2 arg z) = -cos(2 gamma) < 0.  A factor
     with Re z >= 0 has |1 + z| >= 1, so its log-modulus Re z - log|1 + z|
@@ -130,7 +118,7 @@ def _outer_halves(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _outer_cuts(nodes: int, rate: float) -> tuple[int, int]:
     """Nodes left out at each end of the rules of ``nodes`` and 2 ``nodes``
     nodes.  Each rule leaves out the most whose weights times the bound
-    1 + exp(rate |x|) on |prod_j (1 + W_j) - 1| sum, over both ends, to less
+    1 + exp(rate |x|) on the integrand |W| sum, over both ends, to less
     than ``PRUNE``; the doubled rule then keeps its nodes up to the first at
     or past the other's largest."""
     ax, w = _outer_halves(nodes)
@@ -174,14 +162,14 @@ def z_reliable(params: ModelParams, nodes: int = DEFAULT_NODES) -> tuple[complex
     """Value at 2*nodes, the doubling delta, and the reliability verdict.
 
     Both rules, cut to their ``kept_rules``, take one kernel call over
-    their joined nodes, one sweep per slice; the nodes a rule leaves out would
-    move its Z by less than ``PRUNE`` in all.  The doubled rule holds the
-    largest node, so a long window splits, and sizes its tail series,
-    where it would for that kept rule alone, and its Z equals that rule's
-    integrated alone; the smaller rule's Z, which only enters the delta,
-    may move at rounding level.  Where ``growth_rate`` has no bound the rules are whole.  A Z
-    that overflows is a ValueError, with no floating-point warning on the
-    way.
+    their joined nodes, one sweep of the full window; the nodes a rule
+    leaves out would move its Z by less than ``PRUNE`` in all.  The
+    doubled rule holds the largest node, so a long window splits, and
+    sizes its tail series, where it would for that kept rule alone, and
+    its Z equals that rule's integrated alone; the smaller rule's Z, which
+    only enters the delta, may move at rounding level.  Where
+    ``growth_rate`` has no bound the rules are whole.  A Z that overflows
+    is a ValueError, with no floating-point warning on the way.
     """
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
@@ -189,7 +177,7 @@ def z_reliable(params: ModelParams, nodes: int = DEFAULT_NODES) -> tuple[complex
         return 1.0 + 0.0j, 0.0, True
     (x_a, w_a), (x_b, w_b) = kept_rules(params, nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = _slice_product_m1(params, np.concatenate((x_a, x_b)))
+        acc = _integrand_m1(params, np.concatenate((x_a, x_b)))
         a = 1.0 + complex(np.sum(w_a * acc[: len(x_a)]))
         b = 1.0 + complex(np.sum(w_b * acc[len(x_a) :]))
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
@@ -214,46 +202,3 @@ def checked_logz(z: complex, delta: float, reliable: bool) -> complex:
 def logz_oracle(params: ModelParams, nodes: int = DEFAULT_NODES) -> complex:
     """checked_logz of the quadrature Z at nodes and 2*nodes."""
     return checked_logz(*z_reliable(params, nodes))
-
-
-# --- perturbative coefficients ----------------------------------------------
-
-
-def _series_exp(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    """exp of a power series with zero constant term, truncated."""
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    # exp(A)' = A' exp(A):  (n+1) e_(n+1) = sum_k (k+1) a_(k+1) e_(n-k)
-    for n in range(order):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            acc += (k + 1) * coeffs[k + 1] * out[n - k]
-        out[n + 1] = acc / (n + 1)
-    return out
-
-
-def logz_series_g(p_lo: int, p_hi: int, order: int) -> list[Fraction]:
-    """Coefficients c_1..c_order of log Z = sum c_k g^k, exact rationals.
-
-    With z = i lam sigma, the interaction exponent is
-    -V = sum_(k>=2) u_k z^k / k, u_k = sum_p p^(-k); exp(-V) is a series
-    in z with rational coefficients h_t, and the Gaussian average kills
-    odd powers while even ones pick up (2m-1)!! and a factor (-1)^m from
-    i^(2m), leaving a real rational series in g.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if p_lo > p_hi:
-        return [Fraction(0)] * order
-    zmax = 2 * order
-    u = {k: sum(Fraction(1, p**k) for p in range(p_lo, p_hi + 1)) for k in range(2, zmax + 1)}
-    minus_v = [Fraction(0)] * (zmax + 1)
-    for k in range(2, zmax + 1):
-        minus_v[k] = u[k] / k
-    h = _series_exp(minus_v, zmax)
-    # Z = 1 + sum_(m>=1) h_(2m) (-1)^m (2m-1)!! g^m
-    z = [Fraction(1)] + [Fraction(0)] * order
-    for m in range(1, order + 1):
-        dfact = math.factorial(2 * m) // (2**m * math.factorial(m))  # (2m-1)!!
-        z[m] = h[2 * m] * Fraction((-1) ** m) * dfact
-    return series_log(z, order)

@@ -3,8 +3,8 @@ the degree count of labeled trees, the pointwise block oracle, the
 enumeration oracles of the polymer-gas Mayer expansion, and the second
 implementations that the package's one route per quantity is checked
 against: the scalar kernel sums and their Faa di Bruno partition sum,
-the single-rule quadrature of Z, the power expansion of the exact
-perturbative log Z, the forest-formula and replica identities, the
+the single-rule quadrature of Z, the exact rational perturbative series
+of log Z and the power expansion of its log, the forest-formula and replica identities, the
 brute-force Berezin integral and the sampled minor bounds."""
 
 import cmath
@@ -32,7 +32,8 @@ from mlve.grassmann import grassmann_minor, hardcore_violated, lifted_y_matrix, 
 from mlve.interpolation import min_over_paths, ordering_cell
 from mlve.model_core import ModelParams, dw_grid
 from mlve.numerics import kernel_bundle
-from mlve.oracle import MIN_NODES, _slice_product_m1, gauss_hermite_norm, logz_series_g
+from mlve.mayer import series_log
+from mlve.oracle import MIN_NODES, _integrand_m1, gauss_hermite_norm
 
 
 def random_block_tree(rng, verts):
@@ -320,20 +321,63 @@ def dw_derivative(params, j, q, sigma) -> complex:
 
 
 def z_sigma_quadrature(params, nodes) -> complex:
-    """Gauss-Hermite value of Z at one rule, integrating prod_j (1 + W_j)
-    over the slices: ``oracle.z_reliable`` takes this rule and its doubled
-    rule in one kernel sweep."""
+    """Gauss-Hermite value of Z at one whole rule, integrating the kernel W
+    of the full window and adding 1: ``oracle.z_reliable`` takes this rule
+    and its doubled rule, cut to their kept nodes, in one kernel sweep."""
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     if params.lam == 0:
         return 1.0 + 0.0j  # integrand identically 1 under the normalized measure
     x, w = gauss_hermite_norm(nodes)
-    return 1.0 + complex(np.sum(w * _slice_product_m1(params, x)))
+    return 1.0 + complex(np.sum(w * _integrand_m1(params, x)))
 
 
 # --- exact perturbative series ---------------------------------------------
-# ``oracle.logz_series_g`` takes log Z by the recurrence of
-# ``mayer.series_log``; ``_series_log1p`` expands the powers of A instead.
+# ``logz_series_g`` gives the coefficients of log Z in g = lam^2 as exact
+# rationals: exp(-V) by the recurrence of E' = (-V)' E, and its log by
+# ``mayer.series_log``, the recurrence of Z' = Z (log Z)'.  The tests hold
+# it against the quadrature log Z at small coupling, and its log against
+# ``_series_log1p``, which expands the powers of A instead.
+
+
+def _series_exp(coeffs: list[Fraction], order: int) -> list[Fraction]:
+    """exp of a power series with zero constant term, truncated."""
+    out = [Fraction(0)] * (order + 1)
+    out[0] = Fraction(1)
+    # exp(A)' = A' exp(A):  (n+1) e_(n+1) = sum_k (k+1) a_(k+1) e_(n-k)
+    for n in range(order):
+        acc = Fraction(0)
+        for k in range(n + 1):
+            acc += (k + 1) * coeffs[k + 1] * out[n - k]
+        out[n + 1] = acc / (n + 1)
+    return out
+
+
+def logz_series_g(p_lo: int, p_hi: int, order: int) -> list[Fraction]:
+    """Coefficients c_1..c_order of log Z = sum c_k g^k, exact rationals.
+
+    With z = i lam sigma, the interaction exponent is
+    -V = sum_(k>=2) u_k z^k / k, u_k = sum_p p^(-k); exp(-V) is a series
+    in z with rational coefficients h_t, and the Gaussian average kills
+    odd powers while even ones pick up (2m-1)!! and a factor (-1)^m from
+    i^(2m), leaving a real rational series in g.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if p_lo > p_hi:
+        return [Fraction(0)] * order
+    zmax = 2 * order
+    u = {k: sum(Fraction(1, p**k) for p in range(p_lo, p_hi + 1)) for k in range(2, zmax + 1)}
+    minus_v = [Fraction(0)] * (zmax + 1)
+    for k in range(2, zmax + 1):
+        minus_v[k] = u[k] / k
+    h = _series_exp(minus_v, zmax)
+    # Z = 1 + sum_(m>=1) h_(2m) (-1)^m (2m-1)!! g^m
+    z = [Fraction(1)] + [Fraction(0)] * order
+    for m in range(1, order + 1):
+        dfact = math.factorial(2 * m) // (2**m * math.factorial(m))  # (2m-1)!!
+        z[m] = h[2 * m] * Fraction((-1) ** m) * dfact
+    return series_log(z, order)
 
 
 def _series_log1p(coeffs: list[Fraction], order: int) -> list[Fraction]:

@@ -234,6 +234,36 @@ class TestCompare:
         assert "too close to zero" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_window_past_the_block_time_limit_exits_two(self, tmp_path, capsys, monkeypatch):
+        # 600 slices at n_max 3 need 1.1e8 3-vertex blocks: refused on the
+        # count, before the oracle, the order plan or any block runs
+        from mlve import oracle
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the window was priced")
+
+        monkeypatch.setattr(oracle, "logz_oracle", no_oracle)
+        cfg = write_config(tmp_path, **{"lambda": 0.2, "M": 3, "j_max": 600, "n_max": 3, "gl_nodes": 12})
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            run_cli(["compare", "--config", str(cfg), "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: n_max 3 over 600 slices needs 600 1-vertex, 179700 2-vertex, 107460600 3-vertex")
+        assert "past the 60 s limit" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("j_max, n_max", [(24, 3), (6, 4), (3, 2), (2, 3), (3, 7)])
+    def test_windows_inside_the_block_time_limit(self, j_max, n_max):
+        # the cutoff ladder's widest runs and the benchmark's configs, at
+        # the default nodes, stay inside the limit
+        from mlve import engine
+
+        seconds = engine.block_seconds(engine.block_counts(j_max, n_max), engine.DEFAULT_GL_NODES)
+        assert seconds <= engine.BLOCK_SECONDS_LIMIT
+
     def test_threads_config_key_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, threads=1)
         with pytest.raises(SystemExit) as err:
@@ -446,6 +476,27 @@ class TestOracleCommand:
         assert rec["reliable"] is False
         assert rec["logZ"] is None
         assert rec["node_doubling_delta"] == pytest.approx(6.8e-3, rel=1e-2)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem, a file that exists but cannot be read")
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["compare", "--config", "/proc/self/mem"], "config"),
+        (["oracle", "--config", "/proc/self/mem"], "config"),
+        (["mayer", "--gas", "/proc/self/mem"], "gas file"),
+    ],
+    ids=["compare", "oracle", "mayer"],
+)
+def test_unreadable_input_exits_two(tmp_path, capsys, argv, what):
+    # reading /proc/self/mem from offset 0 fails with EIO
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        run_cli([*argv, "--out", str(out)])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"error: cannot read {what} /proc/self/mem: ") and stderr.count("\n") == 1
+    assert not out.exists()
 
 
 class TestBoundsCommand:
@@ -805,3 +856,17 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_import_leaves_exact_arithmetic_out():
+    # the exact rational series are test oracles; the compare path imports
+    # neither fractions nor decimal, nor the Mayer module
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import mlve.cli, mlve.engine, mlve.oracle; "
+        "print(sorted({'fractions', 'decimal', 'mlve.mayer'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

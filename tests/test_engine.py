@@ -319,6 +319,18 @@ class TestBlockCache:
         # 4 + 6 + 12 + 16 classes by block size
         assert len(key_of) == 38
 
+    @pytest.mark.parametrize("n_slices, n_max", [(6, 2), (8, 3), (4, 4), (3, 5)])
+    def test_block_counts_are_the_blocks_integrated(self, monkeypatch, n_slices, n_max):
+        # orders 1..n_max integrate exactly block_counts blocks of each size,
+        # the counts that compare prices before it runs
+        entries = count()
+        monkeypatch.setattr(TermEvaluator, "_integrate_block", lambda self, edges, js: next(entries))
+        ev = TermEvaluator(ModelParams(0.2, 2, 1, n_slices), n_max=n_max)
+        for n in range(1, n_max + 1):
+            ev.order_contribution(n)
+        sizes = [len(js) for js, _ in ev._block_cache]
+        assert {b: sizes.count(b) for b in set(sizes)} == mlve.engine.block_counts(n_slices, n_max)
+
     def test_nine_blocks_at_order_five(self, monkeypatch):
         # the default config summed to n = 5 evaluates its 162 term classes
         # once each, reads their blocks by key through block_integral, 456

@@ -8,20 +8,25 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import _series_log1p, kernel_slice, perturbative_coefficients, z_sigma_quadrature
+from conftest import (
+    _series_exp,
+    _series_log1p,
+    kernel_slice,
+    logz_series_g,
+    perturbative_coefficients,
+    z_sigma_quadrature,
+)
 from mlve import numerics
 from mlve.errors import QuadratureUnreliableError
 from mlve.model_core import ModelParams, slice_range
 from mlve.oracle import (
     DOUBLING_TOL,
     PRUNE,
-    _series_exp,
-    _slice_product_m1,
+    _integrand_m1,
     gauss_hermite_norm,
     growth_rate,
     kept_rules,
     logz_oracle,
-    logz_series_g,
     z_reliable,
 )
 
@@ -29,7 +34,7 @@ from mlve.oracle import (
 def rule_z(params, x, w):
     """Z of one rule (x, w) integrated alone, as conftest.z_sigma_quadrature
     integrates a whole Gauss-Hermite rule."""
-    return 1.0 + complex(np.sum(w * _slice_product_m1(params, x)))
+    return 1.0 + complex(np.sum(w * _integrand_m1(params, x)))
 
 
 def whole_rule_z_reliable(params, nodes):
@@ -40,7 +45,7 @@ def whole_rule_z_reliable(params, nodes):
     x_a, w_a = gauss_hermite_norm(nodes)
     x_b, w_b = gauss_hermite_norm(2 * nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = _slice_product_m1(params, np.concatenate((x_a, x_b)))
+        acc = _integrand_m1(params, np.concatenate((x_a, x_b)))
         a = 1.0 + complex(np.sum(w_a * acc[:nodes]))
         b = 1.0 + complex(np.sum(w_b * acc[nodes:]))
     delta = abs(a - b)
@@ -97,9 +102,10 @@ class TestPartitionFunction:
         assert abs(z.imag) < 1e-12
 
     def test_slice_factorization_identity(self):
-        # the slice product that z_sigma_quadrature integrates against 1 + W
-        # over the full window; the last two cases integrate a long full
-        # window against slices on both sides of the direct-sum limit
+        # prod_j (1 + W_j) - 1, built as acc + W_j + acc W_j over the slices'
+        # rows of one kernel call, integrates to the oracle's full-window Z;
+        # the last two cases integrate a long full window against slices on
+        # both sides of the direct-sum limit
         x, w = gauss_hermite_norm(300)
         cases = [
             (0.2, 2, 1, 3),
@@ -110,8 +116,11 @@ class TestPartitionFunction:
         ]
         for lam, M, jmin, jmax in cases:
             params = ModelParams(lam, M, jmin, jmax)
-            full = 1.0 + kernel_slice(lam, params.p_lo, params.cutoff, 0, x)[0]
-            assert abs(complex(np.sum(w * full)) - z_sigma_quadrature(params, 300)) < 1e-12
+            windows = [(sl.lo, sl.hi) for sl in map(params.slice_set, params.slices)]
+            acc = np.zeros_like(x, dtype=complex)
+            for wj in numerics.kernel_bundle(lam, windows, 0, x)[0]:
+                acc += wj + acc * wj
+            assert abs(1.0 + complex(np.sum(w * acc)) - z_sigma_quadrature(params, 300)) < 1e-12
 
     @pytest.mark.parametrize("lam, M, j_max", [(0.5, 10, 6), (0.3, 100, 3), (0.45 + 0.2j, 100, 2)])
     def test_matches_mpmath_full_window(self, lam, M, j_max):
@@ -131,8 +140,8 @@ class TestPartitionFunction:
         ids=["real-M10", "real-M100", "complex-M100", "complex-long-slice", "free"],
     )
     def test_doubling_shares_one_sweep(self, lam, M, j_max):
-        # both kept rules take one kernel sweep per slice; the doubled rule
-        # holds the largest node, so its long-window split and its Z are
+        # both kept rules take one sweep of the full window; the doubled
+        # rule holds the largest node, so its long-window split and its Z are
         # those of its own kept rule, while the smaller rule's Z moves at
         # rounding.  The whole doubled rule stays the independent reference
         params = ModelParams(lam, M, 1, j_max)

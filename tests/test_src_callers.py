@@ -35,8 +35,9 @@ LAYER_TRACE = TESTS.parent / "bench" / "layertrace.py"
 
 # Second routes that only the tests call, the scalar kernel sums with
 # their Faa di Bruno partition sum and compensated sum, the single-rule
-# Z quadrature and the power expansion of log(1 + A) among them, live in
-# conftest.py and need no exemption.
+# Z quadrature, the exact rational series of log Z in g and the power
+# expansion of log(1 + A) among them, live in conftest.py and need no
+# exemption.
 REFERENCE_ROUTES = {
     # the lifted Y as path minima at any point of the weights
     "fermionic_factor": "engine.fermionic_weight_integral, Y gathered one ordering cell at a time",
@@ -44,8 +45,6 @@ REFERENCE_ROUTES = {
     # determinants directly, and the Berezin algebra that locks the
     # minor's sign is in the tests
     "grassmann_minor": "grassmann.exchange_sum, one pattern at a time",
-    # exact rational series of log Z in g
-    "logz_series_g": "oracle.logz_oracle at small coupling",
     # paper bounds verified by acceptance criteria 7-9
     "block_bound_complex": "the block bound on the domain |lam|^2 < cos(2 gamma)",
     "summed_series_bound": "geometric convergence of the summed series for large M",
