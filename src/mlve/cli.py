@@ -30,6 +30,7 @@ import math
 import os
 import sys
 from functools import cache
+from itertools import accumulate
 
 SCHEMA_VERSION = 2
 # math.exp(x) is finite exactly for x below this
@@ -137,13 +138,33 @@ def _write_json(path: str, record: dict) -> None:
         fh.write(json.dumps(record, indent=2) + "\n")
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    """A header row and then rows, with csv's default CRLF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _window(params) -> dict:
+    """The header that summary.json and oracle.json share."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "lambda": [params.lam.real, params.lam.imag],
+        "M": params.M,
+        "j_min": params.j_min,
+        "j_max": params.j_max,
+        "cutoff": params.cutoff,
+    }
+
+
 def cmd_compare(args) -> int:
-    from . import engine, oracle
+    from . import combinatorics, engine, oracle
     from .errors import QuadratureUnreliableError
 
     cfg = load_config(args.config)
     params = _params(cfg)
-    n_max = _int_setting(cfg, "n_max", 1, engine.ORDER_BUDGET)
+    n_max = _int_setting(cfg, "n_max", 1, combinatorics.JUNGLE_BUDGET)
     # order n over at least n slices admits one Bosonic block on all n
     # vertices with distinct slices, which the engine refuses past BLOCK_BUDGET
     if min(n_max, len(params.slices)) > engine.BLOCK_BUDGET:
@@ -169,8 +190,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
 
     ev = engine.TermEvaluator(params, gl_nodes, n_max)
-    orders, sums, rows, trace_rows = [], [], [], []
-    running = 0j
+    orders, trace_rows = [], []
     for n in range(1, n_max + 1):
         total = 0j
         for index, jungle, stabilizer, slices, value in ev.order_terms(n):
@@ -188,26 +208,16 @@ def cmd_compare(args) -> int:
                     }
                 )
         orders.append(total)
-        running += total
-        sums.append(running)
-        rows.append((n, running.real, running.imag, abs(running - ref)))
-
-    with open(os.path.join(out, "orders.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "partial_sum_re", "partial_sum_im", "abs_error_vs_oracle"])
-        for row in rows:
-            writer.writerow([row[0], f"{row[1]:.15e}", f"{row[2]:.15e}", f"{row[3]:.15e}"])
+    sums = list(accumulate(orders, initial=0j))[1:]
+    errors = [abs(s - ref) for s in sums]
+    rows = [[n, f"{s.real:.15e}", f"{s.imag:.15e}", f"{err:.15e}"] for n, (s, err) in enumerate(zip(sums, errors), 1)]
+    _write_csv(os.path.join(out, "orders.csv"), ["n", "partial_sum_re", "partial_sum_im", "abs_error_vs_oracle"], rows)
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "lambda": [params.lam.real, params.lam.imag],
-        "M": params.M,
-        "j_min": params.j_min,
-        "j_max": params.j_max,
-        "cutoff": params.cutoff,
+        **_window(params),
         "oracle_logz": [ref.real, ref.imag],
         "orders": [[o.real, o.imag] for o in orders],
         "partial_sums": [[s.real, s.imag] for s in sums],
-        "abs_errors": [row[3] for row in rows],
+        "abs_errors": errors,
     }
     _write_json(os.path.join(out, "summary.json"), summary)
     if args.trace:
@@ -215,8 +225,8 @@ def cmd_compare(args) -> int:
             for rec in trace_rows:
                 fh.write(json.dumps(rec) + "\n")
     print(f"log Z oracle = {ref:.12g}")
-    for n, re, im, err in rows:
-        print(f"S_{n} = {re:.12g}{im:+.3g}i   |S_{n} - oracle| = {err:.3e}")
+    for n, (s, err) in enumerate(zip(sums, errors), 1):
+        print(f"S_{n} = {s.real:.12g}{s.imag:+.3g}i   |S_{n} - oracle| = {err:.3e}")
     return 0
 
 
@@ -287,12 +297,7 @@ def cmd_oracle(args) -> int:
     except (QuadratureUnreliableError, ValueError):
         logz = None
     record = {
-        "schema_version": SCHEMA_VERSION,
-        "lambda": [params.lam.real, params.lam.imag],
-        "M": params.M,
-        "j_min": params.j_min,
-        "j_max": params.j_max,
-        "cutoff": params.cutoff,
+        **_window(params),
         "nodes": nodes,
         "Z": [z.real, z.imag],
         "node_doubling_delta": delta,
@@ -313,18 +318,12 @@ def cmd_verify_bounds(args) -> int:
         _fail_usage(f"--q-max must be >= 1, got {args.q_max}")
     out = _out_dir(args)
     rows = bounds.stirling_chain_check(range(1, args.q_max + 1))
-    with open(os.path.join(out, "stirling_chain.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "log_lhs", "log_rhs", "margin"])
-        for r in rows:
-            writer.writerow([r.q, f"{r.log_lhs:.15e}", f"{r.log_rhs:.15e}", f"{r.margin:.15e}"])
+    chain = ([r.q, f"{r.log_lhs:.15e}", f"{r.log_rhs:.15e}", f"{r.margin:.15e}"] for r in rows)
+    _write_csv(os.path.join(out, "stirling_chain.csv"), ["q", "log_lhs", "log_rhs", "margin"], chain)
     bad = [r for r in rows if not r.ok]
     thr = bounds.m_threshold_check(args.M, range(1, args.q_max + 1))
-    with open(os.path.join(out, "m_threshold.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "value", "ok"])
-        for r in thr:
-            writer.writerow([r.q, f"{r.value:.15e}", int(r.ok)])
+    threshold = ([r.q, f"{r.value:.15e}", int(r.ok)] for r in thr)
+    _write_csv(os.path.join(out, "m_threshold.csv"), ["q", "value", "ok"], threshold)
     print(f"stirling chain: {len(rows)} rows, {len(bad)} violations")
     for r in thr:
         if not r.ok:
@@ -348,15 +347,14 @@ def cmd_domain_map(args) -> int:
             last = math.inf
         if not math.isfinite(last):
             _fail_usage(f"--{axis}-min {lo!r} and --{axis}-max {hi!r} give no finite grid of {res} points")
+
+    def grid(lo, hi):
+        return (lo + (hi - lo) * i / (res - 1) for i in range(res))
+
     path = os.path.join(_out_dir(args), "domain_map.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_g", "im_g", "inside"])
-        for i in range(res):
-            re = args.re_min + (args.re_max - args.re_min) * i / (res - 1)
-            for j in range(res):
-                im = args.im_min + (args.im_max - args.im_min) * j / (res - 1)
-                writer.writerow([f"{re:.17g}", f"{im:.17g}", int(borel_domain(g=complex(re, im)).inside)])
+    points = ((re, im) for re in grid(args.re_min, args.re_max) for im in grid(args.im_min, args.im_max))
+    rows = ([f"{re:.17g}", f"{im:.17g}", int(borel_domain(g=complex(re, im)).inside)] for re, im in points)
+    _write_csv(path, ["re_g", "im_g", "inside"], rows)
     print(f"domain map: {res * res} points -> {path}")
     return 0
 

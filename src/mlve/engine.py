@@ -17,10 +17,10 @@ different slices.  A generator assigns one slice per component under
 those constraints, in the lexicographic order of the full product.  A
 jungle with a vertex of Fermionic degree >= 3 yields none: every
 exchange pattern repeats a generator there, so its Fermionic factor is
-zero.  Every other labeling is a structural zero; ``jungle_term`` still
-returns it as an exact 0 for outside callers, so a block with a
-repeated slice, or a Fermionic edge joining different slices, never
-reaches quadrature.
+zero.  Every other labeling is a structural zero; ``jungle_term``, the
+per-labeling reference of the tests and the layer trace, returns one as
+an exact 0, so a block with a repeated slice, or a Fermionic edge
+joining different slices, never reaches quadrature there either.
 
 A Bosonic block expectation is a Gaussian expectation under the
 interpolated covariance X(w), and both weight integrals run one
@@ -95,9 +95,9 @@ naming every vertex by the rank of its slice puts the block in canonical
 form with no search, and the key in slice ranks maps to the key in the
 window's slices.  An order is then, row by row, the planned Fermionic
 integral times block values read by key through ``block_integral``, each
-integrated on its first read; ``jungle_term`` is the same product for
-any labeling, filters included.  The default config needs 9
-block integrals through n = 6.
+integrated on its first read; the tests hold it against ``jungle_term``,
+the same product one labeling at a time, filters included.  The default
+config needs 9 block integrals through n = 6.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .combinatorics import Jungle, _components_of, _degrees, jungle_classes, norm_edge
+from .combinatorics import JUNGLE_BUDGET, Jungle, _components_of, _degrees, jungle_classes, norm_edge
 from .errors import BudgetExceededError
 from .grassmann import exchange_sum, hardcore_violated, slice_delta_violated
 from .interpolation import _read_only, min_over_paths, ordering_cell
@@ -117,7 +117,6 @@ from .model_core import ModelParams, dw_grid
 from .combinatorics import enumerate_jungles  # noqa: F401
 from .grassmann import fermionic_factor  # noqa: F401
 
-ORDER_BUDGET = 7
 BLOCK_BUDGET = 4
 # Seconds one block integral takes at DEFAULT_GL_NODES, by vertex count
 # b = 1..BLOCK_BUDGET, averaged over every block of a window in one
@@ -172,17 +171,6 @@ def block_seconds(counts: dict, gl_nodes: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _grid_constants(n: int, step: float):
-    """-k^2/2 on a grid of n points spaced by step, and the phases that read
-    an inverse transform at the middle point, sigma = 0: spectrum @ phase.
-    The inverse transform of the unit impulse there gives the phases with
-    the FFT's own exactly reduced twiddles.  Cached, so read-only."""
-    half_k2 = -0.5 * (2.0 * np.pi * np.fft.fftfreq(n, step)) ** 2
-    phase = np.fft.ifft(np.arange(n) == n // 2)
-    return _read_only(half_k2, phase)
-
-
-@lru_cache(maxsize=None)
 def _layer_multipliers(k: int, order: int, n: int, step: float) -> tuple:
     """The Fourier multipliers m_i = exp(-(w_i - w_(i+1)) k^2/2) of the
     layers i = 0..k - 1 at the levels of ``ordering_cell(k, order)``,
@@ -201,7 +189,8 @@ def _layer_multipliers(k: int, order: int, n: int, step: float) -> tuple:
     grid on a trailing axis; they serve every cell of every block with k
     tree edges.  Cached and read-only: 7.0 MB at k = 3, a 4-vertex block,
     and the default 12 nodes."""
-    half_k2, phase = _grid_constants(n, step)
+    half_k2 = -0.5 * (2.0 * np.pi * np.fft.fftfreq(n, step)) ** 2
+    phase = np.fft.ifft(np.arange(n) == n // 2)  # spectrum @ phase reads sigma = 0, on the FFT's own twiddles
     bounds = (1.0, *ordering_cell(k, order)[0], 0.0)
     *layers, last = (np.exp(np.multiply.outer(hi - lo, half_k2)) for hi, lo in zip(bounds, bounds[1:]))
     readout = last * phase
@@ -356,9 +345,8 @@ def _order_plan(n: int, n_slices: int) -> tuple:
     Bosonic block in slice ranks, in ``jungle.partition().blocks`` order:
     mapped to a window's slices, they are the keys of its block cache.
     None of it reads the coupling, so it is cached: each (order, slice
-    count) is planned once per process and shared by every evaluator."""
-    if n > ORDER_BUDGET:
-        raise BudgetExceededError(f"order {n} > budget {ORDER_BUDGET}")
+    count) is planned once per process and shared by every evaluator;
+    ``jungle_classes`` refuses an order past its budget before any row."""
     rows = []
     for index, (jungle, automorphisms) in enumerate(jungle_classes(n)):
         edges = jungle.bosonic.edges
@@ -382,10 +370,10 @@ class TermEvaluator:
     n_max is the highest order the evaluator will sum.  A block of order n
     has at most n vertices, one per slice, so no tree degree passes
     q = min(slice count, BLOCK_BUDGET, n_max) - 1, and each slice's sweep
-    stops at d^q W_j; a block past q is refused.  The default, ORDER_BUDGET,
-    sweeps every row a block of the window can read."""
+    stops at d^q W_j; a block past q is refused.  The default, the jungle
+    budget, sweeps every row a block of the window can read."""
 
-    def __init__(self, params: ModelParams, gl_nodes: int = DEFAULT_GL_NODES, n_max: int = ORDER_BUDGET):
+    def __init__(self, params: ModelParams, gl_nodes: int = DEFAULT_GL_NODES, n_max: int = JUNGLE_BUDGET):
         self.params = params
         self.gl_nodes = gl_nodes
         self._top = min(len(params.slices), BLOCK_BUDGET, n_max) - 1

@@ -14,8 +14,9 @@ by node doubling, with the rule and its doubled rule evaluated over their
 joined nodes in one kernel call; ``checked_logz`` is the one rule for
 when Z has a log.  The sweep skips the outer nodes of each rule whose
 weights times a proven bound on the integrand (``growth_rate``) sum to
-less than ``PRUNE``, far below the rounding of any Z that has a log;
-where no bound holds it sweeps them all.
+less than ``PRUNE``, far below the rounding of any Z that has a log.
+One cached route, ``_outer_cuts``, cuts both rules at every coupling;
+where no bound holds, as at lambda = 0, it cuts nothing.
 """
 
 from __future__ import annotations
@@ -107,74 +108,59 @@ def growth_rate(lam: complex, lo: int, hi: int) -> float:
     return abs(lam.imag) * (1.0 / lo + math.log(hi / lo))
 
 
-@lru_cache(maxsize=None)
-def _outer_halves(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """|x| and w at the nodes below 0 of the rules of ``nodes`` and 2 ``nodes``
-    nodes, each outermost first, end to end."""
-    (x_a, w_a), (x_b, w_b) = gauss_hermite_norm(nodes), gauss_hermite_norm(2 * nodes)
-    return -np.concatenate((x_a[: nodes // 2], x_b[:nodes])), np.concatenate((w_a[: nodes // 2], w_b[:nodes]))
-
-
+# keyed on a float rate, so bounded: a scan over complex couplings adds
+# one key per coupling
+@lru_cache(maxsize=256)
 def _outer_cuts(nodes: int, rate: float) -> tuple[int, int]:
     """Nodes left out at each end of the rules of ``nodes`` and 2 ``nodes``
-    nodes.  Each rule leaves out the most whose weights times the bound
-    1 + exp(rate |x|) on the integrand |W| sum, over both ends, to less
-    than ``PRUNE``; the doubled rule then keeps its nodes up to the first at
-    or past the other's largest."""
-    ax, w = _outer_halves(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = w + w * np.exp(rate * ax)
-    bound[np.isnan(bound)] = math.inf  # a weight that underflows to 0 under an overflowing bound
-    # the two ends of a rule sum the same, so each end sums to less than PRUNE / 2
-    cut_a = int(np.searchsorted(np.cumsum(bound[: nodes // 2]), PRUNE / 2))
-    cut_b = int(np.searchsorted(np.cumsum(bound[nodes // 2 :]), PRUNE / 2))
+    nodes at a coupling's ``growth_rate``: 0 at a real coupling, inf where
+    no rate holds.  Each rule leaves out the most whose weights times the
+    bound 1 + exp(rate |x|) on the integrand |W| sum, over both ends, to
+    less than ``PRUNE``, so none at rate inf; the doubled rule then keeps
+    its nodes up to the first at or past the other's largest."""
+    cuts = []
+    for size in (nodes, 2 * nodes):
+        x, w = (a[: size // 2] for a in gauss_hermite_norm(size))  # the nodes below 0, outermost first
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = w + w * np.exp(rate * -x)
+        bound[np.isnan(bound)] = math.inf  # a weight that underflows to 0 under an overflowing bound
+        # the two ends of a rule sum the same, so each end sums to less than PRUNE / 2
+        cuts.append(int(np.searchsorted(np.cumsum(bound), PRUNE / 2)))
     x_a, x_b = gauss_hermite_norm(nodes)[0], gauss_hermite_norm(2 * nodes)[0]
-    return cut_a, min(cut_b, 2 * nodes - 1 - int(np.searchsorted(x_b, x_a[nodes - 1 - cut_a])))
-
-
-@lru_cache(maxsize=None)
-def _real_cuts(nodes: int) -> tuple[int, int]:
-    """``_outer_cuts`` at rate 0, the rate of every real coupling, so a
-    property of the rules alone."""
-    return _outer_cuts(nodes, 0.0)
+    return cuts[0], min(cuts[1], 2 * nodes - 1 - int(np.searchsorted(x_b, x_a[nodes - 1 - cuts[0]])))
 
 
 def kept_rules(params: ModelParams, nodes: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The Gauss-Hermite rules of ``nodes`` and 2 ``nodes`` nodes, each cut
     to the central nodes that ``z_reliable`` sweeps.
 
-    Each rule leaves out the outer nodes of ``_outer_cuts`` at the rate
-    ``growth_rate`` of the full window, and the doubled rule keeps at
-    least one node as far out as the largest the other keeps.  Both stay
-    mirror-symmetric.  Where no rate holds both rules are whole; at a real
-    coupling the cuts are those of rate 0, cached per node count.
+    Each rule leaves out the outer nodes of ``_outer_cuts``, the one cut
+    route for every coupling, cached on (nodes, rate), at the rate
+    ``growth_rate`` of the full window; the doubled rule keeps at least one
+    node as far out as the largest the other keeps.  Both stay
+    mirror-symmetric, and where no rate holds both are whole.
     """
-    rate = growth_rate(params.lam, params.p_lo, params.cutoff)
-    cut_a, cut_b = (0, 0) if math.isinf(rate) else _real_cuts(nodes) if rate == 0.0 else _outer_cuts(nodes, rate)
-    (x_a, w_a), (x_b, w_b) = gauss_hermite_norm(nodes), gauss_hermite_norm(2 * nodes)
-    return (
-        (x_a[cut_a : nodes - cut_a], w_a[cut_a : nodes - cut_a]),
-        (x_b[cut_b : 2 * nodes - cut_b], w_b[cut_b : 2 * nodes - cut_b]),
-    )
+    cuts = _outer_cuts(nodes, growth_rate(params.lam, params.p_lo, params.cutoff))
+    rules = gauss_hermite_norm(nodes), gauss_hermite_norm(2 * nodes)
+    return tuple((x[cut : len(x) - cut], w[cut : len(w) - cut]) for cut, (x, w) in zip(cuts, rules))
 
 
 def z_reliable(params: ModelParams, nodes: int = DEFAULT_NODES) -> tuple[complex, float, bool]:
     """Value at 2*nodes, the doubling delta, and the reliability verdict.
 
-    Both rules, cut to their ``kept_rules``, take one kernel call over
-    their joined nodes, one sweep of the full window; the nodes a rule
-    leaves out would move its Z by less than ``PRUNE`` in all.  The
-    doubled rule holds the largest node, so a long window splits, and
-    sizes its tail series, where it would for that kept rule alone, and
-    its Z equals that rule's integrated alone; the smaller rule's Z, which
-    only enters the delta, may move at rounding level.  Where
-    ``growth_rate`` has no bound the rules are whole.  A Z that overflows
-    is a ValueError, with no floating-point warning on the way.
+    Both rules, cut to their ``kept_rules`` by the one cut route, take one
+    kernel call over their joined nodes, one sweep of the full window; the
+    nodes a rule leaves out would move its Z by less than ``PRUNE`` in
+    all.  The doubled rule holds the largest node, so a long window
+    splits, and sizes its tail series, where it would for that kept rule
+    alone, and its Z equals that rule's integrated alone; the smaller
+    rule's Z, which only enters the delta, may move at rounding level.
+    Where ``growth_rate`` has no bound the rules are whole; at lambda = 0
+    the kernel is exactly 0, so the sweep gives Z = 1 and delta 0.  A Z
+    that overflows is a ValueError, with no floating-point warning.
     """
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
-    if params.lam == 0:
-        return 1.0 + 0.0j, 0.0, True
     (x_a, w_a), (x_b, w_b) = kept_rules(params, nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         acc = _integrand_m1(params, np.concatenate((x_a, x_b)))

@@ -107,8 +107,8 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     current SIGMA_GRID, and the layers are walked here at the one point,
     with their multipliers computed from its levels: every merge returns
     to Fourier space, and the last smoothed spectrum is read at sigma = 0
-    through the phases, so the engine's real-space readout is checked
-    against an independent one.
+    through phases built here from the grid, so the engine's real-space
+    readout is checked against an independent one.
     """
     verts = sorted(block)
     if len(tree_edges) != len(verts) - 1:
@@ -118,7 +118,11 @@ def bosonic_block_value(block, tree_edges, slices, weights, params) -> complex:
     grid = mlve.engine.SIGMA_GRID
     rows = [dw_slice(params, slices[v], d, grid)[d] for v, d in zip(verts, _degrees(len(verts), edges))]
     cell = sorted(zip(edges, (weights[e] for e in tree_edges)), key=lambda ew: -ew[1])
-    half_k2, phase = mlve.engine._grid_constants(grid.size, grid[1] - grid[0])
+    # -k^2/2 at the grid's wavenumbers, and the phases that read an inverse
+    # transform at its point sigma = 0, with k m reduced mod n exactly
+    n, middle = grid.size, int(np.flatnonzero(grid == 0.0)[0])
+    half_k2 = -0.5 * (2.0 * np.pi * np.fft.fftfreq(n, grid[1] - grid[0])) ** 2
+    phase = np.exp(2j * np.pi * (np.arange(n) * middle % n) / n) / n
     bounds = [1.0, *(float(w) for _, w in cell), 0.0]
     comp = list(range(len(verts)))
     funcs = dict(enumerate(np.fft.fft(rows, axis=-1)))

@@ -860,11 +860,13 @@ def test_import_leaves_scipy_out():
 
 def test_import_leaves_exact_arithmetic_out():
     # the exact rational series are test oracles; the compare path imports
-    # neither fractions nor decimal, nor the Mayer module
+    # neither fractions nor decimal, nor the Mayer module, and none of
+    # mpmath, the bounds or the invariant suites, whose imports would add
+    # to every compare's start-up
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; import mlve.cli, mlve.engine, mlve.oracle; "
-        "print(sorted({'fractions', 'decimal', 'mlve.mayer'} & set(sys.modules)))"
+        "print(sorted({'fractions', 'decimal', 'mlve.mayer', 'mpmath', 'mlve.bounds', 'mlve.verify'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True

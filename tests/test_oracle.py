@@ -1,8 +1,10 @@
 import cmath
+import importlib.util
 import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +25,7 @@ from mlve.oracle import (
     DOUBLING_TOL,
     PRUNE,
     _integrand_m1,
+    _outer_cuts,
     gauss_hermite_norm,
     growth_rate,
     kept_rules,
@@ -205,14 +208,52 @@ class TestKeptRules:
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         assert abs(cmath.log(z_reliable(params, 200)[0]).imag) <= np.spacing(1.0)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.5j, 0.2 + 0.5j, 0.5 * cmath.exp(0.9j)], ids=["zero", "0.5i", "0.2+0.5i", "phase-0.9"])
-    def test_no_rate_sweeps_whole_rules(self, lam):
+    @pytest.mark.parametrize(
+        "lam, windows",
+        [(0.0, [(2, 3), (3, 600), (10**8, 2)])] + [(lam, [(2, 3)]) for lam in (0.5j, 0.2 + 0.5j, 0.5 * cmath.exp(0.9j))],
+        ids=["zero", "0.5i", "0.2+0.5i", "phase-0.9"],
+    )
+    def test_no_rate_sweeps_whole_rules(self, lam, windows):
         # where |Re lam| <= |Im lam| no node is left out, and Z, the delta
-        # and the verdict are bit for bit those of the whole rules
-        params = ModelParams(lam, 2, 1, 3)
-        for (x, w), (x_kept, w_kept) in zip((gauss_hermite_norm(200), gauss_hermite_norm(400)), kept_rules(params, 200)):
-            assert np.array_equal(x_kept, x) and np.array_equal(w_kept, w)
-        assert repr(z_reliable(params, 200)) == repr(whole_rule_z_reliable(params, 200))
+        # and the verdict are bit for bit those of the whole rules; the free
+        # theory's sweep gives exactly (1+0j, 0.0, True), on long windows
+        # and at large M too
+        for M, j_max in windows:
+            params = ModelParams(lam, M, 1, j_max)
+            for (x, w), (x_kept, w_kept) in zip((gauss_hermite_norm(200), gauss_hermite_norm(400)), kept_rules(params, 200)):
+                assert np.array_equal(x_kept, x) and np.array_equal(w_kept, w)
+            assert repr(z_reliable(params, 200)) == repr(whole_rule_z_reliable(params, 200))
+
+    def test_cut_cache_is_bounded(self):
+        # a scan over complex couplings adds one key per rate; the cache
+        # keeps at most its bound, and every cut it returns is the one
+        # computed afresh
+        _outer_cuts.cache_clear()
+        lams = set(0.3 * np.exp(1j * np.random.default_rng(41).uniform(-0.7, 0.7, 2000)))
+        assert len(lams) == 2000
+        rates = set()
+        for lam in lams:
+            params = ModelParams(complex(lam), 16, 1, 2)
+            kept_rules(params, 50)
+            rates.add(growth_rate(params.lam, params.p_lo, params.cutoff))
+        info = _outer_cuts.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < len(rates)
+        assert all(_outer_cuts(50, rate) == _outer_cuts.__wrapped__(50, rate) for rate in rates)
+
+    def test_repeat_complex_coupling_hits_the_cut_cache(self):
+        # the benchmark scan's complex couplings: a second quadrature at
+        # each reads its cuts from the cache
+        spec = importlib.util.spec_from_file_location("workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        configs = [cfg for cfg in workloads.configs("scan-order2-wide", 1) if cfg["lambda"][1] != 0]
+        assert len(configs) == 3
+        for cfg in configs:
+            params = ModelParams(complex(*cfg["lambda"]), cfg["M"], cfg["j_min"], cfg["j_max"])
+            first = z_reliable(params)
+            hits = _outer_cuts.cache_info().hits
+            assert repr(z_reliable(params)) == repr(first)
+            assert _outer_cuts.cache_info().hits == hits + 1
 
 
 class TestGrowthRate:
